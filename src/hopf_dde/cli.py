@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", help="path to a key = value configuration file")
     ps.add_argument("--out", default=".", help="output directory (default: .)")
     ps.add_argument("--workers", type=int, default=1,
-                    help="thread count for sweep fan-out (default: 1)")
+                    help="accepted for compatibility, must be >= 1; has no "
+                         "effect (sweep points run serially)")
     ps.add_argument("--paper-case", choices=sorted(PRESETS),
                     help="named parameter preset; overrides the model block")
     return ps

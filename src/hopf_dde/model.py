@@ -140,20 +140,27 @@ def _hill_extended(x: float, n: int, a: float) -> float:
     return -xn / (a - xn)
 
 
+def field(x1: float, y1: float, x2: float, y2: float,
+          y1d: float, y2d: float, p: ModelParams) -> tuple[float, float, float, float]:
+    """Right-hand side of the delay system on scalars.
+
+    (x1, y1, x2, y2) is the state at time t; y1d, y2d are y1 and y2 at
+    t - tau. Components may be negative during transients; the Hill term
+    uses the real continuation. The single copy of the model equations:
+    rhs wraps it for arrays and the integrator calls it directly.
+    """
+    return (1.0 - p.b1 * x1,
+            x1 - (p.a1 + p.a12 * y2d) * y1,
+            _hill_extended(y1d, p.n, p.a) - p.b2 * x2,
+            x2 - (p.a2 + p.a21 * y1d) * y2)
+
+
 def rhs(state: np.ndarray, delayed: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Right-hand side of the delay system.
+    """Right-hand side of the delay system on state vectors.
 
     state: (x1, y1, x2, y2) at time t; delayed: the same components at
-    t - tau (only y1, y2 of it are used). Components may be negative
-    during transients; the Hill term uses the real continuation.
+    t - tau (only y1, y2 of it are used). See field.
     """
-    x1, y1, x2, y2 = (float(state[IX1]), float(state[IY1]),
-                      float(state[IX2]), float(state[IY2]))
-    y1d = float(delayed[IY1])
-    y2d = float(delayed[IY2])
-    return np.array([
-        1.0 - p.b1 * x1,
-        x1 - (p.a1 + p.a12 * y2d) * y1,
-        _hill_extended(y1d, p.n, p.a) - p.b2 * x2,
-        x2 - (p.a2 + p.a21 * y1d) * y2,
-    ])
+    return np.array(field(float(state[IX1]), float(state[IY1]),
+                          float(state[IX2]), float(state[IY2]),
+                          float(delayed[IY1]), float(delayed[IY2]), p))

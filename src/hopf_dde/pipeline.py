@@ -5,14 +5,12 @@ equilibrium compute the characteristic coefficients, zero-delay verdict,
 crossing frequencies with their delay ladders, the first Hopf point with
 both delay derivatives, the normal form, a delay classification, and an
 optional direct simulation. Failures are captured per equilibrium so one
-degenerate branch cannot sink the report. Sweeps fan out over a thread
-pool; results keep submission order, so output bytes do not depend on the
-worker count.
+degenerate branch cannot sink the report. Sweep points run one after
+another, in sweep order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import logging
 import math
@@ -164,17 +162,16 @@ def sweep_values(spec) -> list[float | int]:
 
 
 def run_analysis(cfg: AnalysisConfig, workers: int = 1) -> list[RunResult]:
-    """All runs for a configuration: single set or sweep fan-out."""
+    """All runs for a configuration: single set or each sweep point in order.
+
+    workers is accepted for compatibility and has no effect: the
+    integrator runs in Python and holds the interpreter lock, so a thread
+    pool measured no speed-up.
+    """
     if cfg.params is None:
         raise HopfDdeError("configuration has no model parameters")
     if cfg.sweep is None:
         return [analyze_params(cfg.params, cfg)]
-    jobs = []
-    for v in sweep_values(cfg.sweep):
-        p = dataclasses.replace(cfg.params, **{cfg.sweep.param: v})
-        jobs.append((f"{cfg.sweep.param}={v:.10g}", p))
-    if workers <= 1:
-        return [analyze_params(p, cfg, label) for label, p in jobs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(analyze_params, p, cfg, label) for label, p in jobs]
-        return [f.result() for f in futs]
+    return [analyze_params(dataclasses.replace(cfg.params, **{cfg.sweep.param: v}),
+                           cfg, f"{cfg.sweep.param}={v:.10g}")
+            for v in sweep_values(cfg.sweep)]

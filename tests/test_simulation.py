@@ -1,5 +1,6 @@
 """Method-of-steps integrator, histories, reduced flow, diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hopf_dde import (DivergenceError, DomainError, History, IX1, IX2, IY1,
                       PRESETS, compute_eigenpair, compute_normal_form,
                       find_equilibria, integrate, make_z_path,
-                      oscillation_summary, reconstruct_center_manifold,
+                      oscillation_summary, reconstruct_center_manifold, rhs,
                       upward_crossings)
 
 from reference_values import CASES
@@ -138,6 +139,87 @@ def test_final_partial_step():
     assert traj.t[-1] - traj.t[-2] == pytest.approx(0.3, abs=1e-12)
 
 
+def _reference_integrate(p, tau, history, t_end, step):
+    """Per-step RK4 on numpy 4-vectors, the arithmetic integrate must keep.
+
+    After a partial final step the last node's delayed state is the last
+    k4 lookup, at t_end - tau.
+    """
+    n_full = int(t_end / step + 1e-9)
+    rem = t_end - n_full * step
+    if rem < 1e-12 * max(t_end, 1.0):
+        rem = 0.0
+    N = n_full + (1 if rem > 0.0 else 0)
+    states, derivs = np.empty((N + 1, 4)), np.empty((N + 1, 4))
+    states[0] = history.value(0.0)
+
+    def delayed(i, frac, h):
+        tq = i * step + frac * h - tau
+        if tq <= 0.0:
+            return history.value(tq)
+        x = tq / step
+        j = int(x)
+        s = x - j
+        if s < 1e-13:
+            return states[j]
+        return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * states[j]
+                + s * (1.0 - s) ** 2 * step * derivs[j]
+                + s * s * (3.0 - 2.0 * s) * states[j + 1]
+                + s * s * (s - 1.0) * step * derivs[j + 1])
+
+    for i in range(N):
+        h = step if i < n_full else rem
+        y = states[i]
+        derivs[i] = k1 = rhs(y, delayed(i, 0.0, h), p)
+        dh = delayed(i, 0.5, h)
+        k2 = rhs(y + 0.5 * h * k1, dh, p)
+        k3 = rhs(y + 0.5 * h * k2, dh, p)
+        d1 = delayed(i, 1.0, h)
+        k4 = rhs(y + h * k3, d1, p)
+        states[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    derivs[N] = rhs(states[N], d1 if rem > 0.0 else delayed(N, 0.0, step), p)
+    return states, derivs
+
+
+@pytest.mark.parametrize("case", ["from_function", "step_equals_tau",
+                                  "odd_n_negative_y1", "partial_final_step"])
+def test_integrate_matches_reference_bit_for_bit(case):
+    p = PRESETS["n2"]
+    tau, t_end, step = 2.0, 30.0, 0.125
+    history = History.from_function(_smooth, tau, segments=16)
+    if case == "step_equals_tau":
+        step, t_end = tau, 60.0
+    elif case == "odd_n_negative_y1":
+        # a negative delayed y1 takes the odd branch of the Hill continuation
+        p = dataclasses.replace(p, n=3)
+        history = History.constant(np.array([1.0, -0.5, 3.0, 20.0]), tau)
+    elif case == "partial_final_step":
+        t_end = 5.3
+    traj = integrate(p, tau, history, t_end, step)
+    states, derivs = _reference_integrate(p, tau, history, t_end, step)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
+
+
+@pytest.mark.parametrize("step", [0.5, 2.0])
+def test_final_node_derivative_after_partial_step(step):
+    # the last node sits at t_end, so its derivative needs the delayed
+    # state at t_end - tau, not at N*step - tau
+    p = PRESETS["n2"]
+    tau, t_end = 2.0, 5.3
+    traj = integrate(p, tau, History.from_function(_smooth, tau), t_end, step)
+    want = rhs(traj.states[-1], traj.value(t_end - tau), p)
+    np.testing.assert_allclose(traj.derivs[-1], want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_history_is_divergence(bad):
+    p = PRESETS["n2"]
+    y0 = np.array([2.0, 0.7, 11.0, bad])
+    with pytest.raises(DivergenceError):
+        integrate(p, 1.0, History.constant(y0, 1.0), t_end=1.0, step=0.1)
+
+
 def test_divergence_is_detected():
     # a hugely negative delayed y2 flips the y1 loss term into growth
     p = PRESETS["n2"]
@@ -191,8 +273,6 @@ def test_make_z_path_validation():
 
 
 def _dummy_nf():
-    import dataclasses
-
     from hopf_dde.normal_form import NormalForm
     zeros = np.zeros(4, dtype=complex)
     return NormalForm(
