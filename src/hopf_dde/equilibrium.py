@@ -9,12 +9,17 @@ of degree n + 2 obtained by clearing the Hill denominator:
 
 Positive real roots of this polynomial are the biologically meaningful
 equilibria. Root finding is a bracketing sign scan over (0, x_max] with a
-Cauchy upper bound, followed by bisection and a Newton polish.
+Cauchy upper bound: one vectorized Horner pass evaluates the polynomial on
+the whole scan grid, then bisection and a Newton polish run on the few
+brackets where its sign changes. The grid pass does the same separately
+rounded multiplies and adds as the scalar Horner, so its values, and the
+roots, are the same to the bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -87,6 +92,22 @@ def _poly_eval_scaled(coeffs: np.ndarray, x: float) -> float:
     return acc
 
 
+def _poly_eval_scaled_grid(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """_poly_eval_scaled at every point of xs, the same bits, in one pass."""
+    xs = np.asarray(xs, dtype=float)
+    low = xs <= 1.0
+    x, u = xs[low], 1.0 / xs[~low]
+    cs = np.asarray(coeffs, dtype=float).tolist()
+    acc_x, acc_u = np.zeros_like(x), np.zeros_like(u)
+    for c in reversed(cs):
+        acc_x = acc_x * x + c
+    for c in cs:
+        acc_u = acc_u * u + c
+    vals = np.empty_like(xs)
+    vals[low], vals[~low] = acc_x, acc_u
+    return vals
+
+
 def _poly_deriv(coeffs: np.ndarray) -> np.ndarray:
     k = np.arange(1, len(coeffs))
     return coeffs[1:] * k
@@ -112,6 +133,8 @@ def find_positive_roots(coeffs: np.ndarray, grid: int = 4096) -> list[float]:
     1e-12 * max|coefficient|.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError("polynomial coefficients must be finite")
     trimmed = np.trim_zeros(coeffs, "b")
     if len(trimmed) < 2:
         return []
@@ -121,21 +144,24 @@ def find_positive_roots(coeffs: np.ndarray, grid: int = 4096) -> list[float]:
         np.linspace(x_max / grid, x_max, grid),
         np.geomspace(1e-8, x_max, grid // 2),
     ]))
-    vals = np.array([_poly_eval_scaled(trimmed, x) for x in xs])
+    vals = _poly_eval_scaled_grid(trimmed, xs)
+    # a zero at the left end, or a sign change (NaN products included)
+    brackets = np.flatnonzero((vals[:-1] == 0.0)
+                              | ~(vals[:-1] * vals[1:] >= 0.0))
 
+    # Python floats: the same bits as numpy scalars, faster per Horner
+    cs = trimmed.tolist()
+    deriv = _poly_deriv(trimmed).tolist()
     roots: list[float] = []
-    deriv = _poly_deriv(trimmed)
-    for i in range(len(xs) - 1):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
+    for i in brackets.tolist():
+        a, b = float(xs[i]), float(xs[i + 1])
+        fa = float(vals[i])
         if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb >= 0.0:
+            roots.append(a)
             continue
         for _ in range(200):
             m = 0.5 * (a + b)
-            fm = _poly_eval_scaled(trimmed, m)
+            fm = _poly_eval_scaled(cs, m)
             if fm == 0.0 or (b - a) < 1e-16 * max(1.0, m):
                 break
             if fa * fm < 0.0:
@@ -147,22 +173,23 @@ def find_positive_roots(coeffs: np.ndarray, grid: int = 4096) -> list[float]:
         # tightly and magnitudes stay modest
         if root < 1e3:
             for _ in range(3):
-                fr = _poly_eval(trimmed, root)
+                fr = _poly_eval(cs, root)
                 dr = _poly_eval(deriv, root)
                 if dr == 0.0:
                     break
                 step = fr / dr
-                if not np.isfinite(step):
+                if not math.isfinite(step):
                     break
                 root -= step
         if root <= 0.0:
             continue
-        if abs(_poly_eval_scaled(trimmed, root)) > _REFINE_TOL * scale:
+        resid = abs(_poly_eval_scaled(cs, root))
+        if resid > _REFINE_TOL * scale:
             raise ConvergenceError(
                 f"root refinement stalled at x={root!r} "
-                f"(residual {abs(_poly_eval_scaled(trimmed, root)):.3e})")
+                f"(residual {resid:.3e})")
         if not any(abs(root - r) <= 1e-12 * max(1.0, abs(r)) for r in roots):
-            roots.append(float(root))
+            roots.append(root)
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return sorted(roots)

@@ -18,6 +18,7 @@ from .simulation import Trajectory
 _MODEL_FIELDS = ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n")
 _VARIANT_FIELDS = ("f11_undistributed", "f02_a12_coeff",
                    "w20_mixed_conjugates", "f21_delayed_args")
+_CSV_CHUNK_ROWS = 1024
 
 
 def fmt_float(x: float) -> str:
@@ -130,19 +131,24 @@ def parse_report(text: str) -> dict[str, str]:
     return out
 
 
+def _write_csv(path: str, header: str, columns: tuple) -> None:
+    # %.17g prints nan, inf and -0 exactly as fmt_float does; one format
+    # call per chunk of rows keeps the temporaries small for long runs
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = np.column_stack([c[i:i + _CSV_CHUNK_ROWS] for c in columns])
+            fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """Waveform samples; header exactly `t,x1,y1,x2,y2`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x1,y1,x2,y2\n")
-        for t, row in zip(traj.t, traj.states):
-            fh.write(",".join((fmt_float(t), fmt_float(row[IX1]),
-                               fmt_float(row[IY1]), fmt_float(row[IX2]),
-                               fmt_float(row[IY2]))) + "\n")
+    st = traj.states
+    _write_csv(path, "t,x1,y1,x2,y2",
+               (traj.t, st[:, IX1], st[:, IY1], st[:, IX2], st[:, IY2]))
 
 
 def write_phase_csv(path: str, traj: Trajectory) -> None:
     """Protein phase-plane samples; header exactly `y1,y2`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("y1,y2\n")
-        for row in traj.states:
-            fh.write(f"{fmt_float(row[IY1])},{fmt_float(row[IY2])}\n")
+    _write_csv(path, "y1,y2", (traj.states[:, IY1], traj.states[:, IY2]))

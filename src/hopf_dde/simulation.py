@@ -142,7 +142,8 @@ def integrate(p: ModelParams, tau: float, history: History,
     step must divide tau exactly (so delayed lookups never cross the
     moving front). A final shorter step is taken when t_end is not a
     multiple of step; the last node then sits at t_end. Raises
-    DivergenceError when the state norm exceeds 1e12 or turns non-finite.
+    DivergenceError when the history holds non-finite values, or when the
+    state norm exceeds 1e12 or turns non-finite.
     """
     if tau <= 0.0:
         raise DomainError(f"delay must be positive, got {tau!r}")
@@ -162,9 +163,16 @@ def integrate(p: ModelParams, tau: float, history: History,
     N = n_full + (1 if rem > 0.0 else 0)
     if N > _MAX_STEPS:
         raise DomainError(f"{N} steps exceed the {_MAX_STEPS} budget")
+    if not (np.all(np.isfinite(history.states))
+            and np.all(np.isfinite(history.derivs))):
+        raise DivergenceError("history holds non-finite values")
 
-    states = np.empty((N + 1, 4))
-    derivs = np.empty((N + 1, 4))
+    # zeros, not empty: rounding can put a lookup at the newest node just
+    # past the s < 1e-13 shortcut, so its Hermite weights reach the next,
+    # unwritten node (with weights of order s^2); that node must hold zero,
+    # not whatever the allocator left there
+    states = np.zeros((N + 1, 4))
+    derivs = np.zeros((N + 1, 4))
     states[0] = history.value(0.0)
     # flat views: indexing them reads and writes Python floats directly
     sv = memoryview(states).cast("B").cast("d")

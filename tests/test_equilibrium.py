@@ -1,5 +1,7 @@
 """Equilibrium polynomial and root-finding tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from hopf_dde import (ConvergenceError, DomainError, ModelParams, PRESETS,
                       build_equilibrium, equilibrium_poly_coeffs,
                       find_equilibria, find_positive_roots, hill_eval, rhs)
-from hopf_dde.equilibrium import _poly_eval, cauchy_root_bound
+from hopf_dde.equilibrium import (_poly_deriv, _poly_eval, _poly_eval_scaled,
+                                  _poly_eval_scaled_grid, cauchy_root_bound)
 
 from reference_values import CASES
 
@@ -43,6 +46,88 @@ def test_planted_cubic_roots():
     assert len(roots) == 2
     assert roots[0] == pytest.approx(0.5, rel=1e-12)
     assert roots[1] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected(bad):
+    # a NaN scan value would otherwise come back as a "positive root"
+    with pytest.raises(DomainError):
+        find_positive_roots(np.array([bad, 1.0]))
+    with pytest.raises(DomainError):
+        find_positive_roots(np.array([-1.0, 0.0, bad]))
+
+
+_PLANTED = np.array([1.0, -1.5, -1.5, 1.0])
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_grid_eval_matches_scalar_horner_bitwise(case):
+    coeffs = np.trim_zeros(equilibrium_poly_coeffs(PRESETS[case]), "b")
+    xs = np.concatenate([np.geomspace(1e-8, 1.0, 300),
+                         np.nextafter(1.0, [0.0, 2.0]),
+                         np.linspace(1.0, cauchy_root_bound(coeffs), 300)])
+    assert np.count_nonzero(xs == 1.0) == 2
+    want = np.array([_poly_eval_scaled(coeffs, x) for x in xs])
+    assert np.array_equal(_poly_eval_scaled_grid(coeffs, xs), want)
+
+
+def _per_interval_roots(coeffs, grid=4096):
+    # the scan as a scalar loop over every interval, kept as a reference
+    coeffs = np.asarray(coeffs, dtype=float)
+    trimmed = np.trim_zeros(coeffs, "b")
+    if len(trimmed) < 2:
+        return []
+    x_max = cauchy_root_bound(trimmed)
+    xs = np.unique(np.concatenate([
+        np.linspace(x_max / grid, x_max, grid),
+        np.geomspace(1e-8, x_max, grid // 2),
+    ]))
+    vals = np.array([_poly_eval_scaled(trimmed, x) for x in xs])
+    roots = []
+    deriv = _poly_deriv(trimmed)
+    for i in range(len(xs) - 1):
+        a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
+        if fa == 0.0:
+            roots.append(float(a))
+            continue
+        if fa * fb >= 0.0:
+            continue
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            fm = _poly_eval_scaled(trimmed, m)
+            if fm == 0.0 or (b - a) < 1e-16 * max(1.0, m):
+                break
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        root = 0.5 * (a + b)
+        if root < 1e3:
+            for _ in range(3):
+                dr = _poly_eval(deriv, root)
+                if dr == 0.0:
+                    break
+                step = _poly_eval(trimmed, root) / dr
+                if not np.isfinite(step):
+                    break
+                root -= step
+        if root > 0.0 and not any(abs(root - r) <= 1e-12 * max(1.0, abs(r))
+                                  for r in roots):
+            roots.append(float(root))
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return sorted(roots)
+
+
+def test_vectorized_scan_matches_per_interval_reference():
+    polys = [_PLANTED, np.array([-1.0, 0.0, 1.0]), np.array([0.0, -2.0, 0.0, 1.0])]
+    polys += [equilibrium_poly_coeffs(p) for p in PRESETS.values()]
+    polys += [equilibrium_poly_coeffs(dataclasses.replace(PRESETS["n2"], n=n))
+              for n in range(1, 41)]
+    for coeffs in polys:
+        got = find_positive_roots(coeffs)
+        assert got == _per_interval_roots(coeffs)
+        assert all(type(r) is float for r in got)
 
 
 def test_cauchy_bound_contains_planted_roots():

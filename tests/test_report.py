@@ -102,3 +102,27 @@ def test_phase_csv(tmp_path, short_traj):
     y1, y2 = map(float, lines[1].split(","))
     assert y1 == short_traj.states[0, 1]
     assert y2 == short_traj.states[0, 3]
+
+
+def test_csv_writers_match_fmt_float_bytes(tmp_path):
+    # special values, then enough rows to span several write chunks
+    rng = np.random.default_rng(5)
+    states = np.vstack([
+        [[math.nan, math.inf, -0.0, 1e-300],
+         [-math.inf, 0.1, 2.0 ** -1074, -1e308],
+         [1.0, -2.5, math.pi, 79.96962531280060]],
+        rng.standard_normal((2500, 4)) * 10.0 ** rng.integers(-9, 9, (2500, 4)),
+    ])
+    t = np.concatenate([[0.0, 1e-300, 0.30000000000000004],
+                        0.3 + 0.001 * np.arange(2500)])
+    traj = Trajectory(t=t, states=states, derivs=np.zeros_like(states),
+                      tau=1.0, step=0.5)
+    write_trajectory_csv(str(tmp_path / "traj.csv"), traj)
+    write_phase_csv(str(tmp_path / "phase.csv"), traj)
+    want_traj = "t,x1,y1,x2,y2\n" + "".join(
+        ",".join(fmt_float(x) for x in (t, *row)) + "\n"
+        for t, row in zip(traj.t, states))
+    want_phase = "y1,y2\n" + "".join(
+        f"{fmt_float(row[1])},{fmt_float(row[3])}\n" for row in states)
+    assert (tmp_path / "traj.csv").read_bytes() == want_traj.encode()
+    assert (tmp_path / "phase.csv").read_bytes() == want_phase.encode()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,12 +213,44 @@ def test_final_node_derivative_after_partial_step(step):
     np.testing.assert_allclose(traj.derivs[-1], want, rtol=0.0, atol=1e-12)
 
 
+def test_lookup_at_the_front_ignores_unwritten_memory(monkeypatch):
+    # at step = tau the k4 lookup lands on the newest node, and rounding
+    # of t + h - tau can put it just past the 1e-13 shortcut, so the
+    # Hermite weights touch the next, unwritten node; what the allocator
+    # left there must not reach the trajectory
+    p = PRESETS["n2"]
+    y0 = np.array([2.0, 0.7, 11.0, 79.0])
+    tau = 0.3
+    want = integrate(p, tau, History.constant(y0, tau), 2000 * tau, tau)
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(math.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    got = integrate(p, tau, History.constant(y0, tau), 2000 * tau, tau)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.derivs, want.derivs)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_history_is_divergence(bad):
     p = PRESETS["n2"]
     y0 = np.array([2.0, 0.7, 11.0, bad])
     with pytest.raises(DivergenceError):
         integrate(p, 1.0, History.constant(y0, 1.0), t_end=1.0, step=0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_history_raises_before_any_warning(bad):
+    p = PRESETS["n2"]
+    y0 = np.array([2.0, 0.7, 11.0, bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError):
+            integrate(p, 1.0, History.constant(y0, 1.0), t_end=1.0, step=0.1)
 
 
 def test_divergence_is_detected():
