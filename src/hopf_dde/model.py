@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DivergenceError, DomainError
 
 # state-vector component indices
 IX1, IY1, IX2, IY2 = 0, 1, 2, 3
@@ -71,17 +71,6 @@ PRESETS = {
 }
 
 
-def _sigma(x: float, n: int, a: float) -> float:
-    # f(x) = x^n/(a+x^n) = 1/(1+exp(ln a - n ln x)) in log space, which
-    # stays finite for huge n where x^n alone would over/underflow
-    t = math.log(a) - n * math.log(x)
-    if t > 700.0:
-        return math.exp(-t)
-    if t < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(t))
-
-
 def hill_eval(x: float, p: ModelParams) -> float:
     """Hill function f(x) = x^n / (a + x^n) for x >= 0.
 
@@ -91,9 +80,7 @@ def hill_eval(x: float, p: ModelParams) -> float:
     """
     if x < 0.0:
         raise DomainError(f"hill_eval requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    return _sigma(float(x), p.n, p.a)
+    return _hill_extended(float(x), p.n, p.a)
 
 
 def hill_derivs(x: float, p: ModelParams) -> tuple[float, float, float]:
@@ -110,7 +97,7 @@ def hill_derivs(x: float, p: ModelParams) -> tuple[float, float, float]:
         raise DomainError(f"hill_derivs requires x > 0, got {x!r}")
     x = float(x)
     n = float(p.n)
-    s = _sigma(x, p.n, p.a)
+    s = _hill_extended(x, p.n, p.a)
     u = s * (1.0 - s)
     r1 = (n / x) * u
     r2 = (n / x**2) * u * ((n - 1.0) - 2.0 * n * s)
@@ -120,24 +107,59 @@ def hill_derivs(x: float, p: ModelParams) -> tuple[float, float, float]:
     return r1, r2, r3
 
 
-def _hill_extended(x: float, n: int, a: float) -> float:
+def _hill_log(x: float, n: int, log_a: float) -> float:
     """Hill function continued to x < 0 via the real integer power.
 
     The public hill_eval rejects negative arguments; the integrator uses
     this continuation so transients that briefly cross zero keep a smooth
-    right-hand side. For even n the function is even; for odd n,
-    x^n/(a + x^n) with a real negative numerator.
+    right-hand side. For even n the function is even. For odd n and
+    x < 0, x^n/(a + x^n) = 1/(1 - exp(t)) with the same
+    t = ln a - n ln|x| as the positive branch 1/(1 + exp(t)), so neither
+    overflows for huge n; the pole x = -a^(1/n) (t = 0) raises
+    DivergenceError. Takes ln a so a caller can compute it once.
     """
-    if x > 0.0:
-        return _sigma(x, n, a)
     if x == 0.0:
         return 0.0
-    if n % 2 == 0:
-        return _sigma(-x, n, a)
-    # odd n, x < 0: x^n < 0; fall back to the direct ratio (presets with
-    # huge n are even, so no overflow concern on this branch)
-    xn = (-x) ** n
-    return -xn / (a - xn)
+    t = log_a - n * math.log(abs(x))
+    sign = -1.0 if x < 0.0 and n % 2 else 1.0
+    if t > 700.0:
+        return sign * math.exp(-t)
+    if t < -700.0:
+        return 1.0
+    if t == 0.0 and sign < 0.0:
+        raise DivergenceError(f"Hill term has a pole at x={x!r} for odd n={n}")
+    return 1.0 / (1.0 + sign * math.exp(t))
+
+
+def _hill_extended(x: float, n: int, a: float) -> float:
+    """_hill_log with the half-saturation constant a itself."""
+    return _hill_log(x, n, math.log(a))
+
+
+def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray:
+    """_hill_log elementwise, to the bit.
+
+    math.log and math.exp do the transcendental parts, since numpy's
+    differ from them in the last bit; numpy does the arithmetic, which
+    rounds the same. Clamps and pole as in _hill_log.
+    """
+    ax = np.abs(x)
+    zero = ax == 0.0
+    ax[zero] = 1.0
+    t = log_a - n * np.fromiter(map(math.log, ax.tolist()), float, len(ax))
+    odd_neg = x < 0.0 if n % 2 else np.zeros(len(x), dtype=bool)
+    if np.any(odd_neg & (t == 0.0)):
+        raise DivergenceError(f"Hill term has a pole for odd n={n}")
+    sign = np.where(odd_neg, -1.0, 1.0)
+    # exp(-700) is below half an ulp of 1, so clipping t to [-700, 700]
+    # already gives the t < -700 branch's 1.0 and keeps exp finite
+    e = np.fromiter(map(math.exp, t.clip(-700.0, 700.0).tolist()), float, len(t))
+    out = 1.0 / (1.0 + sign * e)
+    tail = t > 700.0
+    if tail.any():
+        out[tail] = sign[tail] * np.array([math.exp(-v) for v in t[tail].tolist()])
+    out[zero] = 0.0
+    return out
 
 
 def field(x1: float, y1: float, x2: float, y2: float,
@@ -146,8 +168,9 @@ def field(x1: float, y1: float, x2: float, y2: float,
 
     (x1, y1, x2, y2) is the state at time t; y1d, y2d are y1 and y2 at
     t - tau. Components may be negative during transients; the Hill term
-    uses the real continuation. The single copy of the model equations:
-    rhs wraps it for arrays and the integrator calls it directly.
+    uses the real continuation. rhs wraps it for arrays; the integrator
+    writes the same expressions out inline on precomputed delayed
+    coefficients, and a test pins it to rhs.
     """
     return (1.0 - p.b1 * x1,
             x1 - (p.a1 + p.a12 * y2d) * y1,

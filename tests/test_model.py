@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_dde import DomainError, ModelParams, PRESETS, hill_derivs, hill_eval, rhs
-from hopf_dde.model import _hill_extended
+from hopf_dde import (DivergenceError, DomainError, ModelParams, PRESETS,
+                      hill_derivs, hill_eval, rhs)
+from hopf_dde.model import _hill_extended, _hill_log, _hill_log_many
 
 from reference_values import CASES, HILL_N4_AT_EQ
 
@@ -120,6 +121,41 @@ def test_hill_extension_matches_parity():
     x, n, a = -1.2, 3, 4.0
     expected = (x**3) / (a + x**3)
     assert _hill_extended(x, n, a) == pytest.approx(expected, rel=1e-12)
+
+
+def test_hill_odd_branch_stays_finite_for_huge_exponents():
+    # (-100)^163 overflows a float; in log space the term is 1/(1 - e^t)
+    # with t = ln a - n ln|x| far below -700
+    assert _hill_extended(-100.0, 163, 1.0) == 1.0
+    x = -1.01
+    assert _hill_extended(x, 163, 1.0) == pytest.approx(x**163 / (1.0 + x**163), rel=1e-12)
+    # far inside the pole |x| = a^(1/n) the term underflows to -0.0
+    assert math.copysign(1.0, _hill_extended(-1e-5, 163, 1.0)) == -1.0
+    assert _hill_extended(-0.5, 3, 4.0) == pytest.approx(-0.125 / 3.875, rel=1e-14)
+
+
+@pytest.mark.parametrize("x, n, a", [(-1.0, 3, 1.0), (-2.0, 1, 2.0)])
+def test_hill_odd_branch_pole_is_divergence(x, n, a):
+    # x^n = -a makes the denominator vanish
+    with pytest.raises(DivergenceError):
+        _hill_extended(x, n, a)
+    with pytest.raises(DivergenceError):
+        _hill_log_many(np.array([0.5, x]), n, math.log(a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 163, 164])
+@pytest.mark.parametrize("a", [4.0, 0.5])
+def test_hill_log_many_matches_scalar_bit_for_bit(n, a):
+    rng = np.random.default_rng(n)
+    x = np.concatenate((rng.uniform(-3.0, 3.0, 2000), rng.uniform(0.99, 1.01, 500),
+                        [0.0, -0.0, 1e-300, -1e-300, 5e-324, 100.0, -100.0,
+                         1e10, -1e10, 1e300, -1e300]))
+    if n % 2:
+        x = x[np.abs(np.abs(x) - a ** (1.0 / n)) > 1e-9]  # keep off the pole
+    want = np.array([_hill_log(v, n, math.log(a)) for v in x.tolist()])
+    got = _hill_log_many(x, n, math.log(a))
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_rhs_hand_computed():

@@ -1,6 +1,7 @@
 """Method-of-steps integrator, histories, reduced flow, diagnostics."""
 
 import dataclasses
+import gc
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from hopf_dde import (DivergenceError, DomainError, History, IX1, IX2, IY1,
                       oscillation_summary, reconstruct_center_manifold, rhs,
                       upward_crossings)
 
+from hopf_dde import simulation
 from reference_values import CASES
 
 
@@ -200,6 +202,132 @@ def test_integrate_matches_reference_bit_for_bit(case):
     states, derivs = _reference_integrate(p, tau, history, t_end, step)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.derivs, derivs)
+
+
+def _spy_on_interval_pass(monkeypatch):
+    """Count the calls of the interval pass's Hill evaluation."""
+    calls = []
+    real = simulation._hill_log_many
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(simulation, "_hill_log_many", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["from_function", "odd_n_negative_y1",
+                                  "partial_final_step", "ends_mid_interval"])
+def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
+    # 64 steps per delay interval: all but each interval's last step take
+    # their delayed terms from the numpy pass
+    p = PRESETS["n2"]
+    tau, t_end, step = 2.0, 30.0, 2.0 / 64
+    history = History.from_function(_smooth, tau, segments=16)
+    if case == "odd_n_negative_y1":
+        p = dataclasses.replace(p, n=3)
+        history = History.constant(np.array([1.0, -0.5, 3.0, 20.0]), tau)
+    elif case == "partial_final_step":
+        t_end = 5.3  # 169.6 steps: 41 full ones in the last pass
+    elif case == "ends_mid_interval":
+        t_end = 178 * step  # the last interval has 50 of its 64 steps
+    assert 64 >= simulation._PASS_MIN_STEPS
+    calls = _spy_on_interval_pass(monkeypatch)
+    traj = integrate(p, tau, history, t_end, step)
+    assert len(calls) == math.ceil(t_end / tau)
+    states, derivs = _reference_integrate(p, tau, history, t_end, step)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
+
+
+@pytest.mark.parametrize("case, tau, m, t_end, stretch", [
+    ("n4", 12.0, 256, 200.0, 1.0), ("n164", 7.4, 128, 100.0, 1.0),
+    ("n163", 0.5, 36, 30.0, 1.0), ("n4", 3.0, 40, 31.3, 1.0),
+    # a step that divides tau only to the accepted 1e-9: each interval's
+    # last end lookup then lands just past its first node and weighs in
+    # the node after it
+    ("n4", 2.0, 256, 60.0, 1.0 + 9e-10)])
+def test_interval_path_equals_per_step_path(case, tau, m, t_end, stretch, monkeypatch):
+    p = PRESETS[case]
+    eq = find_equilibria(p)[0]
+    history = History.constant(eq.state() * 1.01, tau)
+    step = tau / m * stretch
+    fast = integrate(p, tau, history, t_end, step)
+    monkeypatch.setattr(simulation, "_PASS_MIN_STEPS", 10**9)
+    slow = integrate(p, tau, history, t_end, step)
+    assert np.array_equal(fast.states, slow.states)
+    assert np.array_equal(fast.derivs, slow.derivs)
+
+
+def test_interval_start_derivatives_are_current():
+    # each interval's last step runs step by step and its midpoint lookup
+    # reads the derivative stored at the interval's first node; a stale
+    # (unwritten) one would put the node off the field
+    p = PRESETS["n2"]
+    tau, m = 2.0, 64
+    step = tau / m
+    traj = integrate(p, tau, History.from_function(_smooth, tau), 20.0, step)
+    for j in range(m, len(traj.t) - 1, m):
+        want = rhs(traj.states[j], traj.value(j * step - tau), p)
+        np.testing.assert_allclose(traj.derivs[j], want, rtol=1e-12, atol=1e-14)
+
+
+def test_interval_path_divergence_matches_per_step_path(monkeypatch):
+    # a very negative delayed y2 flips the y1 loss term into growth; the
+    # state passes 1e12 on step 90, in the second delay interval's pass
+    p = PRESETS["n2"]
+    y0 = np.array([2.0, 0.7, 11.0, -1.0e3])
+    calls = _spy_on_interval_pass(monkeypatch)
+    with pytest.raises(DivergenceError) as fast:
+        integrate(p, 1.0, History.constant(y0, 1.0), t_end=50.0, step=1.0 / 64)
+    assert calls
+    monkeypatch.setattr(simulation, "_PASS_MIN_STEPS", 10**9)
+    with pytest.raises(DivergenceError) as slow:
+        integrate(p, 1.0, History.constant(y0, 1.0), t_end=50.0, step=1.0 / 64)
+    assert str(fast.value) == str(slow.value)
+    assert str(fast.value).endswith("(step 90)")
+
+
+@pytest.mark.parametrize("m", [1, 64])
+def test_huge_odd_exponent_with_very_negative_delayed_y1(m):
+    # (-100)^163 overflows a float; the log-space odd branch gives 1.0
+    p = PRESETS["n163"]
+    tau = 1.0
+    history = History.constant(np.array([1.0, -100.0, 3.0, 20.0]), tau)
+    traj = integrate(p, tau, history, 3.0, tau / m)
+    assert np.all(np.isfinite(traj.states))
+    states, derivs = _reference_integrate(p, tau, history, 3.0, tau / m)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
+
+
+@pytest.mark.parametrize("m", [1, 64])
+def test_integrate_leaves_no_reference_cycles(m):
+    # a cycle (say, a nested lookup function that calls itself) would keep
+    # each run's arrays alive until the cyclic collector runs, which raised
+    # the benchmark's peak RSS by a third
+    p = PRESETS["n2"]
+    gc.collect()
+    gc.disable()
+    try:
+        integrate(p, 2.0, History.from_function(_smooth, 2.0), 20.0, 2.0 / m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_history_values_match_value_bit_for_bit():
+    tau = 2.0
+    for hist in (History.from_function(_smooth, tau, segments=16),
+                 History.constant(np.array([1.0, 2.0, 3.0, 4.0]), tau, segments=7)):
+        ts = np.concatenate((np.linspace(-tau, 0.0, 203), -tau + hist.step * np.arange(5),
+                             [-tau - 1e-10, 1e-10, -1e-14]))
+        got = hist.values(ts)
+        for t, row in zip(ts, got):
+            assert np.array_equal(row, hist.value(float(t)))
+    with pytest.raises(DomainError):
+        hist.values(np.array([-1.0, 0.5]))
 
 
 @pytest.mark.parametrize("step", [0.5, 2.0])
