@@ -107,8 +107,9 @@ def main(argv: list[str] | None = None) -> int:
                 traj = br.sim.trajectory
                 tpath = os.path.join(args.out, f"trajectory{suffix}{eq_suffix}.csv")
                 ppath = os.path.join(args.out, f"phase{suffix}{eq_suffix}.csv")
-                write_trajectory_csv(tpath, traj)
-                write_phase_csv(ppath, traj)
+                # phase.csv's y1, y2 text is formatted once, for both files
+                write_trajectory_csv(tpath, traj,
+                                     lambda chunks: write_phase_csv(ppath, traj, chunks))
                 log.info("wrote %s, %s", tpath, ppath)
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

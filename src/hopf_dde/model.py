@@ -137,28 +137,33 @@ def _hill_extended(x: float, n: int, a: float) -> float:
 
 
 def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray:
-    """_hill_log elementwise, to the bit.
+    """_hill_log elementwise, with numpy's log and exp.
 
-    math.log and math.exp do the transcendental parts, since numpy's
-    differ from them in the last bit; numpy does the arithmetic, which
-    rounds the same. Clamps and pole as in _hill_log.
+    Agrees with _hill_log to a few ulp (the transcendental parts round
+    differently); zero, the +-700 clamps and the pole are as in
+    _hill_log.
     """
     ax = np.abs(x)
     zero = ax == 0.0
-    ax[zero] = 1.0
-    t = log_a - n * np.fromiter(map(math.log, ax.tolist()), float, len(ax))
-    odd_neg = x < 0.0 if n % 2 else np.zeros(len(x), dtype=bool)
-    if np.any(odd_neg & (t == 0.0)):
-        raise DivergenceError(f"Hill term has a pole for odd n={n}")
-    sign = np.where(odd_neg, -1.0, 1.0)
-    # exp(-700) is below half an ulp of 1, so clipping t to [-700, 700]
-    # already gives the t < -700 branch's 1.0 and keeps exp finite
-    e = np.fromiter(map(math.exp, t.clip(-700.0, 700.0).tolist()), float, len(t))
-    out = 1.0 / (1.0 + sign * e)
+    any_zero = zero.any()
+    if any_zero:
+        ax[zero] = 1.0
+    t = log_a - n * np.log(ax)
+    # exp(-700) is below half an ulp of 1, so capping t at 700 already
+    # gives the t < -700 branch's 1.0 and keeps exp finite
+    e = np.exp(np.minimum(t, 700.0))
+    if n % 2:
+        neg = x < 0.0
+        if neg.any():
+            if np.any(t[neg] == 0.0):
+                raise DivergenceError(f"Hill term has a pole for odd n={n}")
+            e[neg] = -e[neg]
+    out = 1.0 / (1.0 + e)
     tail = t > 700.0
     if tail.any():
-        out[tail] = sign[tail] * np.array([math.exp(-v) for v in t[tail].tolist()])
-    out[zero] = 0.0
+        out[tail] = np.copysign(np.exp(-t[tail]), e[tail])
+    if any_zero:
+        out[zero] = 0.0
     return out
 
 

@@ -244,11 +244,12 @@ def _digit_words(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, last
 
 
-def _format_values(v: np.ndarray, rows: np.ndarray) -> bytes:
-    """`'%.17g' % x` of each value of `v`, each followed by its separator.
+def _format_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill `rows`, a `_csv_rows` buffer of `len(v)` rows, with the
+    digits of each value of `v`; return each row's index into `_MASKS`.
 
-    `rows` is a `_csv_rows` buffer of `len(v)` rows; its digit columns
-    are overwritten.
+    A value the kernel does not cover gets mask row _FALLBACK and a NUL
+    where its text goes; `_join` puts `fmt_float`'s text there.
     """
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e17)
@@ -258,39 +259,93 @@ def _format_values(v: np.ndarray, rows: np.ndarray) -> bytes:
     digits = words.view(np.uint8)[:, 3:]
     rows[:, len(_HEAD):_POINT] = digits
     rows[:, _POINT + 1:-1] = digits[:, 1:]
-    mask_row = np.where(fast, np.where(v < 0, x + 25, x + 4) * 17 + last,
-                        _FALLBACK)
-    slow = np.flatnonzero(~fast)
-    rows[slow, len(_HEAD)] = 0
+    rows[~fast, len(_HEAD)] = 0
+    return np.where(fast, np.where(v < 0, x + 25, x + 4) * 17 + last, _FALLBACK)
+
+
+def _join(rows: np.ndarray, mask_row: np.ndarray, v: np.ndarray) -> bytes:
+    """The text of the `_format_rows` rows `rows` (any leading shape),
+    each followed by its separator; `v` holds their values in order."""
     text = rows[np.take(_MASKS, mask_row, axis=0)].tobytes()
+    slow = np.flatnonzero(mask_row == _FALLBACK)
     if not len(slow):
         return text
     pieces = text.split(b"\0")
     out = [pieces[0]]
-    for val, piece in zip(v[slow].tolist(), pieces[1:]):
+    for val, piece in zip(v.ravel()[slow].tolist(), pieces[1:]):
         out += [fmt_float(val).encode(), piece]
     return b"".join(out)
 
 
-def _write_csv(path: str, header: str, columns: tuple) -> None:
+def _format_values(v: np.ndarray, rows: np.ndarray) -> bytes:
+    """`'%.17g' % x` of each value of `v`, each followed by its separator.
+
+    `rows` is a `_csv_rows` buffer of `len(v)` rows; its digit columns
+    are overwritten.
+    """
+    return _join(rows, _format_rows(v, rows), v)
+
+
+def _csv_chunks(fh, header: str, columns: tuple):
+    """Write `columns` to the binary file `fh` as CSV, a chunk of rows at
+    a time, and yield each chunk's (rows, mask_row, values) once it is
+    written, so that another file can reuse the formatted text."""
     # a few thousand values per numpy pass keeps the temporaries under
     # 1 MB for long runs
     nrows = max(1, _CSV_CHUNK_VALUES // len(columns))
     rows = _csv_rows(len(columns), nrows)
+    fh.write(header.encode() + b"\n")
+    for i in range(0, len(columns[0]), nrows):
+        v = np.column_stack([c[i:i + nrows] for c in columns]).ravel()
+        buf = rows[:v.size]
+        mask_row = _format_rows(v, buf)
+        fh.write(_join(buf, mask_row, v))
+        yield buf, mask_row, v
+
+
+def _write_csv(path: str, header: str, columns: tuple, consume=None) -> None:
+    """Write `columns` to `path` as CSV; `consume`, if given, is called
+    with the `_csv_chunks` iterator, each chunk written as it is read."""
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for i in range(0, len(columns[0]), nrows):
-            chunk = np.column_stack([c[i:i + nrows] for c in columns])
-            fh.write(_format_values(chunk.ravel(), rows[:chunk.size]))
+        chunks = _csv_chunks(fh, header, columns)
+        if consume is not None:
+            consume(chunks)
+        for _ in chunks:  # whatever consume left unread
+            pass
 
 
-def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    """Waveform samples; header exactly `t,x1,y1,x2,y2`."""
+#: y1 and y2 among trajectory.csv's columns t, x1, y1, x2, y2: y1 is
+#: followed by a comma and y2, the last column, by a line end, as in
+#: phase.csv
+_PHASE_COLUMNS = slice(1 + IY1, None, IY2 - IY1)
+
+
+def write_trajectory_csv(path: str, traj: Trajectory, phase=None) -> None:
+    """Waveform samples; header exactly `t,x1,y1,x2,y2`.
+
+    `phase`, if given, is called with an iterator over the formatted
+    chunks, each written as it is read; `write_phase_csv` takes it, so
+    phase.csv copies this file's y1, y2 text instead of formatting it
+    again.
+    """
     st = traj.states
     _write_csv(path, "t,x1,y1,x2,y2",
-               (traj.t, st[:, IX1], st[:, IY1], st[:, IX2], st[:, IY2]))
+               (traj.t, st[:, IX1], st[:, IY1], st[:, IX2], st[:, IY2]), phase)
 
 
-def write_phase_csv(path: str, traj: Trajectory) -> None:
-    """Protein phase-plane samples; header exactly `y1,y2`."""
-    _write_csv(path, "y1,y2", (traj.states[:, IY1], traj.states[:, IY2]))
+def write_phase_csv(path: str, traj: Trajectory, chunks=None) -> None:
+    """Protein phase-plane samples; header exactly `y1,y2`.
+
+    `chunks` is the iterator that `write_trajectory_csv` passes to its
+    `phase` callback for the same trajectory; without it the values are
+    formatted here.
+    """
+    if chunks is None:
+        _write_csv(path, "y1,y2", (traj.states[:, IY1], traj.states[:, IY2]))
+        return
+    with open(path, "wb") as fh:
+        fh.write(b"y1,y2\n")
+        for rows, mask_row, v in chunks:
+            fh.write(_join(rows.reshape(-1, 5, _ROW_WIDTH)[:, _PHASE_COLUMNS],
+                           mask_row.reshape(-1, 5)[:, _PHASE_COLUMNS],
+                           v.reshape(-1, 5)[:, _PHASE_COLUMNS]))

@@ -9,25 +9,33 @@ midpoint lookup.
 
 A lookup enters a step only through three numbers: the delayed
 coefficients a1 + a12 y2(t - tau) and a2 + a21 y1(t - tau), and the Hill
-term f(y1(t - tau)). The step loop runs the RK4 stages on Python floats
-(the state in four locals, the stored arrays read and written through
-flat memoryviews) and takes those numbers from one of two paths:
+term f(y1(t - tau)). integrate takes the steps by one of two paths:
 
-- per step: each lookup is made when the step needs it, with one Hill
-  term per distinct lookup; a step's end lookup doubles as the next
-  node's derivative lookup when the two times compare equal.
 - per delay interval: on [k tau, (k+1) tau] every delayed value is
-  already known, so for intervals of at least _PASS_MIN_STEPS steps (the
-  measured crossover) one numpy pass makes the lookups of all the
-  interval's steps but the last. That step runs per step: its end lookup
-  sits on the interval's first node and may weigh in the node after it.
+  already known (step i reads node i - m, its midpoint is the Hermite
+  midpoint of nodes i - m and i - m + 1), and the model is a triangular
+  cascade of linear scalar ODEs z' = q(t) - c(t) z: x1 and x2 with the
+  constant decay rates b1, b2, then y1 and y2 forced by the stage values
+  of x1 and x2. One RK4 step of such an ODE is an affine map
+  z <- rho z + sigma, so the interval's steps are solved in numpy as
+  z = P (z0 + cumsum(sigma / P)) with P = cumprod(rho). This path takes
+  every interval of at least _PASS_MIN_STEPS steps (the measured
+  crossover), including a trailing one cut short by t_end.
+- per step: a float loop that makes each lookup when the step needs it,
+  with one Hill term per distinct lookup; a step's end lookup doubles as
+  the next node's derivative lookup when the two times compare equal. It
+  takes intervals shorter than the crossover, a partial final step, runs
+  whose step divides tau only to the accepted 1e-9 (the lookups then
+  need interpolation at the exact delay), and any interval whose decay
+  product P leaves [1e-250, 1e250] or whose states break the 1e12
+  blow-up bound; such an interval is re-run step by step, so a
+  divergence is reported at its step.
 
-Both paths do the same floating-point operations in the same order as
-RK4 on numpy 4-vectors built from model.rhs. The numpy pass calls the C
-library's pow, log and exp (through np.float_power and math), as the
-scalar code does, because numpy's own vectorized versions differ in the
-last bit. So the trajectory is the same to the bit whichever path runs;
-the tests pin both to that per-step reference.
+Both paths apply the same RK4 map: the per-step path does the
+floating-point operations of RK4 on numpy 4-vectors built from
+model.rhs, to the bit; the interval path regroups them, and agrees with
+it to rounding (the tests pin states to 1e-12 and derivatives to 1e-10
+of each component's largest magnitude).
 
 The history on [-tau, 0] is stored as uniform samples plus derivative
 samples and interpolated the same way, so histories built from smooth
@@ -43,17 +51,18 @@ import numpy as np
 
 from .equilibrium import Equilibrium
 from .errors import DivergenceError, DomainError
-from .model import IY1, IY2, ModelParams, _hill_log, _hill_log_many
+from .model import IX1, IY1, IY2, ModelParams, _hill_log, _hill_log_many
 from .normal_form import Eigenpair, FormulaVariants, NormalForm, make_w_evaluators
 
 _BLOWUP_NORM = 1e12
 _MAX_STEPS = 100_000_000
-#: shortest delay interval, in steps, that integrate covers with one numpy
-#: pass; shorter intervals look up their delayed values step by step. The
-#: measured crossover: at 32 steps per interval the pass was about 5 %
-#: slower than per-step lookups, at 40 about 6 % faster (2-core Xeon,
-#: CPython 3.11, numpy 2.4)
-_PASS_MIN_STEPS = 36
+#: shortest delay interval, in steps, that integrate solves as numpy
+#: affine recurrences; shorter ones run step by step. The measured
+#: crossover (n4, tau = 12, 20 k steps, best of 7, five runs): at 16 steps
+#: per interval the numpy path took 1.31-1.46 times the per-step path's
+#: time, at 24 0.87-1.06, at 28 0.67-0.82 and at 32 0.70-0.95 (2-core
+#: Xeon, CPython 3.11, numpy 2.4)
+_PASS_MIN_STEPS = 28
 
 
 def _hermite_weights(s: float, h: float) -> tuple[float, float, float, float]:
@@ -179,6 +188,115 @@ class Trajectory:
                         self.states[j + 1], self.derivs[j], self.derivs[j + 1])
 
 
+def _rk4_affine(h: float, c1, cm, c4, q1, q2, q3, q4):
+    """rho, sigma with one classical RK4 step of z' = q(t) - c(t) z equal
+    to z <- rho z + sigma.
+
+    c1 and q1 hold at the step's start, cm at its midpoint (stages 2 and
+    3, whose forcing q2, q3 may differ), c4 and q4 at its end. Stage s is
+    k_s = be_s - ga_s z.
+    """
+    g, hc4 = (0.5 * h) * cm, h * c4
+    ga2 = cm - g * c1
+    ga3 = cm - g * ga2
+    ga4 = c4 - hc4 * ga3
+    be2 = q2 - g * q1
+    be3 = q3 - g * be2
+    be4 = q4 - hc4 * be3
+    h6 = h / 6.0
+    return (1.0 - h6 * (c1 + 2.0 * (ga2 + ga3) + ga4),
+            h6 * (q1 + 2.0 * (be2 + be3) + be4))
+
+
+class _IntervalSolver:
+    """integrate's per-interval path: the full steps of one delay interval
+    as numpy affine recurrences (see the module docstring).
+
+    Rows of the (2, .) arrays are (x1, x2), (y1, y2) or the delayed
+    (y1, y2); where a step's lookups are laid out, even columns are the
+    nodes and odd ones the midpoints between them.
+    """
+
+    def __init__(self, p: ModelParams, tau: float, history: History,
+                 states: np.ndarray, derivs: np.ndarray, m: int, step: float):
+        self.tau, self.history, self.n, self.log_a = tau, history, p.n, math.log(p.a)
+        self.states, self.derivs, self.m, self.step = states, derivs, m, step
+        self.base = np.array([[p.a1], [p.a2]])
+        self.cross = np.array([[p.a12], [p.a21]])
+        self.b = b = np.array([[p.b1], [p.b2]])
+        # x1 and x2 decay at the constant rates b1, b2: every step has the
+        # same rho, and sigma = w1 q1 + wm qm + w4 q4
+        rho, self.w1 = _rk4_affine(step, b, b, b, 1.0, 0.0, 0.0, 0.0)
+        self.wm = _rk4_affine(step, b, b, b, 0.0, 1.0, 1.0, 0.0)[1]
+        self.w4 = _rk4_affine(step, b, b, b, 0.0, 0.0, 0.0, 1.0)[1]
+        with np.errstate(over="ignore"):
+            self.P = np.cumprod(np.broadcast_to(rho, (2, m)), axis=1)
+        self.x_ok = _in_range(self.P)
+
+    def solve(self, i0: int, i1: int) -> bool:
+        """Full steps i0..i1-1, within one delay interval.
+
+        Step i reads its delayed y1, y2 from node i - m (from
+        history.values on the first interval), so every input is known
+        before the first step. Writes nodes i0+1..i1 and their
+        derivatives and returns True. Returns False when a decay product
+        leaves [1e-250, 1e250] or a state breaks the blow-up bound; the
+        caller then takes these steps one by one, which rewrites every
+        node it reaches.
+        """
+        if not self.x_ok:
+            return False
+        states, derivs, m, step = self.states, self.derivs, self.m, self.step
+        L = i1 - i0
+        if i0 < m:
+            w = self.history.values(np.arange(2 * L + 1) * (0.5 * step)
+                                    - self.tau)[:, IY1::2].T
+        else:
+            yn = states[i0 - m:i1 - m + 1, IY1::2].T
+            dn = derivs[i0 - m:i1 - m + 1, IY1::2].T
+            w = np.empty((2, 2 * L + 1))
+            w[:, ::2] = yn
+            w[:, 1::2] = (0.5 * (yn[:, :-1] + yn[:, 1:])
+                          + (0.125 * step) * (dn[:, :-1] - dn[:, 1:]))
+        # decay rates of y1, y2 and forcing (1, f(y1d)) of x1, x2
+        c = self.base + self.cross * w[::-1]
+        q = np.ones((2, 2 * L + 1))
+        q[1] = _hill_log_many(w[0], self.n, self.log_a)
+        q1, qm, q4 = q[:, :-1:2], q[:, 1::2], q[:, 2::2]
+        b, P = self.b, self.P[:, :L]
+        x0, y0 = states[i0, IX1::2, None], states[i0, IY1::2, None]
+        x = P * (x0 + np.cumsum((self.w1 * q1 + self.wm * qm + self.w4 * q4) / P,
+                                axis=1))
+        # x at each step's start and stages: the forcing of y1 and y2
+        xs1 = np.concatenate((x0, x[:, :-1]), axis=1)
+        xs2 = xs1 + (0.5 * step) * (q1 - b * xs1)
+        xs3 = xs1 + (0.5 * step) * (qm - b * xs2)
+        xs4 = xs1 + step * (qm - b * xs3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho, sigma = _rk4_affine(step, c[:, :-1:2], c[:, 1::2], c[:, 2::2],
+                                     xs1, xs2, xs3, xs4)
+            P = np.cumprod(rho, axis=1)
+            if not _in_range(P):
+                return False
+            y = P * (y0 + np.cumsum(sigma / P, axis=1))
+        out = states[i0 + 1:i1 + 1]
+        out[:, IX1::2], out[:, IY1::2] = x.T, y.T
+        # NaN fails the comparison too
+        if not np.abs(out).max() <= _BLOWUP_NORM:
+            return False
+        d = derivs[i0 + 1:i1 + 1]
+        d[:, IX1::2] = (q4 - b * x).T
+        d[:, IY1::2] = (x - c[:, 2::2] * y).T
+        return True
+
+
+def _in_range(P: np.ndarray) -> bool:
+    """Whether every |P| lies in [1e-250, 1e250], where z0 + cumsum(sigma
+    / P) keeps its range."""
+    a = np.abs(P)
+    return bool(a.min() >= 1e-250 and a.max() <= 1e250)
+
+
 def integrate(p: ModelParams, tau: float, history: History,
               t_end: float, step: float) -> Trajectory:
     """Method-of-steps RK4 over [0, t_end].
@@ -244,123 +362,59 @@ def integrate(p: ModelParams, tau: float, history: History,
                 y2d = w0 * sv[k + 2] + w1 * dv[k + 2] + w2 * sv[k + 6] + w3 * dv[k + 6]
         return a1 + a12 * y2d, a2 + a21 * y1d, _hill_log(y1d, n, log_a)
 
-    sy1, sy2 = states[:, IY1], states[:, IY2]
-    dy1, dy2 = derivs[:, IY1], derivs[:, IY2]
-
-    def on_grid(tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """y1 and y2 at each of the times tq in (0, front]."""
-        x = tq / step
-        j = x.astype(np.intp)
-        s = x - j
-        w = _hermite_weights_many(s, step)
-        y1d = _hermite(w, sy1[j], sy1[j + 1], dy1[j], dy1[j + 1])
-        y2d = _hermite(w, sy2[j], sy2[j + 1], dy2[j], dy2[j + 1])
-        on_node = s < 1e-13
-        if on_node.any():
-            y1d[on_node], y2d[on_node] = sy1[j[on_node]], sy2[j[on_node]]
-        return y1d, y2d
-
-    def delayed_many(tq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """y1 and y2 at each of the times tq, all behind the moving front."""
-        past = tq <= 0.0
-        if not past.any():
-            return on_grid(tq)
-        y1d, y2d = np.empty(len(tq)), np.empty(len(tq))
-        y1d[~past], y2d[~past] = on_grid(tq[~past])
-        v = history.values(tq[past])
-        y1d[past], y2d[past] = v[:, IY1], v[:, IY2]
-        return y1d, y2d
-
-    def interval_pass(i0: int, i1: int) -> list:
-        """coefs of the full steps i0..i1-1 in one numpy pass.
-
-        Row r holds step i0 + r's coefs at its midpoint, at its end and at
-        the next node's derivative lookup. i1 stops short of the delay
-        interval's last step, so these lookups read nodes up to i0 only,
-        all final: the per-step path reads the same values.
-        """
-        t = np.arange(i0, i1) * step
-        tqe = t + step - tau
-        tqn = np.arange(i0 + 1, i1 + 1) * step - tau
-        # most next-node lookups repeat the end lookup at the same time
-        own = tqn != tqe
-        y1d, y2d = delayed_many(np.concatenate((t + 0.5 * step - tau, tqe, tqn[own])))
-        c = np.stack((a1 + a12 * y2d, a2 + a21 * y1d, _hill_log_many(y1d, n, log_a)))
-        L = i1 - i0
-        cn = c[:, L:2 * L].copy()
-        cn[:, own] = c[:, 2 * L:]
-        return np.concatenate((c[:, :L], c[:, L:2 * L], cn)).T.tolist()
-
-    x1, y1, x2, y2 = sv[0], sv[1], sv[2], sv[3]
-    c1n, c2n, fn = coefs(-tau)
-    k1a = 1.0 - b1 * x1
-    k1b = x1 - c1n * y1
-    k1c = fn - b2 * x2
-    k1d = x2 - c2n * y2
-    dv[0], dv[1], dv[2], dv[3] = k1a, k1b, k1c, k1d
-    h, hh, h6 = step, 0.5 * step, step / 6.0
-    # steps r0..r1-1 take their coefs from rows; a pass may start at step
-    # pass_at, the first step of a delay interval
-    rows, r0, r1 = [], 0, 0
-    pass_at = 0 if m >= _PASS_MIN_STEPS else N
-    for i in range(N):
-        if i == n_full:
-            h, hh, h6 = rem, 0.5 * rem, rem / 6.0
-        if i == pass_at:
-            pass_at = i + m
-            if min(pass_at, N) - i >= _PASS_MIN_STEPS:
-                # the interval's last step (and so a partial final step)
-                # runs step by step: its end lookup sits on node i, and
-                # may weigh in node i + 1, which the pass has not computed
-                r0, r1 = i, min(pass_at, N) - 1
-                rows = interval_pass(r0, r1)
-        if i < r1:
-            c1m, c2m, fm, c1e, c2e, fe, c1n, c2n, fn = rows[i - r0]
-        else:
+    def steps(i0: int, i1: int) -> None:
+        """Steps i0..i1-1 one by one on Python floats, from node i0 and
+        its stored derivative."""
+        k = 4 * i0
+        x1, y1, x2, y2 = sv[k], sv[k + 1], sv[k + 2], sv[k + 3]
+        k1a, k1b, k1c, k1d = dv[k], dv[k + 1], dv[k + 2], dv[k + 3]
+        h, hh, h6 = step, 0.5 * step, step / 6.0
+        for i in range(i0, i1):
+            if i == n_full:
+                h, hh, h6 = rem, 0.5 * rem, rem / 6.0
             t = i * step
             c1m, c2m, fm = coefs(t + 0.5 * h - tau)
             tqe = t + h - tau
             c1e, c2e, fe = coefs(tqe)
-        # RK4 stages; k1 is the derivative stored at the current node
-        u1 = x1 + hh * k1a
-        v1 = y1 + hh * k1b
-        u2 = x2 + hh * k1c
-        v2 = y2 + hh * k1d
-        k2a = 1.0 - b1 * u1
-        k2b = u1 - c1m * v1
-        k2c = fm - b2 * u2
-        k2d = u2 - c2m * v2
-        u1 = x1 + hh * k2a
-        v1 = y1 + hh * k2b
-        u2 = x2 + hh * k2c
-        v2 = y2 + hh * k2d
-        k3a = 1.0 - b1 * u1
-        k3b = u1 - c1m * v1
-        k3c = fm - b2 * u2
-        k3d = u2 - c2m * v2
-        u1 = x1 + h * k3a
-        v1 = y1 + h * k3b
-        u2 = x2 + h * k3c
-        v2 = y2 + h * k3d
-        k4a = 1.0 - b1 * u1
-        k4b = u1 - c1e * v1
-        k4c = fe - b2 * u2
-        k4d = u2 - c2e * v2
-        x1 = x1 + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        y1 = y1 + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        x2 = x2 + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        y2 = y2 + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        # NaN fails every comparison, so this also rejects non-finite states
-        if not (small <= x1 <= big and small <= y1 <= big
-                and small <= x2 <= big and small <= y2 <= big):
-            raise DivergenceError(
-                f"trajectory diverged at t={(i * step + h):.6g} (step {i})")
-        k = 4 * i + 4
-        sv[k] = x1
-        sv[k + 1] = y1
-        sv[k + 2] = x2
-        sv[k + 3] = y2
-        if i >= r1:
+            # RK4 stages; k1 is the derivative stored at the current node
+            u1 = x1 + hh * k1a
+            v1 = y1 + hh * k1b
+            u2 = x2 + hh * k1c
+            v2 = y2 + hh * k1d
+            k2a = 1.0 - b1 * u1
+            k2b = u1 - c1m * v1
+            k2c = fm - b2 * u2
+            k2d = u2 - c2m * v2
+            u1 = x1 + hh * k2a
+            v1 = y1 + hh * k2b
+            u2 = x2 + hh * k2c
+            v2 = y2 + hh * k2d
+            k3a = 1.0 - b1 * u1
+            k3b = u1 - c1m * v1
+            k3c = fm - b2 * u2
+            k3d = u2 - c2m * v2
+            u1 = x1 + h * k3a
+            v1 = y1 + h * k3b
+            u2 = x2 + h * k3c
+            v2 = y2 + h * k3d
+            k4a = 1.0 - b1 * u1
+            k4b = u1 - c1e * v1
+            k4c = fe - b2 * u2
+            k4d = u2 - c2e * v2
+            x1 = x1 + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            y1 = y1 + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            x2 = x2 + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+            y2 = y2 + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            # NaN fails every comparison, so this also rejects non-finite states
+            if not (small <= x1 <= big and small <= y1 <= big
+                    and small <= x2 <= big and small <= y2 <= big):
+                raise DivergenceError(
+                    f"trajectory diverged at t={(i * step + h):.6g} (step {i})")
+            k = 4 * i + 4
+            sv[k] = x1
+            sv[k + 1] = y1
+            sv[k + 2] = x2
+            sv[k + 3] = y2
             # the new node's derivative; after a partial step the node
             # sits at t_end, so its delayed state is the end lookup's
             tqn = (i + 1) * step - tau if i < n_full else tqe
@@ -368,14 +422,30 @@ def integrate(p: ModelParams, tau: float, history: History,
                 c1n, c2n, fn = c1e, c2e, fe
             else:
                 c1n, c2n, fn = coefs(tqn)
-        k1a = 1.0 - b1 * x1
-        k1b = x1 - c1n * y1
-        k1c = fn - b2 * x2
-        k1d = x2 - c2n * y2
-        dv[k] = k1a
-        dv[k + 1] = k1b
-        dv[k + 2] = k1c
-        dv[k + 3] = k1d
+            k1a = 1.0 - b1 * x1
+            k1b = x1 - c1n * y1
+            k1c = fn - b2 * x2
+            k1d = x2 - c2n * y2
+            dv[k] = k1a
+            dv[k + 1] = k1b
+            dv[k + 2] = k1c
+            dv[k + 3] = k1d
+
+    x1, y1, x2, y2 = sv[0], sv[1], sv[2], sv[3]
+    c1n, c2n, fn = coefs(-tau)
+    dv[0], dv[1], dv[2], dv[3] = (1.0 - b1 * x1, x1 - c1n * y1,
+                                  fn - b2 * x2, x2 - c2n * y2)
+    i = 0
+    # a step that divides tau only to the accepted 1e-9 puts the lookups
+    # off the nodes; its intervals run step by step
+    if m >= _PASS_MIN_STEPS and abs(m * step - tau) <= 1e-14 * tau:
+        solver = _IntervalSolver(p, tau, history, states, derivs, m, step)
+        while n_full - i >= _PASS_MIN_STEPS:
+            i1 = min(i + m, n_full)
+            if not solver.solve(i, i1):
+                steps(i, i1)
+            i = i1
+    steps(i, N)
 
     ts = np.empty(N + 1)
     ts[:n_full + 1] = np.arange(n_full + 1) * step

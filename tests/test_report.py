@@ -109,8 +109,8 @@ def test_phase_csv(tmp_path, short_traj):
     assert y2 == short_traj.states[0, 3]
 
 
-def test_csv_writers_match_fmt_float_bytes(tmp_path):
-    # special values, then enough rows to span several write chunks
+def _special_waveform():
+    """Special values, then enough rows to span several write chunks."""
     rng = np.random.default_rng(5)
     states = np.vstack([
         [[math.nan, math.inf, -0.0, 1e-300],
@@ -122,15 +122,37 @@ def test_csv_writers_match_fmt_float_bytes(tmp_path):
                         0.3 + 0.001 * np.arange(2500)])
     traj = Trajectory(t=t, states=states, derivs=np.zeros_like(states),
                       tau=1.0, step=0.5)
-    write_trajectory_csv(str(tmp_path / "traj.csv"), traj)
-    write_phase_csv(str(tmp_path / "phase.csv"), traj)
     want_traj = "t,x1,y1,x2,y2\n" + "".join(
         ",".join(fmt_float(x) for x in (t, *row)) + "\n"
         for t, row in zip(traj.t, states))
     want_phase = "y1,y2\n" + "".join(
         f"{fmt_float(row[1])},{fmt_float(row[3])}\n" for row in states)
-    assert (tmp_path / "traj.csv").read_bytes() == want_traj.encode()
-    assert (tmp_path / "phase.csv").read_bytes() == want_phase.encode()
+    return traj, want_traj.encode(), want_phase.encode()
+
+
+def test_csv_writers_match_fmt_float_bytes(tmp_path):
+    traj, want_traj, want_phase = _special_waveform()
+    write_trajectory_csv(str(tmp_path / "traj.csv"), traj)
+    write_phase_csv(str(tmp_path / "phase.csv"), traj)
+    assert (tmp_path / "traj.csv").read_bytes() == want_traj
+    assert (tmp_path / "phase.csv").read_bytes() == want_phase
+
+
+def test_phase_csv_reuses_the_trajectory_text(tmp_path, monkeypatch):
+    # written from the trajectory writer's chunks, phase.csv has the same
+    # bytes as on its own, and its y1, y2 are not formatted a second time
+    traj, want_traj, want_phase = _special_waveform()
+    formatted = []
+    real = report._format_rows
+    monkeypatch.setattr(report, "_format_rows",
+                        lambda v, rows: formatted.append(len(v)) or real(v, rows))
+    ppath = str(tmp_path / "phase.csv")
+    write_trajectory_csv(str(tmp_path / "traj.csv"), traj,
+                         lambda chunks: write_phase_csv(ppath, traj, chunks))
+    assert (tmp_path / "traj.csv").read_bytes() == want_traj
+    assert (tmp_path / "phase.csv").read_bytes() == want_phase
+    assert sum(formatted) == 5 * len(traj.t)
+    assert len(formatted) > 1
 
 
 def _ties(rng):

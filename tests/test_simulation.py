@@ -184,6 +184,15 @@ def _reference_integrate(p, tau, history, t_end, step):
     return states, derivs
 
 
+def _assert_same_map(traj, states, derivs):
+    """The interval path's contract: the reference's RK4 map to rounding,
+    states within 1e-12 and derivatives within 1e-10 of each component's
+    largest magnitude."""
+    for got, want, tol in ((traj.states, states, 1e-12), (traj.derivs, derivs, 1e-10)):
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= tol * scale)
+
+
 @pytest.mark.parametrize("case", ["from_function", "step_equals_tau",
                                   "odd_n_negative_y1", "partial_final_step"])
 def test_integrate_matches_reference_bit_for_bit(case):
@@ -217,11 +226,38 @@ def _spy_on_interval_pass(monkeypatch):
     return calls
 
 
+def _spy_on_solver(monkeypatch):
+    """Record (i0, i1, solved) for each interval the numpy path is given."""
+    calls = []
+    real = simulation._IntervalSolver.solve
+
+    def spy(self, i0, i1):
+        ok = real(self, i0, i1)
+        calls.append((i0, i1, ok))
+        return ok
+
+    monkeypatch.setattr(simulation._IntervalSolver, "solve", spy)
+    return calls
+
+
+def _spy_on_per_step_lookups(monkeypatch):
+    """Count the per-step path's Hill evaluations, one per lookup."""
+    calls = []
+    real = simulation._hill_log
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(simulation, "_hill_log", spy)
+    return calls
+
+
 @pytest.mark.parametrize("case", ["from_function", "odd_n_negative_y1",
                                   "partial_final_step", "ends_mid_interval"])
 def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
-    # 64 steps per delay interval: all but each interval's last step take
-    # their delayed terms from the numpy pass
+    # 64 steps per delay interval: every interval's full steps take the
+    # numpy path, which agrees with the per-step reference to rounding
     p = PRESETS["n2"]
     tau, t_end, step = 2.0, 30.0, 2.0 / 64
     history = History.from_function(_smooth, tau, segments=16)
@@ -229,24 +265,20 @@ def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
         p = dataclasses.replace(p, n=3)
         history = History.constant(np.array([1.0, -0.5, 3.0, 20.0]), tau)
     elif case == "partial_final_step":
-        t_end = 5.3  # 169.6 steps: 41 full ones in the last pass
+        t_end = 5.3  # 169.6 steps: 41 full ones in the last interval
     elif case == "ends_mid_interval":
         t_end = 178 * step  # the last interval has 50 of its 64 steps
-    assert 64 >= simulation._PASS_MIN_STEPS
+    assert 41 >= simulation._PASS_MIN_STEPS
     calls = _spy_on_interval_pass(monkeypatch)
     traj = integrate(p, tau, history, t_end, step)
     assert len(calls) == math.ceil(t_end / tau)
-    states, derivs = _reference_integrate(p, tau, history, t_end, step)
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.derivs, derivs)
+    _assert_same_map(traj, *_reference_integrate(p, tau, history, t_end, step))
 
 
 @pytest.mark.parametrize("case, tau, m, t_end, stretch", [
     ("n4", 12.0, 256, 200.0, 1.0), ("n164", 7.4, 128, 100.0, 1.0),
     ("n163", 0.5, 36, 30.0, 1.0), ("n4", 3.0, 40, 31.3, 1.0),
-    # a step that divides tau only to the accepted 1e-9: each interval's
-    # last end lookup then lands just past its first node and weighs in
-    # the node after it
+    # a step that divides tau only to the accepted 1e-9 runs step by step
     ("n4", 2.0, 256, 60.0, 1.0 + 9e-10)])
 def test_interval_path_equals_per_step_path(case, tau, m, t_end, stretch, monkeypatch):
     p = PRESETS[case]
@@ -256,14 +288,80 @@ def test_interval_path_equals_per_step_path(case, tau, m, t_end, stretch, monkey
     fast = integrate(p, tau, history, t_end, step)
     monkeypatch.setattr(simulation, "_PASS_MIN_STEPS", 10**9)
     slow = integrate(p, tau, history, t_end, step)
-    assert np.array_equal(fast.states, slow.states)
-    assert np.array_equal(fast.derivs, slow.derivs)
+    _assert_same_map(fast, slow.states, slow.derivs)
+
+
+def test_interval_with_underflowing_decay_product_runs_per_step(monkeypatch):
+    # y2 = 2e4 makes y1 decay at about 400 per unit time: each step
+    # multiplies by rho ~ 0.27, and 512 of them fall below 1e-250, so
+    # sigma / P would leave the float range
+    p = PRESETS["n2"]
+    tau, m = 2.0, 512
+    history = History.constant(np.array([2.0, 0.7, 11.0, 2.0e4]), tau)
+    calls = _spy_on_solver(monkeypatch)
+    lookups = _spy_on_per_step_lookups(monkeypatch)
+    traj = integrate(p, tau, history, 2.0 * tau, tau / m)
+    assert calls == [(0, m, False), (m, 2 * m, False)]
+    assert len(lookups) >= 2 * 2 * m
+    _assert_same_map(traj, *_reference_integrate(p, tau, history, 2.0 * tau, tau / m))
+
+
+def test_stretched_step_runs_per_step(monkeypatch):
+    # a step that divides tau to 1e-9 but not to 1e-14: the lookups need
+    # interpolation at the exact delay, which only the per-step path makes
+    p = PRESETS["n4"]
+    tau, m = 2.0, 256
+    eq = find_equilibria(p)[0]
+    history = History.constant(eq.state() * 1.01, tau)
+    step = tau / m * (1.0 + 9e-10)
+    calls = _spy_on_solver(monkeypatch)
+    lookups = _spy_on_per_step_lookups(monkeypatch)
+    traj = integrate(p, tau, history, 3.0 * tau, step)
+    assert calls == [] and lookups
+    states, derivs = _reference_integrate(p, tau, history, 3.0 * tau, step)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
+
+
+def test_interval_breaking_the_blowup_bound_reruns_per_step(monkeypatch):
+    # y2 = -2e3 makes y1 grow by about e^40 over the first interval, past
+    # 1e12 while the decay product stays in range: the numpy path gives
+    # the interval back, and the per-step re-run reports the divergence
+    # at its step, in the per-step path's words
+    p = PRESETS["n2"]
+    history = History.constant(np.array([2.0, 0.7, 11.0, -2.0e3]), 1.0)
+    calls = _spy_on_solver(monkeypatch)
+    with pytest.raises(DivergenceError) as fast:
+        integrate(p, 1.0, history, t_end=50.0, step=1.0 / 64)
+    assert calls == [(0, 64, False)]
+    monkeypatch.setattr(simulation, "_PASS_MIN_STEPS", 10**9)
+    with pytest.raises(DivergenceError) as slow:
+        integrate(p, 1.0, history, t_end=50.0, step=1.0 / 64)
+    assert str(fast.value) == str(slow.value)
+    assert str(fast.value).endswith("(step 44)")
+
+
+def test_partial_final_step_after_a_cut_interval(monkeypatch):
+    # t_end falls 128.3 steps into the third interval: its 128 full steps
+    # take the numpy path, the final 0.3 step the per-step path
+    p = PRESETS["n2"]
+    tau, m = 2.0, 256
+    step = tau / m
+    t_end = (2 * m + 128.3) * step
+    history = History.from_function(_smooth, tau)
+    calls = _spy_on_solver(monkeypatch)
+    lookups = _spy_on_per_step_lookups(monkeypatch)
+    traj = integrate(p, tau, history, t_end, step)
+    assert calls == [(0, m, True), (m, 2 * m, True), (2 * m, 2 * m + 128, True)]
+    assert 1 <= len(lookups) <= 3
+    assert len(traj.t) == 2 * m + 130 and traj.t[-1] == t_end
+    _assert_same_map(traj, *_reference_integrate(p, tau, history, t_end, step))
 
 
 def test_interval_start_derivatives_are_current():
-    # each interval's last step runs step by step and its midpoint lookup
-    # reads the derivative stored at the interval's first node; a stale
-    # (unwritten) one would put the node off the field
+    # the numpy path writes each node's derivative, and the next
+    # interval's Hermite midpoints read them; a stale (unwritten) one at an
+    # interval's first node would put that node off the field
     p = PRESETS["n2"]
     tau, m = 2.0, 64
     step = tau / m
@@ -298,8 +396,11 @@ def test_huge_odd_exponent_with_very_negative_delayed_y1(m):
     traj = integrate(p, tau, history, 3.0, tau / m)
     assert np.all(np.isfinite(traj.states))
     states, derivs = _reference_integrate(p, tau, history, 3.0, tau / m)
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.derivs, derivs)
+    if m < simulation._PASS_MIN_STEPS:
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.derivs, derivs)
+    else:
+        _assert_same_map(traj, states, derivs)
 
 
 @pytest.mark.parametrize("m", [1, 64])
