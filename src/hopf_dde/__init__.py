@@ -3,7 +3,7 @@
 Library layout:
 
 - model: parameters, Hill nonlinearity, right-hand side
-- equilibrium: positive steady states via the reduced polynomial
+- equilibrium: the positive steady state, bisected on its a-priori bracket
 - stability: linearization, characteristic coefficients, crossing
   frequencies, critical delays, transversality
 - normal_form: center-manifold reduction, first Lyapunov coefficient,
@@ -14,7 +14,7 @@ Library layout:
 
 from .config import AnalysisConfig, SimSpec, SweepSpec, load_config
 from .equilibrium import (Equilibrium, build_equilibrium, equilibrium_poly_coeffs,
-                          find_equilibria, find_positive_roots)
+                          find_equilibria)
 from .errors import (ConfigError, ConvergenceError, DivergenceError, DomainError,
                      HopfDdeError, NumericalError, SingularSystemError)
 from .model import (IX1, IX2, IY1, IY2, PRESETS, STATE_NAMES, ModelParams,

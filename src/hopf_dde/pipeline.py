@@ -1,11 +1,13 @@
 """End-to-end analysis orchestration.
 
-One run analyzes a parameter set: find all positive equilibria, then per
-equilibrium compute the characteristic coefficients, zero-delay verdict,
-crossing frequencies with their delay ladders, the first Hopf point with
-both delay derivatives, the normal form, a delay classification, and an
-optional direct simulation. Failures are captured per equilibrium so one
-degenerate branch cannot sink the report. Sweep points run one after
+One run analyzes a parameter set: find the positive equilibrium (it is
+unique; the report keeps a list of branches), then compute its
+characteristic coefficients, zero-delay verdict, crossing frequencies
+with their delay ladders, the first Hopf point with both delay
+derivatives, the normal form, a delay classification, and an optional
+direct simulation. Numerical failures, float overflow and division by
+zero included, are recorded as the run's or the branch's error so one
+degenerate point cannot sink the report. Sweep points run one after
 another, in sweep order.
 """
 
@@ -125,7 +127,8 @@ def analyze_branch(p: ModelParams, eq: Equilibrium, cfg: AnalysisConfig) -> Bran
             br.classification = classify_stability(p, eq, br.tau_eval)
         if cfg.sim.enabled and br.tau_eval is not None and br.tau_eval > 0.0:
             br.sim = _simulate(p, eq, br.tau_eval, cfg, br.hopf)
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
+        # float ** and / raise OverflowError, ZeroDivisionError
         br.error = f"{type(exc).__name__}: {exc}"
         log.info("branch y10=%.6g failed: %s", eq.y10, br.error)
     return br
@@ -135,12 +138,9 @@ def analyze_params(p: ModelParams, cfg: AnalysisConfig, label: str = "") -> RunR
     log.info("analyzing %s", label or "parameter set")
     try:
         eqs = find_equilibria(p)
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         return RunResult(label=label, params=p, branches=[],
                          error=f"{type(exc).__name__}: {exc}")
-    if not eqs:
-        return RunResult(label=label, params=p, branches=[],
-                         error="no positive equilibrium found")
     return RunResult(label=label, params=p,
                      branches=[analyze_branch(p, eq, cfg) for eq in eqs])
 

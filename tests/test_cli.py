@@ -81,6 +81,39 @@ def test_sweep_writes_labeled_outputs(tmp_path):
         assert (out / f"phase_{slug}.csv").exists()
 
 
+def _run_extreme(tmp_path, **model):
+    # FAST_CFG with the given model values, analytic part only
+    lines = [line for line in FAST_CFG.splitlines()
+             if line.split(" = ")[0].removeprefix("model.") not in model]
+    lines += [f"model.{key} = {value}" for key, value in model.items()]
+    cfg = "\n".join(lines + ["sim.enabled = false", ""])
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    return parse_report((out / "report.txt").read_text())
+
+
+def test_equilibrium_beyond_float_range_is_a_run_error(tmp_path):
+    # y10 is about 1/(a1 b1) = 1e310: no float equilibrium, no inf or NaN
+    kv = _run_extreme(tmp_path, a1="1e-300", b1="1e-10")
+    assert kv["run.0.equilibria.count"] == "0"
+    assert kv["run.0.error"].startswith("DomainError: ")
+    assert not any(key.startswith("run.0.eq.") for key in kv)
+
+
+def test_equilibrium_found_when_a2_b2_underflows(tmp_path):
+    # a2*b2 = 1e-400 underflows and so do most polynomial coefficients;
+    # the root of g is still found and balances the steady-state equations
+    kv = _run_extreme(tmp_path, a2="1e-200", b2="1e-200")
+    assert kv["run.0.equilibria.count"] == "1"
+    eq = {k: float(kv[f"run.0.eq.0.equilibrium.{k}"])
+          for k in ("x10", "y10", "x20", "y20")}
+    y = eq["y10"]
+    assert 0.0 < y < 1e-99
+    assert eq["x20"] == pytest.approx(y**2 / (4.0 + y**2) / 1e-200, rel=1e-14)
+    assert eq["y20"] == pytest.approx(eq["x20"] / (1e-200 + 0.02 * y), rel=1e-14)
+    assert y * (0.13 + 0.02 * eq["y20"]) == pytest.approx(eq["x10"], rel=1e-12)
+
+
 def test_bad_config_exits_1(tmp_path, capsys):
     bad = _write_cfg(tmp_path, "model.a1 = 0.13\n", name="bad.cfg")
     assert cli.main(["--config", bad]) == 1

@@ -1,17 +1,18 @@
 """Equilibrium polynomial and root-finding tests."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_dde import (ConvergenceError, DomainError, ModelParams, PRESETS,
-                      build_equilibrium, equilibrium_poly_coeffs,
-                      find_equilibria, find_positive_roots, hill_eval, rhs)
-from hopf_dde.equilibrium import (_poly_deriv, _poly_eval, _poly_eval_scaled,
-                                  _poly_eval_scaled_grid, cauchy_root_bound)
+from hopf_dde import (DomainError, ModelParams, PRESETS, build_equilibrium,
+                      equilibrium_poly_coeffs, find_equilibria, hill_eval, rhs)
+from hopf_dde import equilibrium
+from hopf_dde.equilibrium import _poly_deriv, _poly_eval, _poly_eval_scaled
 
 from reference_values import CASES
 
@@ -39,45 +40,39 @@ def test_coeff_overlap_accumulates():
     assert co[2] == pytest.approx(expected_deg2, rel=1e-14)
 
 
-def test_planted_cubic_roots():
-    # (x - 1/2)(x - 2)(x + 1) = x^3 - 3/2 x^2 - 3/2 x + 1
-    coeffs = np.array([1.0, -1.5, -1.5, 1.0])
-    roots = find_positive_roots(coeffs)
-    assert len(roots) == 2
-    assert roots[0] == pytest.approx(0.5, rel=1e-12)
-    assert roots[1] == pytest.approx(2.0, rel=1e-12)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_coefficients_rejected(bad):
-    # a NaN scan value would otherwise come back as a "positive root"
+def test_non_finite_coefficients_rejected(bad, monkeypatch):
+    # the residual check must not let a non-finite value pass as a root:
+    # NaN compares false against the tolerance and inf meets an inf one
+    p = PRESETS["n2"]
+    y10 = CASES["n2"]["y10"]
+    build_equilibrium(p, y10)
     with pytest.raises(DomainError):
-        find_positive_roots(np.array([bad, 1.0]))
-    with pytest.raises(DomainError):
-        find_positive_roots(np.array([-1.0, 0.0, bad]))
+        build_equilibrium(p, bad)
+    coeffs = equilibrium_poly_coeffs(p)
+    for k in (0, p.n + 2):
+        planted = coeffs.copy()
+        planted[k] = bad
+        monkeypatch.setattr(equilibrium, "equilibrium_poly_coeffs",
+                            lambda _p, c=planted: c)
+        with pytest.raises(DomainError):
+            build_equilibrium(p, y10)
 
 
-_PLANTED = np.array([1.0, -1.5, -1.5, 1.0])
-
-
-@pytest.mark.parametrize("case", list(CASES))
-def test_grid_eval_matches_scalar_horner_bitwise(case):
-    coeffs = np.trim_zeros(equilibrium_poly_coeffs(PRESETS[case]), "b")
-    xs = np.concatenate([np.geomspace(1e-8, 1.0, 300),
-                         np.nextafter(1.0, [0.0, 2.0]),
-                         np.linspace(1.0, cauchy_root_bound(coeffs), 300)])
-    assert np.count_nonzero(xs == 1.0) == 2
-    want = np.array([_poly_eval_scaled(coeffs, x) for x in xs])
-    assert np.array_equal(_poly_eval_scaled_grid(coeffs, xs), want)
+def _cauchy_root_bound(coeffs):
+    # upper bound 1 + sum|c_i| / |lead| on root magnitudes
+    lead = abs(coeffs[-1])
+    return 1.0 + float(np.sum(np.abs(coeffs[:-1]))) / lead
 
 
 def _per_interval_roots(coeffs, grid=4096):
-    # the scan as a scalar loop over every interval, kept as a reference
+    # the general-purpose sign scan over (0, Cauchy bound] that the
+    # bracketed solver replaced, as a scalar loop over every interval
     coeffs = np.asarray(coeffs, dtype=float)
     trimmed = np.trim_zeros(coeffs, "b")
     if len(trimmed) < 2:
         return []
-    x_max = cauchy_root_bound(trimmed)
+    x_max = _cauchy_root_bound(trimmed)
     xs = np.unique(np.concatenate([
         np.linspace(x_max / grid, x_max, grid),
         np.geomspace(1e-8, x_max, grid // 2),
@@ -119,28 +114,49 @@ def _per_interval_roots(coeffs, grid=4096):
     return sorted(roots)
 
 
-def test_vectorized_scan_matches_per_interval_reference():
-    polys = [_PLANTED, np.array([-1.0, 0.0, 1.0]), np.array([0.0, -2.0, 0.0, 1.0])]
-    polys += [equilibrium_poly_coeffs(p) for p in PRESETS.values()]
-    polys += [equilibrium_poly_coeffs(dataclasses.replace(PRESETS["n2"], n=n))
-              for n in range(1, 41)]
-    for coeffs in polys:
-        got = find_positive_roots(coeffs)
-        assert got == _per_interval_roots(coeffs)
-        assert all(type(r) is float for r in got)
+def _exact_sign(p, y):
+    # sign of the equilibrium polynomial in exact rational arithmetic
+    y = Fraction(y)
+    a1, a2, a12, a21, b1, b2, a = map(Fraction, (p.a1, p.a2, p.a12, p.a21,
+                                                 p.b1, p.b2, p.a))
+    hill = (a2 + a21 * y) * (a + y**p.n)
+    v = b1 * b2 * a1 * y * hill + b1 * a12 * y**(p.n + 1) - b2 * hill
+    return (v > 0) - (v < 0)
 
 
-def test_cauchy_bound_contains_planted_roots():
-    coeffs = np.array([1.0, -1.5, -1.5, 1.0])
-    assert cauchy_root_bound(coeffs) >= 2.0
+def _steps(y, k):
+    # the float k representable steps away from y (k < 0: below)
+    for _ in range(abs(k)):
+        y = math.nextafter(y, math.copysign(math.inf, k))
+    return y
+
+
+def test_solver_matches_per_interval_reference():
+    rng = np.random.default_rng(11)
+    sets = [dataclasses.replace(PRESETS["n2"], n=n)
+            for n in (1, 2, 3, 4, 5, 7, 10, 16, 27, 45, 80, 120, 163, 164, 169)]
+    for _ in range(24):
+        sets.append(ModelParams(
+            a1=rng.uniform(0.02, 1.0), a2=rng.uniform(0.02, 1.0),
+            a12=rng.uniform(0.0, 1.0), a21=rng.uniform(0.0, 1.0),
+            b1=rng.uniform(0.02, 1.0), b2=rng.uniform(0.002, 1.0),
+            a=rng.uniform(0.2, 20.0), n=int(rng.integers(1, 9))))
+    for p in sets:
+        ref = _per_interval_roots(equilibrium_poly_coeffs(p))
+        eqs = find_equilibria(p)
+        assert len(ref) == len(eqs) == 1
+        y = eqs[0].y10
+        # the exact root lies within 4 ulp of the solver's
+        assert _exact_sign(p, _steps(y, -4)) <= 0 <= _exact_sign(p, _steps(y, 4))
+        assert abs(ref[0] - y) <= 8 * math.ulp(y)
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_preset_single_root_frozen(case):
     ref = CASES[case]
-    roots = find_positive_roots(equilibrium_poly_coeffs(PRESETS[case]))
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(ref["y10"], rel=1e-10)
+    eqs = find_equilibria(PRESETS[case])
+    assert len(eqs) == 1
+    assert eqs[0].y10 == pytest.approx(ref["y10"], rel=1e-10)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -174,19 +190,25 @@ def test_build_equilibrium_rejects_non_roots():
 
 
 def test_root_count_stable_under_small_perturbation():
-    coeffs = equilibrium_poly_coeffs(PRESETS["n2"])
-    base = find_positive_roots(coeffs)
+    p = PRESETS["n2"]
+    base = find_equilibria(p)
+    assert len(base) == 1
+    names = ("a1", "a2", "a12", "a21", "b1", "b2", "a")
     rng = np.random.default_rng(7)
     for _ in range(5):
-        wiggle = coeffs * (1.0 + 1e-12 * rng.standard_normal(len(coeffs)))
-        assert len(find_positive_roots(wiggle)) == len(base)
+        wiggle = 1.0 + 1e-12 * rng.standard_normal(len(names))
+        q = dataclasses.replace(p, **{k: getattr(p, k) * w
+                                      for k, w in zip(names, wiggle)})
+        eqs = find_equilibria(q)
+        assert len(eqs) == len(base)
+        assert eqs[0].y10 == pytest.approx(base[0].y10, rel=1e-10)
 
 
 def test_brute_force_scan_agrees():
     # independent oracle: dense sign scan with one million samples
     p = PRESETS["n4"]
     coeffs = equilibrium_poly_coeffs(p)
-    roots = find_positive_roots(coeffs)
+    roots = [eq.y10 for eq in find_equilibria(p)]
     xs = np.linspace(1e-6, 3.0, 1_000_000)
     vals = np.array([_poly_eval(coeffs, x) for x in xs[::1000]])
     # coarse check on the subsample grid: one sign change
@@ -198,23 +220,61 @@ def test_brute_force_scan_agrees():
     assert abs(dense - roots[0]) < 1e-5
 
 
+@pytest.mark.parametrize("case", list(CASES))
+def test_root_lies_in_a_priori_bracket(case):
+    # 1/(b1 (a1 + a12/(a2 b2))) <= y10 <= 1/(a1 b1), where g changes sign
+    p = PRESETS[case]
+    y10 = find_equilibria(p)[0].y10
+    lo = 1.0 / (p.b1 * (p.a1 + p.a12 / (p.a2 * p.b2)))
+    hi = 1.0 / (p.a1 * p.b1)
+    assert lo < y10 < hi
+    assert _exact_sign(p, lo) < 0 < _exact_sign(p, hi)
+
+
+@pytest.mark.parametrize("message, model", [
+    # y10 near 1/(a1 b1) = 1e310
+    ("above", dict(a1=1e-300, b1=1e-10)),
+    # a21 = 0 and n = 1: y10^2 = a a2 b2 / a12 = 1e-900
+    ("below", dict(a2=1e-300, b2=1e-300, a21=0.0, a=1e-300, a12=1.0, n=1)),
+    # x10 = 1/b1 itself
+    ("1/b1 overflows", dict(b1=1e-320)),
+], ids=["above", "below", "x10"])
+def test_root_outside_float_range_raises(message, model):
+    with pytest.raises(DomainError, match=message):
+        find_equilibria(_params(**model))
+
+
+def test_y20_when_b2_times_a2_underflows():
+    # b2*a2 = 1e-340 rounds to 0; y20 = x20/a2 is still about 8e70
+    p = _params(a2=1e-170, b2=1e-170, a21=0.0, a=1e200, n=1)
+    eq = find_equilibria(p)[0]
+    assert eq.y20 == pytest.approx(eq.x20 / p.a2, rel=1e-15)
+    assert eq.y10 * (p.a1 + p.a12 * eq.y20) == pytest.approx(eq.x10, rel=1e-12)
+
+
+def test_equilibrium_component_overflow_raises():
+    # decoupled, so y10 = 1/(a1 b1) is fine, but x20 = f(y10)/b2 overflows
+    with pytest.raises(DomainError, match="outside the float range"):
+        find_equilibria(_params(a12=0.0, b2=1e-320))
+
+
 def test_decoupled_variant_has_closed_form_root():
     # a12 = a21 = 0 factors the polynomial; root at 1/(a1*b1)
     p = _params(a12=0.0, a21=0.0)
-    roots = find_positive_roots(equilibrium_poly_coeffs(p))
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(1.0 / (p.a1 * p.b1), rel=1e-12)
+    eqs = find_equilibria(p)
+    assert len(eqs) == 1
+    assert eqs[0].y10 == pytest.approx(1.0 / (p.a1 * p.b1), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(a1=st.floats(0.05, 1.0), a2=st.floats(0.05, 1.0),
-       a12=st.floats(0.001, 0.1), a21=st.floats(0.001, 0.1),
+       a12=st.floats(0.0, 1.0), a21=st.floats(0.0, 1.0),
        b1=st.floats(0.1, 1.0), b2=st.floats(0.005, 0.5),
-       a=st.floats(0.5, 10.0), n=st.integers(1, 8))
+       a=st.floats(0.5, 10.0), n=st.integers(1, 200))
 def test_random_params_yield_valid_equilibria(a1, a2, a12, a21, b1, b2, a, n):
     p = ModelParams(a1=a1, a2=a2, a12=a12, a21=a21, b1=b1, b2=b2, a=a, n=n)
     eqs = find_equilibria(p)
-    assert len(eqs) >= 1
+    assert len(eqs) == 1
     for eq in eqs:
         st8 = eq.state()
         resid = rhs(st8, st8, p)

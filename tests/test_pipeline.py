@@ -127,3 +127,21 @@ def test_branch_error_is_captured(monkeypatch):
     # the partial branch still renders
     text = render_report([run], NO_SIM)
     assert "synthetic reduction failure" in text
+
+
+def test_float_arithmetic_errors_are_captured(monkeypatch):
+    # float ** and / raise these rather than a NumericalError, e.g. the
+    # Hill derivatives at y10 = 1e305 (a1 = 1e-300, b1 = 1e-5)
+    def overflow(p):
+        raise OverflowError("synthetic overflow")
+
+    def zero_division(p, eq, hp, variants):
+        raise ZeroDivisionError("synthetic division")
+
+    monkeypatch.setattr(pipeline, "compute_normal_form", zero_division)
+    br = analyze_params(PRESETS["n2"], NO_SIM).branches[0]
+    assert br.error == "ZeroDivisionError: synthetic division"
+    monkeypatch.setattr(pipeline, "find_equilibria", overflow)
+    run = analyze_params(PRESETS["n2"], NO_SIM)
+    assert run.branches == []
+    assert run.error == "OverflowError: synthetic overflow"
