@@ -8,7 +8,7 @@ Library layout:
   frequencies, critical delays, transversality
 - normal_form: center-manifold reduction, first Lyapunov coefficient,
   bifurcation classification
-- simulation: method-of-steps RK4, histories, orbit reconstruction
+- simulation: method-of-steps RK4, histories, oscillation statistics
 - pipeline/report/cli: orchestration and deterministic text outputs
 """
 
@@ -19,13 +19,12 @@ from .errors import (ConfigError, ConvergenceError, DivergenceError, DomainError
                      HopfDdeError, NumericalError, SingularSystemError)
 from .model import (IX1, IX2, IY1, IY2, PRESETS, STATE_NAMES, ModelParams,
                     hill_derivs, hill_eval, rhs)
-from .normal_form import (Eigenpair, FormulaVariants, NormalForm,
-                          compute_eigenpair, compute_normal_form, g_cubic,
-                          g_quadratic, hopf_quantities, solve_E_vectors)
+from .normal_form import (Eigenpair, NormalForm, compute_eigenpair,
+                          compute_normal_form, g_cubic, g_quadratic,
+                          hopf_quantities, solve_E_vectors)
 from .pipeline import BranchResult, RunResult, analyze_params, run_analysis
 from .report import parse_report, render_report
-from .simulation import (History, Trajectory, integrate, make_z_path,
-                         oscillation_summary, reconstruct_center_manifold,
+from .simulation import (History, Trajectory, integrate, oscillation_summary,
                          upward_crossings)
 from .stability import (CharCoeffs, HopfPoint, LinearPair, char_coeffs,
                         characteristic_residual, classify_stability,

@@ -17,12 +17,8 @@ related settings:
     sweep.start = 2
     sweep.stop = 4
     sweep.count = 2
-    variants.f11_undistributed = false
-    variants.f02_a12_coeff = false
-    variants.w20_mixed_conjugates = false
-    variants.f21_delayed_args = false
 
-Unknown keys are rejected with their line number.
+Unknown keys are rejected, so a misspelled or retired key fails the run.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ import dataclasses
 
 from .errors import ConfigError
 from .model import ModelParams
-from .normal_form import FormulaVariants
 
 _MODEL_KEYS = ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n")
 _SWEEPABLE = set(_MODEL_KEYS)
@@ -60,7 +55,6 @@ class AnalysisConfig:
     k_max: int = 8
     sim: SimSpec = SimSpec()
     sweep: SweepSpec | None = None
-    variants: FormulaVariants = FormulaVariants()
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -182,19 +176,11 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
         if params is None:
             raise ConfigError("sweep requires a model block for the base values")
 
-    var_kwargs = {}
-    for name in ("f11_undistributed", "f02_a12_coeff",
-                 "w20_mixed_conjugates", "f21_delayed_args"):
-        s = take(f"variants.{name}")
-        if s is not None:
-            var_kwargs[name] = _as_bool(f"variants.{name}", s)
-    variants = FormulaVariants(**var_kwargs)
-
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
     return AnalysisConfig(params=params, tau=tau, k_max=k_max,
-                          sim=sim, sweep=sweep, variants=variants)
+                          sim=sim, sweep=sweep)
 
 
 def load_config(path: str) -> AnalysisConfig:

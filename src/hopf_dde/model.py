@@ -25,6 +25,8 @@ from .errors import DivergenceError, DomainError
 # state-vector component indices
 IX1, IY1, IX2, IY2 = 0, 1, 2, 3
 STATE_NAMES = ("x1", "y1", "x2", "y2")
+#: hill_derivs forms x**2 and x**3 unscaled on this open range
+_POW_SAFE_MIN, _POW_SAFE_MAX = 2.0**-330, 2.0**330
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +93,13 @@ def hill_derivs(x: float, p: ModelParams) -> tuple[float, float, float]:
         f''  = (n/x^2) sigma (1 - sigma) ((n - 1) - 2 n sigma)
         f''' = (n/x^3) sigma (1 - sigma) [(n-1)(n-2)(1-sigma)^2
                - 4(n^2-1) sigma (1-sigma) + (n+1)(n+2) sigma^2]
-    which avoids forming x^n directly.
+    which avoids forming x^n directly. Outside [2^-330, 2^330] (x^3 leaves
+    the normal float range just beyond) x is scaled by a power of two and
+    each product is assembled by _scaled_product, so every derivative is
+    finite for finite x > 0; inside, the values are the plain products
+    bit for bit. A derivative reads 0 where it underflows, and also where
+    s or a bracketed factor underflows on its own (s^2 for n = 1 once x
+    drops below about 1e-154).
     """
     if x <= 0.0:
         raise DomainError(f"hill_derivs requires x > 0, got {x!r}")
@@ -99,12 +107,31 @@ def hill_derivs(x: float, p: ModelParams) -> tuple[float, float, float]:
     n = float(p.n)
     s = _hill_extended(x, p.n, p.a)
     u = s * (1.0 - s)
-    r1 = (n / x) * u
-    r2 = (n / x**2) * u * ((n - 1.0) - 2.0 * n * s)
-    r3 = (n / x**3) * u * ((n - 1.0) * (n - 2.0) * (1.0 - s) ** 2
-                           - 4.0 * (n * n - 1.0) * s * (1.0 - s)
-                           + (n + 1.0) * (n + 2.0) * s * s)
+    k = 0 if _POW_SAFE_MIN < x < _POW_SAFE_MAX else math.frexp(x)[1]
+    xs = math.ldexp(x, -k)
+    r1 = _scaled_product((n / xs, u), -k)
+    r2 = _scaled_product((n / xs**2, u, (n - 1.0) - 2.0 * n * s), -2 * k)
+    r3 = _scaled_product((n / xs**3, u,
+                          (n - 1.0) * (n - 2.0) * (1.0 - s) ** 2
+                          - 4.0 * (n * n - 1.0) * s * (1.0 - s)
+                          + (n + 1.0) * (n + 2.0) * s * s), -3 * k)
     return r1, r2, r3
+
+
+def _scaled_product(factors: tuple[float, ...], exp2: int) -> float:
+    """factors[0] * factors[1] * ... * 2**exp2 without intermediate range loss.
+
+    The running product is kept as a mantissa in [0.5, 1) and a separate
+    binary exponent; renormalizing is exact, so each multiply rounds as
+    the plain left-to-right product does wherever that stays normal. The
+    running product cannot overflow; the final ldexp underflows to 0, or
+    raises OverflowError when the product itself exceeds the float range.
+    """
+    m, e = 1.0, exp2
+    for f in factors:
+        m, de = math.frexp(m * f)
+        e += de
+    return math.ldexp(m, e)
 
 
 def _hill_log(x: float, n: int, log_a: float) -> float:

@@ -15,12 +15,11 @@ delayed right-hand side onto this pair gives g20, g11, g02, g21 and
     beta2 = 2 Re C1
     T2    = -(Im C1 + mu2 Im(dlambda/dtau)) / omega_c
 
-Several quadratic/cubic assembly terms admit more than one transcription
-in circulation; each alternative is exposed as a FormulaVariants toggle,
-with defaults fixed by consistency oracles (the w20 boundary condition and
-the exponential pattern of delayed factors). Classification fields use
-the closed-form delay derivative (see stability module notes); the strict
-implicit-route values ride along for comparison.
+The quadratic blocks F20, F11, F02 and the cubic block behind g21 are the
+one Hassard-Kazarinoff-Wan reduction of the model; the tests rederive them
+from a symbolic Taylor expansion of the model equations. Classification
+fields use the closed-form delay derivative (see stability module notes);
+the strict implicit-route values ride along for comparison.
 """
 
 from __future__ import annotations
@@ -38,29 +37,6 @@ _ETA_TOL = 1e-12
 _SOLVE_RESIDUAL_TOL = 1e-10
 _COND_LIMIT = 1e12
 _DEGENERATE_C1 = 1e-14
-
-
-@dataclasses.dataclass(frozen=True)
-class FormulaVariants:
-    """Alternate readings of the quadratic/cubic assembly terms.
-
-    All default False (the derivation-consistent forms). Enabling one
-    switches to the corresponding alternate transcription:
-
-    f11_undistributed: second mixed quadratic term in the y2 row enters
-        without the shared -a21 factor.
-    f02_a12_coeff: the z-bar^2 quadratic term of the y2 row uses a12
-        instead of a21.
-    w20_mixed_conjugates: w20's conjugate-mode coefficient uses gbar20 in
-        the y2 row instead of gbar02 (breaks w02 = conj(w20)).
-    f21_delayed_args: two instantaneous cubic factors are evaluated at
-        -tau instead of 0.
-    """
-
-    f11_undistributed: bool = False
-    f02_a12_coeff: bool = False
-    w20_mixed_conjugates: bool = False
-    f21_delayed_args: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,8 +143,7 @@ def compute_eigenpair(p: ModelParams, eq: Equilibrium,
 
 
 def _quadratic_blocks(p: ModelParams, eq: Equilibrium, v: np.ndarray,
-                      lam1: complex, tau: float,
-                      variants: FormulaVariants) -> tuple[np.ndarray, ...]:
+                      lam1: complex, tau: float) -> tuple[np.ndarray, ...]:
     E1x = np.exp(-lam1 * tau)
     E2x = np.conj(E1x)
     v2, v4 = v[1], v[3]
@@ -179,31 +154,25 @@ def _quadratic_blocks(p: ModelParams, eq: Equilibrium, v: np.ndarray,
         r2 * v2**2 * E1x**2,
         -2.0 * p.a21 * v2 * v4 * E1x,
     ], dtype=complex)
-    if variants.f11_undistributed:
-        f11_4 = -p.a21 * v2 * np.conj(v4) * E1x + v4 * np.conj(v2) * E2x
-    else:
-        f11_4 = -p.a21 * (v2 * np.conj(v4) * E1x + v4 * np.conj(v2) * E2x)
     F11 = np.array([
         0.0,
         -p.a12 * (v2 * np.conj(v4) * E2x + np.conj(v2) * v4 * E1x),
         r2 * v2 * np.conj(v2),
-        f11_4,
+        -p.a21 * (v2 * np.conj(v4) * E1x + v4 * np.conj(v2) * E2x),
     ], dtype=complex)
-    c02 = p.a12 if variants.f02_a12_coeff else p.a21
     F02 = np.array([
         0.0,
         -2.0 * p.a12 * np.conj(v2) * np.conj(v4) * E2x,
         r2 * np.conj(v2) ** 2 * E2x**2,
-        -2.0 * c02 * np.conj(v2) * np.conj(v4) * E2x,
+        -2.0 * p.a21 * np.conj(v2) * np.conj(v4) * E2x,
     ], dtype=complex)
     return F20, F11, F02
 
 
 def g_quadratic(p: ModelParams, eq: Equilibrium, ep: Eigenpair, tau_c: float,
-                variants: FormulaVariants = FormulaVariants(),
                 ) -> tuple[complex, complex, complex, np.ndarray, np.ndarray, np.ndarray]:
     """Quadratic projections (g20, g11, g02) and the raw F-blocks."""
-    F20, F11, F02 = _quadratic_blocks(p, eq, ep.v, ep.lambda1, tau_c, variants)
+    F20, F11, F02 = _quadratic_blocks(p, eq, ep.v, ep.lambda1, tau_c)
     w = ep.w
     return (complex(w @ F20), complex(w @ F11), complex(w @ F02),
             F20, F11, F02)
@@ -237,23 +206,20 @@ def solve_E_vectors(p: ModelParams, eq: Equilibrium, omega_c: float,
 
 
 def make_w_evaluators(ep: Eigenpair, g20: complex, g11: complex, g02: complex,
-                      E1: np.ndarray, E2: np.ndarray, omega_c: float,
-                      variants: FormulaVariants = FormulaVariants()):
+                      E1: np.ndarray, E2: np.ndarray, omega_c: float):
     """Component evaluators w20(idx, theta) and w11(idx, theta).
 
     These are the quadratic center-manifold coefficient functions on
-    [-tau, 0]; theta = 0 values feed the cubic projection and orbit
-    reconstruction.
+    [-tau, 0]; their values at 0 and -tau feed the cubic projection.
     """
     lam1 = 1j * omega_c
     lam2 = -lam1
     v = ep.v
 
     def w20(idx: int, theta: float) -> complex:
-        gbar = np.conj(g20) if (variants.w20_mixed_conjugates and idx == 3) \
-            else np.conj(g02)
         return (-(g20 / lam1) * v[idx] * np.exp(lam1 * theta)
-                - (gbar / (3.0 * lam1)) * np.conj(v[idx]) * np.exp(lam2 * theta)
+                - (np.conj(g02) / (3.0 * lam1)) * np.conj(v[idx])
+                * np.exp(lam2 * theta)
                 + E2[idx] * np.exp(2.0 * lam1 * theta))
 
     def w11(idx: int, theta: float) -> complex:
@@ -266,8 +232,7 @@ def make_w_evaluators(ep: Eigenpair, g20: complex, g11: complex, g02: complex,
 
 def g_cubic(p: ModelParams, eq: Equilibrium, ep: Eigenpair, tau_c: float,
             g20: complex, g11: complex, g02: complex,
-            E1: np.ndarray, E2: np.ndarray,
-            variants: FormulaVariants = FormulaVariants()) -> complex:
+            E1: np.ndarray, E2: np.ndarray) -> complex:
     """Cubic projection g21 from the quadratic manifold coefficients."""
     lam1 = ep.lambda1
     tau = tau_c
@@ -275,17 +240,15 @@ def g_cubic(p: ModelParams, eq: Equilibrium, ep: Eigenpair, tau_c: float,
     E2x = np.conj(E1x)
     v2, v4 = ep.v[1], ep.v[3]
     r2, r3 = eq.rho2, eq.rho3
-    w20, w11 = make_w_evaluators(ep, g20, g11, g02, E1, E2,
-                                 float(lam1.imag), variants)
-    t_inst = -tau if variants.f21_delayed_args else 0.0
+    w20, w11 = make_w_evaluators(ep, g20, g11, g02, E1, E2, float(lam1.imag))
     F21_2 = -p.a12 * (2.0 * v2 * w11(3, -tau)
                       + np.conj(v2) * w20(3, -tau)
                       + np.conj(v4) * w20(1, 0.0) * E2x
-                      + 2.0 * v4 * w11(1, t_inst) * E1x)
+                      + 2.0 * v4 * w11(1, 0.0) * E1x)
     F21_3 = (r2 * (2.0 * v2 * w11(1, -tau) * E1x
                    + np.conj(v2) * w20(1, -tau) * E2x)
              + r3 * v2**2 * np.conj(v2) * E1x)
-    F21_4 = -p.a21 * (2.0 * v2 * w11(3, t_inst) * E1x
+    F21_4 = -p.a21 * (2.0 * v2 * w11(3, 0.0) * E1x
                       + np.conj(v2) * w20(3, 0.0) * E2x
                       + np.conj(v4) * w20(1, -tau)
                       + 2.0 * v4 * w11(1, -tau))
@@ -318,7 +281,6 @@ def hopf_quantities(g20: complex, g11: complex, g02: complex, g21: complex,
 
 
 def compute_normal_form(p: ModelParams, eq: Equilibrium, hp: HopfPoint,
-                        variants: FormulaVariants = FormulaVariants(),
                         ) -> NormalForm:
     """Full reduction at a Hopf point.
 
@@ -327,9 +289,9 @@ def compute_normal_form(p: ModelParams, eq: Equilibrium, hp: HopfPoint,
     on the sign of the crossing speed.
     """
     ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
-    g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c, variants)
+    g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c)
     E1, E2 = solve_E_vectors(p, eq, hp.omega_c, hp.tau_c, F20, F11)
-    g21 = g_cubic(p, eq, ep, hp.tau_c, g20, g11, g02, E1, E2, variants)
+    g21 = g_cubic(p, eq, ep, hp.tau_c, g20, g11, g02, E1, E2)
     C1, mu2, beta2, T2 = hopf_quantities(
         g20, g11, g02, g21, hp.dlambda_dtau_closed, hp.omega_c)
     _, mu2_i, _, T2_i = hopf_quantities(

@@ -109,7 +109,7 @@ def analyze_branch(p: ModelParams, eq: Equilibrium, cfg: AnalysisConfig) -> Bran
         br.candidates = hopf_candidates(br.cc, cfg.k_max)
         br.hopf = first_hopf(br.cc, cfg.k_max)
         if br.hopf is not None:
-            br.nf = compute_normal_form(p, eq, br.hopf, cfg.variants)
+            br.nf = compute_normal_form(p, eq, br.hopf)
             if br.nf.transversality_conflict:
                 other = ("supercritical" if br.nf.mu2_implicit > 0.0
                          else "subcritical")

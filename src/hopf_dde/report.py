@@ -16,8 +16,6 @@ from .pipeline import BranchResult, RunResult
 from .simulation import Trajectory
 
 _MODEL_FIELDS = ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n")
-_VARIANT_FIELDS = ("f11_undistributed", "f02_a12_coeff",
-                   "w20_mixed_conjugates", "f21_delayed_args")
 _CSV_CHUNK_VALUES = 4096
 
 
@@ -96,10 +94,8 @@ def _branch_lines(lines: list[str], pre: str, br: BranchResult) -> None:
 
 
 def render_report(results: list[RunResult], cfg: AnalysisConfig) -> str:
-    lines: list[str] = ["format = 1"]
+    lines: list[str] = ["format = 2"]
     _emit(lines, "runs.count", len(results))
-    for name in _VARIANT_FIELDS:
-        _emit(lines, f"variants.{name}", getattr(cfg.variants, name))
     _emit(lines, "k_max", cfg.k_max)
     for j, run in enumerate(results):
         pre = f"run.{j}."

@@ -1,4 +1,4 @@
-"""Direct integration of the delay system and orbit reconstruction.
+"""Direct integration of the delay system.
 
 Fixed-step classical RK4 by the method of steps: the step divides the
 delay exactly, so every delayed lookup falls on the already-computed part
@@ -49,10 +49,8 @@ import math
 
 import numpy as np
 
-from .equilibrium import Equilibrium
 from .errors import DivergenceError, DomainError
 from .model import IX1, IY1, IY2, ModelParams, _hill_log, _hill_log_many
-from .normal_form import Eigenpair, FormulaVariants, NormalForm, make_w_evaluators
 
 _BLOWUP_NORM = 1e12
 _MAX_STEPS = 100_000_000
@@ -452,66 +450,6 @@ def integrate(p: ModelParams, tau: float, history: History,
     if rem > 0.0:
         ts[N] = t_end
     return Trajectory(t=ts, states=states, derivs=derivs, tau=tau, step=step)
-
-
-def make_z_path(lambda1: complex, nf: NormalForm, z0: complex,
-                t_end: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the reduced equation z' = lambda1 z + g(z, zbar).
-
-    g truncates at the computed projections: g20 z^2/2 + g11 z zbar
-    + g02 zbar^2/2 + g21 z^2 zbar / 2. Plain RK4; returns (times, z).
-    """
-    if step <= 0.0 or t_end <= 0.0:
-        raise DomainError("step and t_end must be positive")
-    n = int(math.ceil(t_end / step - 1e-12))
-
-    def f(z: complex) -> complex:
-        zb = z.conjugate()
-        return (lambda1 * z + 0.5 * nf.g20 * z * z + nf.g11 * z * zb
-                + 0.5 * nf.g02 * zb * zb + 0.5 * nf.g21 * z * z * zb)
-
-    ts = np.empty(n + 1)
-    zs = np.empty(n + 1, dtype=complex)
-    ts[0], zs[0] = 0.0, z0
-    z, t = complex(z0), 0.0
-    for i in range(n):
-        h = min(step, t_end - t)
-        k1 = f(z)
-        k2 = f(z + 0.5 * h * k1)
-        k3 = f(z + 0.5 * h * k2)
-        k4 = f(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)) or abs(z) > _BLOWUP_NORM:
-            raise DivergenceError(f"reduced flow diverged at t={t:.6g}")
-        ts[i + 1], zs[i + 1] = t, z
-    return ts, zs
-
-
-def reconstruct_center_manifold(nf: NormalForm, ep: Eigenpair, eq: Equilibrium,
-                                ts: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Physical states along a reduced path z(t).
-
-    X(t) = X0 + z Phi(0) + zbar Phibar(0) + w20(0) z^2 / 2
-           + w11(0) z zbar + w02(0) zbar^2 / 2
-    with w02 = conj(w20). Returns an (len(ts), 4) real array.
-    """
-    if len(ts) != len(zs):
-        raise DomainError("times and z path must have equal length")
-    omega_c = float(ep.lambda1.imag)
-    w20f, w11f = make_w_evaluators(ep, nf.g20, nf.g11, nf.g02,
-                                   nf.E1, nf.E2, omega_c, FormulaVariants())
-    w20_0 = np.array([w20f(i, 0.0) for i in range(4)])
-    w11_0 = np.array([w11f(i, 0.0) for i in range(4)])
-    x0 = eq.state()
-    out = np.empty((len(ts), 4))
-    for i, z in enumerate(zs):
-        zb = z.conjugate()
-        vec = (z * ep.v + zb * np.conj(ep.v)
-               + 0.5 * w20_0 * z * z + w11_0 * (z * zb)
-               + 0.5 * np.conj(w20_0) * zb * zb)
-        out[i] = x0 + vec.real
-    return out
 
 
 def upward_crossings(ts: np.ndarray, vals: np.ndarray, level: float = 0.0) -> np.ndarray:

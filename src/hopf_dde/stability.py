@@ -38,6 +38,7 @@ _DEGENERATE_DENOM = 1e-12
 _UNIT_MODULUS_TOL = 1e-8
 _SIMPLE_ROOT_TOL = 1e-10
 _AT_BIFURCATION_TOL = 1e-9
+_CUBIC_SCALE_MAX = 2.0**170
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,12 +103,13 @@ def char_coeffs(p: ModelParams, eq: Equilibrium) -> CharCoeffs:
     d = p.b2 * al * be
     g = -p.a12 * eq.y10 * p.a21 * eq.y20
     h = -p.a12 * eq.y10 * (p.b2 * p.a21 * eq.y20 - eq.rho1)
-    return CharCoeffs(
-        b=b, c=c, d=d, g=g, h=h,
-        l1=b * b - 2.0 * c,
-        l2=c * c - 2.0 * b * d - g * g,
-        l3=d * d - h * h,
-    )
+    l1 = b * b - 2.0 * c
+    l2 = c * c - 2.0 * b * d - g * g
+    l3 = d * d - h * h
+    cc = CharCoeffs(b=b, c=c, d=d, g=g, h=h, l1=l1, l2=l2, l3=l3)
+    if not all(map(math.isfinite, (b, c, d, g, h, l1, l2, l3))):
+        raise DomainError(f"characteristic coefficients leave the float range: {cc}")
+    return cc
 
 
 def characteristic_residual(lam: complex, tau: float, cc: CharCoeffs) -> complex:
@@ -129,6 +131,12 @@ def routh_hurwitz_stable(cc: CharCoeffs) -> bool:
 
 
 def _cubic_real_roots(l1: float, l2: float, l3: float) -> list[float]:
+    # z = 2^k y gives y^3 + (l1/2^k) y^2 + (l2/4^k) y + l3/8^k, exactly;
+    # with the coefficient scale below 2^170 no intermediate below can
+    # overflow (the largest, (q/2)^2, stays under 2^1019), so k = 0 there
+    scale = max(abs(l1), math.sqrt(abs(l2)), abs(l3) ** (1.0 / 3.0))
+    k = 0 if scale < _CUBIC_SCALE_MAX else math.frexp(scale)[1]
+    l1, l2, l3 = math.ldexp(l1, -k), math.ldexp(l2, -2 * k), math.ldexp(l3, -3 * k)
     # depressed form t^3 + p t + q, z = t - l1/3
     p = l2 - l1 * l1 / 3.0
     q = 2.0 * l1**3 / 27.0 - l1 * l2 / 3.0 + l3
@@ -157,7 +165,7 @@ def _cubic_real_roots(l1: float, l2: float, l3: float) -> list[float]:
             if df == 0.0:
                 break
             z -= f / df
-        polished.append(z)
+        polished.append(math.ldexp(z, k))
     return polished
 
 

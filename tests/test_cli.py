@@ -34,7 +34,7 @@ def test_config_run_writes_all_outputs(tmp_path):
     assert rc == 0
     report = (out / "report.txt").read_text()
     kv = parse_report(report)
-    assert kv["format"] == "1"
+    assert kv["format"] == "2"
     assert kv["run.0.eq.0.classification"] == "stable"
     assert kv["run.0.eq.0.tau_eval"] == "10"
     traj = (out / "trajectory.csv").read_text().splitlines()
@@ -112,12 +112,37 @@ def test_equilibrium_found_when_a2_b2_underflows(tmp_path):
     assert eq["x20"] == pytest.approx(y**2 / (4.0 + y**2) / 1e-200, rel=1e-14)
     assert eq["y20"] == pytest.approx(eq["x20"] / (1e-200 + 0.02 * y), rel=1e-14)
     assert y * (0.13 + 0.02 * eq["y20"]) == pytest.approx(eq["x10"], rel=1e-12)
+    # char.l1 = 3.1e199: the frequency cubic is solved, not an OverflowError
+    assert "run.0.eq.0.error" not in kv
+    assert kv["run.0.eq.0.candidates.count"] == "0"
+
+
+def test_equilibrium_near_float_max_is_built(tmp_path):
+    # y10 = 1e305: the Hill derivatives there stay finite (they underflow
+    # to 0); the characteristic coefficients then overflow, which the
+    # branch records as its error instead of reporting inf and nan
+    kv = _run_extreme(tmp_path, a1="1e-300", b1="1e-5")
+    assert kv["run.0.equilibria.count"] == "1"
+    assert float(kv["run.0.eq.0.equilibrium.y10"]) == pytest.approx(9.99e304)
+    assert kv["run.0.eq.0.equilibrium.rho1"] == "0"
+    assert kv["run.0.eq.0.error"].startswith(
+        "DomainError: characteristic coefficients leave the float range")
 
 
 def test_bad_config_exits_1(tmp_path, capsys):
     bad = _write_cfg(tmp_path, "model.a1 = 0.13\n", name="bad.cfg")
     assert cli.main(["--config", bad]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_retired_variants_key_exits_1(tmp_path, capsys):
+    # the formula toggles are gone; an old config that sets one is rejected
+    cfg = FAST_CFG + "variants.f11_undistributed = true\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "unknown configuration keys: variants.f11_undistributed" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_parameters_exit_1(capsys):

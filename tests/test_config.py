@@ -23,7 +23,6 @@ sim.enabled = true
 sim.t_end = 500.0
 sim.step = 0.5
 sim.perturbation = 0.02
-variants.w20_mixed_conjugates = true
 """
 
 
@@ -75,8 +74,6 @@ def test_full_config_round_trip():
     assert cfg.sim.t_end == 500.0
     assert cfg.sim.step == 0.5
     assert cfg.sim.perturbation == 0.02
-    assert cfg.variants.w20_mixed_conjugates is True
-    assert cfg.variants.f11_undistributed is False
     assert cfg.sweep is None
 
 

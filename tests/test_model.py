@@ -1,9 +1,11 @@
 """Hill function, parameter validation, and right-hand-side tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +115,21 @@ def test_hill_derivatives_frozen(case):
     assert r1 == pytest.approx(ref["rho1"], rel=1e-12)
     assert r2 == pytest.approx(ref["rho2"], rel=1e-12)
     assert r3 == pytest.approx(ref["rho3"], rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e305, 1e-108])
+@pytest.mark.parametrize("n", [1, 2])
+def test_hill_derivatives_at_the_ends_of_the_float_range(x, n):
+    # x**3 overflows at 1e305 and rounds to 0 at 1e-108; the derivatives
+    # must stay finite and match a 40-digit symbolic evaluation (at 1e305
+    # the true values underflow to 0)
+    p = dataclasses.replace(PRESETS["n2"], n=n)
+    t = sympy.Symbol("t")
+    f = t**n / (sympy.Float(p.a, 40) + t**n)
+    for k, got in enumerate(hill_derivs(x, p), start=1):
+        want = float(sympy.diff(f, t, k).subs(t, sympy.Float(x, 40)).evalf(40))
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300), k
 
 
 def test_hill_extension_matches_parity():

@@ -4,11 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import sympy
 
-from hopf_dde import (DomainError, FormulaVariants, PRESETS,
-                      SingularSystemError, build_equilibrium, compute_eigenpair,
-                      compute_normal_form, g_cubic, g_quadratic, hopf_quantities,
-                      linearize, solve_E_vectors)
+from hopf_dde import (DomainError, ModelParams, SingularSystemError,
+                      char_coeffs, compute_eigenpair, compute_normal_form,
+                      find_equilibria, first_hopf, g_cubic, g_quadratic,
+                      hopf_quantities, linearize, solve_E_vectors)
 from hopf_dde.normal_form import (left_eigenvector_raw, make_w_evaluators,
                                   pairing_value, right_eigenvector,
                                   _quadratic_blocks)
@@ -49,7 +50,6 @@ def test_eigenvector_residuals(case, preset_data):
 
 
 def test_right_eigenvector_needs_coupled_loop():
-    from hopf_dde import ModelParams, find_equilibria
     p = ModelParams(a1=0.13, a2=0.13, a12=0.0, a21=0.0,
                     b1=0.8, b2=0.01, a=4.0, n=2)
     eq = find_equilibria(p)[0]
@@ -165,16 +165,15 @@ def test_E_vector_solve_residuals(case, preset_data):
     assert np.linalg.norm(M1 @ E1 + F11) <= 1e-10 * max(1.0, np.linalg.norm(F11))
 
 
-def _boundary_residuals(p, eq, hp, variants=FormulaVariants()):
+def _boundary_residuals(p, eq, hp):
     # the quadratic manifold coefficients must satisfy the boundary
     # conditions of their defining linear problems:
     #   A w20(0) + B w20(-tau) = 2 lam1 w20(0) + g20 v + conj(g02) conj(v) - F20
     #   A w11(0) + B w11(-tau) = g11 v + conj(g11) conj(v) - F11
     ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
-    g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c, variants)
+    g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c)
     E1, E2 = solve_E_vectors(p, eq, hp.omega_c, hp.tau_c, F20, F11)
-    w20f, w11f = make_w_evaluators(ep, g20, g11, g02, E1, E2,
-                                   hp.omega_c, variants)
+    w20f, w11f = make_w_evaluators(ep, g20, g11, g02, E1, E2, hp.omega_c)
     lin = linearize(p, eq)
     tau = hp.tau_c
     lam1 = 1j * hp.omega_c
@@ -198,49 +197,111 @@ def test_manifold_coefficient_boundary_identities(case, preset_data):
     assert r11 < 1e-10
 
 
-def test_mixed_conjugate_variant_breaks_boundary_identity(preset_data):
-    # the alternate conjugate assignment in w20 is inconsistent with the
-    # defining problem; the residual jumps from roundoff to order one
-    p, eq, _, hp = preset_data["n2"]
-    r20, _ = _boundary_residuals(
-        p, eq, hp, FormulaVariants(w20_mixed_conjugates=True))
-    assert r20 > 1e-6
+#: a12 != a21, so the two coupling rates cannot stand in for each other;
+#: Routh-Hurwitz stable at zero delay, first Hopf point at tau_c = 107.6
+ASYMMETRIC = ModelParams(a1=0.13, a2=0.13, a12=0.02, a21=0.05,
+                         b1=0.8, b2=0.01, a=4.0, n=2)
+_DIGITS = 30
 
 
-@pytest.mark.parametrize("field", ["f11_undistributed",
-                                   "w20_mixed_conjugates", "f21_delayed_args"])
-def test_each_variant_changes_the_reduction(field, preset_data):
-    p, eq, _, hp = preset_data["n2"]
-    base = compute_normal_form(p, eq, hp)
-    alt = compute_normal_form(p, eq, hp,
-                              variants=FormulaVariants(**{field: True}))
-    assert abs(alt.C1 - base.C1) > 1e-8 * abs(base.C1)
+def _sym(x):
+    x = complex(x)
+    return sympy.Float(x.real, _DIGITS) + sympy.I * sympy.Float(x.imag, _DIGITS)
 
 
-def test_f02_variant_inert_at_symmetric_coupling(preset_data):
-    # this variant swaps the two coupling rates in one coefficient; the
-    # presets have equal rates, so it cannot change the reduction there
-    p, eq, _, hp = preset_data["n2"]
-    base = compute_normal_form(p, eq, hp)
-    alt = compute_normal_form(p, eq, hp,
-                              variants=FormulaVariants(f02_a12_coeff=True))
-    assert alt.C1 == base.C1
+def _taylor_reference(p, eq, ep, omega, tau):
+    # F20, F11, F02 and g21 from a sympy Taylor expansion of the model
+    # equations about the equilibrium, independent of the hand-assembled
+    # blocks: the Hill derivatives come from differentiating
+    # x^n / (a + x^n), A and B from the Jacobian, and the manifold
+    # coefficients w20, w11 from their Hassard-Kazarinoff-Wan closed form
+    # with E1, E2 solved here. Only the eigenpair is taken from the package.
+    a1, a2, a12, a21, b1, b2, a = (
+        sympy.Float(getattr(p, k), _DIGITS)
+        for k in ("a1", "a2", "a12", "a21", "b1", "b2", "a"))
+    state = x1, y1, x2, y2 = sympy.symbols("x1 y1 x2 y2")
+    y1d, y2d = sympy.symbols("y1d y2d")
+    rhs = [1 - b1 * x1,
+           x1 - (a1 + a12 * y2d) * y1,
+           y1d**p.n / (a + y1d**p.n) - b2 * x2,
+           x2 - (a2 + a21 * y1d) * y2]
+    x0 = [sympy.Float(c, _DIGITS) for c in eq.state()]
+    at_eq = dict(zip(state, x0)) | {y1d: x0[1], y2d: x0[3]}
+    jac = [[complex(sympy.diff(r, s).subs(at_eq)) for s in state + (y1d, y2d)]
+           for r in rhs]
+    A = np.array([row[:4] for row in jac])
+    B = np.zeros((4, 4), dtype=complex)
+    B[:, 1], B[:, 3] = [row[4] for row in jac], [row[5] for row in jac]
+
+    # quadratic plus cubic Taylor terms in the deviations u (at t) and
+    # d2, d4 (y1, y2 at t - tau); quartic terms cannot reach z^2 zbar
+    u = sympy.symbols("u1:5")
+    d2, d4 = sympy.symbols("d2 d4")
+    directions = list(zip(state, u)) + [(y1d, d2), (y2d, d4)]
+    nonlinear = []
+    for r in rhs:
+        term, total = r, 0
+        for k in (1, 2, 3):
+            term = sum(dv * sympy.diff(term, s) for s, dv in directions)
+            if k > 1:
+                total += term.subs(at_eq) / sympy.factorial(k)
+        nonlinear.append(total)
+
+    z, zb = sympy.symbols("z zb")
+    lam = 1j * omega
+    v, w = ep.v, ep.w
+
+    def coefficients(phi, monomials):
+        # phi(theta) -> per-monomial coefficient vectors of F(phi)
+        sub = dict(zip(u, phi(0.0))) | {d2: phi(-tau)[1], d4: phi(-tau)[3]}
+        rows = []
+        for e in nonlinear:
+            poly = sympy.Poly(sympy.expand(e.subs(sub)), z, zb)
+            rows.append([complex(poly.coeff_monomial(m)) for m in monomials])
+        return np.array(rows).T
+
+    def linear(theta):
+        q = v * np.exp(lam * theta)
+        return [z * _sym(qj) + zb * _sym(np.conj(qj)) for qj in q]
+
+    c20, c11, c02 = coefficients(linear, (z**2, z * zb, zb**2))
+    F20, F11, F02 = 2.0 * c20, c11, 2.0 * c02
+    g20, g11, g02 = w @ F20, w @ F11, w @ F02
+    E2 = np.linalg.solve(2.0 * lam * np.eye(4) - A - B * np.exp(-2.0 * lam * tau),
+                         F20)
+    E1 = np.linalg.solve(-(A + B), F11)
+
+    def manifold(theta):
+        q, qb = v * np.exp(lam * theta), np.conj(v) * np.exp(-lam * theta)
+        w20 = ((1j * g20 / omega) * q + (1j * np.conj(g02) / (3.0 * omega)) * qb
+               + E2 * np.exp(2.0 * lam * theta))
+        w11 = -(1j * g11 / omega) * q + (1j * np.conj(g11) / omega) * qb + E1
+        return [lin + z**2 / 2 * _sym(w20[j]) + z * zb * _sym(w11[j])
+                + zb**2 / 2 * _sym(np.conj(w20[j]))
+                for j, lin in enumerate(linear(theta))]
+
+    (c21,) = coefficients(manifold, (z**2 * zb,))
+    return F20, F11, F02, complex(w @ (2.0 * c21))
 
 
-def test_f02_variant_swaps_coupling_coefficient():
-    from hopf_dde import ModelParams, find_equilibria
-    p = ModelParams(a1=0.13, a2=0.13, a12=0.02, a21=0.05,
-                    b1=0.8, b2=0.01, a=4.0, n=2)
-    eq = find_equilibria(p)[0]
-    v = np.array([0.0, 0.2 - 0.1j, 1.0, 0.5 + 0.3j])
-    _, _, F02_base = _quadratic_blocks(p, eq, v, 0.2j, 3.0,
-                                       FormulaVariants())
-    _, _, F02_alt = _quadratic_blocks(p, eq, v, 0.2j, 3.0,
-                                      FormulaVariants(f02_a12_coeff=True))
-    np.testing.assert_array_equal(F02_base[:3], F02_alt[:3])
-    assert F02_alt[3] == pytest.approx(F02_base[3] * p.a12 / p.a21,
-                                       rel=1e-14)
-    assert F02_alt[3] != F02_base[3]
+@pytest.mark.parametrize("case", list(CASES) + ["asymmetric"])
+def test_reduction_matches_taylor_expansion(case, preset_data):
+    if case == "asymmetric":
+        p = ASYMMETRIC
+        eq = find_equilibria(p)[0]
+        hp = first_hopf(char_coeffs(p, eq))
+    else:
+        p, eq, _, hp = preset_data[case]
+    ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
+    *want_F, want_g21 = _taylor_reference(p, eq, ep, hp.omega_c, hp.tau_c)
+    *got_g, F20, F11, F02 = g_quadratic(p, eq, ep, hp.tau_c)
+    for name, got, want in zip(("F20", "F11", "F02"), (F20, F11, F02), want_F):
+        for j in range(4):
+            assert abs(got[j] - want[j]) <= 1e-12 * abs(want[j]), (name, j)
+    for got, want in zip(got_g, want_F):
+        assert abs(got - ep.w @ want) <= 1e-12 * abs(ep.w @ want)
+    g21 = compute_normal_form(p, eq, hp).g21
+    assert abs(g21 - want_g21) <= 1e-12 * abs(want_g21)
 
 
 def test_conjugation_symmetry_of_reduction(preset_data):
@@ -272,13 +333,11 @@ def test_hopf_quantities_degenerate_inputs_raise():
 
 
 def test_quadratic_blocks_vanish_without_coupling_or_curvature():
-    from hopf_dde import ModelParams, find_equilibria
     p = ModelParams(a1=0.13, a2=0.13, a12=0.0, a21=0.0,
                     b1=0.8, b2=0.01, a=4.0, n=2)
     eq = dataclasses.replace(find_equilibria(p)[0], rho2=0.0)
     v = np.array([0.1 + 0.2j, 0.3, 1.0, -0.4j])
-    F20, F11, F02 = _quadratic_blocks(p, eq, v, 0.3j, 2.0,
-                                      FormulaVariants())
+    F20, F11, F02 = _quadratic_blocks(p, eq, v, 0.3j, 2.0)
     assert np.all(F20 == 0.0)
     assert np.all(F11 == 0.0)
     assert np.all(F02 == 0.0)

@@ -116,7 +116,7 @@ def test_run_analysis_requires_params():
 
 
 def test_branch_error_is_captured(monkeypatch):
-    def boom(p, eq, hp, variants):
+    def boom(p, eq, hp):
         raise NumericalError("synthetic reduction failure")
 
     monkeypatch.setattr(pipeline, "compute_normal_form", boom)
@@ -130,12 +130,11 @@ def test_branch_error_is_captured(monkeypatch):
 
 
 def test_float_arithmetic_errors_are_captured(monkeypatch):
-    # float ** and / raise these rather than a NumericalError, e.g. the
-    # Hill derivatives at y10 = 1e305 (a1 = 1e-300, b1 = 1e-5)
+    # float ** and / raise these rather than a NumericalError
     def overflow(p):
         raise OverflowError("synthetic overflow")
 
-    def zero_division(p, eq, hp, variants):
+    def zero_division(p, eq, hp):
         raise ZeroDivisionError("synthetic division")
 
     monkeypatch.setattr(pipeline, "compute_normal_form", zero_division)

@@ -40,7 +40,7 @@ def n2_result():
 def test_report_structure(n2_result):
     run, cfg = n2_result
     text = render_report([run], cfg)
-    assert text.startswith("format = 1\n")
+    assert text.startswith("format = 2\n")
     assert text.endswith("\n")
     kv = parse_report(text)
     assert kv["runs.count"] == "1"

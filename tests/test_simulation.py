@@ -1,4 +1,4 @@
-"""Method-of-steps integrator, histories, reduced flow, diagnostics."""
+"""Method-of-steps integrator, histories, diagnostics."""
 
 import dataclasses
 import gc
@@ -8,14 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hopf_dde import (DivergenceError, DomainError, History, IX1, IX2, IY1,
-                      PRESETS, compute_eigenpair, compute_normal_form,
-                      find_equilibria, integrate, make_z_path,
-                      oscillation_summary, reconstruct_center_manifold, rhs,
+from hopf_dde import (DivergenceError, DomainError, History, IX1, IX2, PRESETS,
+                      find_equilibria, integrate, oscillation_summary, rhs,
                       upward_crossings)
 
 from hopf_dde import simulation
-from reference_values import CASES
 
 
 def _smooth(t):
@@ -498,58 +495,6 @@ def test_negative_states_are_not_clipped():
     assert x2[0] == -5.0
     assert np.all(x2 < -4.5)
     assert np.all(np.diff(x2) > 0.0)
-
-
-def _reduction(case, preset_data):
-    p, eq, _, hp = preset_data[case]
-    nf = compute_normal_form(p, eq, hp)
-    ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
-    return p, eq, hp, nf, ep
-
-
-def test_zero_reduced_path_reconstructs_the_equilibrium(preset_data):
-    _, eq, _, nf, ep = _reduction("n2", preset_data)
-    ts, zs = make_z_path(ep.lambda1, nf, 0.0 + 0.0j, t_end=10.0, step=0.1)
-    assert np.all(zs == 0.0)
-    X = reconstruct_center_manifold(nf, ep, eq, ts, zs)
-    np.testing.assert_array_equal(X, np.tile(eq.state(), (len(ts), 1)))
-
-
-def test_reconstructed_orbit_period_near_linear_frequency(preset_data):
-    _, eq, hp, nf, ep = _reduction("n164", preset_data)
-    linear_period = 2.0 * math.pi / hp.omega_c
-    ts, zs = make_z_path(ep.lambda1, nf, 0.05 + 0.0j,
-                         t_end=10.0 * linear_period, step=0.02)
-    X = reconstruct_center_manifold(nf, ep, eq, ts, zs)
-    crossings = upward_crossings(ts, X[:, IY1], eq.y10)
-    assert len(crossings) >= 5
-    measured = float(np.mean(np.diff(crossings)))
-    assert measured == pytest.approx(linear_period, rel=0.1)
-
-
-def test_make_z_path_validation():
-    with pytest.raises(DomainError):
-        make_z_path(0.1j, _dummy_nf(), 0.1, t_end=-1.0, step=0.1)
-    with pytest.raises(DomainError):
-        make_z_path(0.1j, _dummy_nf(), 0.1, t_end=1.0, step=0.0)
-
-
-def _dummy_nf():
-    from hopf_dde.normal_form import NormalForm
-    zeros = np.zeros(4, dtype=complex)
-    return NormalForm(
-        g20=0.0j, g11=0.0j, g02=0.0j, g21=0.0j, E1=zeros, E2=zeros,
-        C1=-1.0 + 0.0j, mu2=1.0, beta2=-2.0, T2=0.0,
-        mu2_implicit=1.0, T2_implicit=0.0,
-        dlambda_dtau=1.0 + 0.0j, dlambda_dtau_implicit=1.0 + 0.0j,
-        transversality_conflict=False, direction="supercritical",
-        orbit_stability="stable", period_trend="decreasing")
-
-
-def test_reduced_flow_divergence_guard():
-    nf = _dummy_nf()
-    with pytest.raises(DivergenceError):
-        make_z_path(5.0 + 0.0j, nf, 1.0 + 0.0j, t_end=50.0, step=0.5)
 
 
 def test_upward_crossings_on_sine():

@@ -2,9 +2,11 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +16,7 @@ from hopf_dde import (DomainError, PRESETS, build_equilibrium, char_coeffs,
                       hopf_candidates, linearize, omega_candidates, rhs,
                       routh_hurwitz_stable, transversality,
                       transversality_closed_form)
-from hopf_dde.stability import CharCoeffs
+from hopf_dde.stability import CharCoeffs, _cubic_real_roots
 
 from reference_values import CASES
 
@@ -69,7 +71,6 @@ def test_char_coeffs_frozen(case):
 def test_char_coeffs_symbolic_oracle():
     # symbolic expansion of det(lambda I - A - B E) with E^2 = e^(-2 lambda tau):
     # must factor as (lambda + b1) * (cubic + (g lambda + h) E^2)
-    sympy = pytest.importorskip("sympy")
     lam, E = sympy.symbols("lam E")
     a1, a2, a12, a21, b1, b2 = sympy.symbols("a1 a2 a12 a21 b1 b2", positive=True)
     y10, y20, r1 = sympy.symbols("y10 y20 r1", positive=True)
@@ -139,6 +140,26 @@ def test_omega_candidates_planted_cubic():
     assert len(omegas) == 2
     assert omegas[0] == pytest.approx(0.5, rel=1e-12)
     assert omegas[1] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("l1, l2, l3, real_roots", [
+    # char.* of the a2 = b2 = 1e-200 run: z^2 (z + l1)
+    (3.1250000000001225e199, 0.0, 0.0, [-3.1250000000001225e199]),
+    # (z + s)(z - s/4)(z - 4s) with s = 2^332
+    (-3.25 * 2.0**332, -3.25 * 2.0**664, 2.0**996,
+     [-2.0**332, 2.0**330, 2.0**334]),
+])
+def test_cubic_roots_with_huge_coefficients(l1, l2, l3, real_roots):
+    # unscaled, l1**3 or (p/3)**3 overflows; the residual is evaluated in
+    # exact rationals, relative to the size of the cubic's terms
+    roots = _cubic_real_roots(l1, l2, l3)
+    for want in real_roots:
+        assert any(z == pytest.approx(want, rel=1e-12) for z in roots)
+    c1, c2, c3 = map(Fraction, (l1, l2, l3))
+    for z in map(Fraction, roots):
+        residual = ((z + c1) * z + c2) * z + c3
+        size = abs(z) ** 3 + abs(c1) * z * z + abs(c2 * z) + abs(c3)
+        assert abs(residual) <= Fraction(1, 10**12) * size
 
 
 def test_omega_candidates_empty_without_positive_roots():
