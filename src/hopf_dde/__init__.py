@@ -13,8 +13,7 @@ Library layout:
 """
 
 from .config import AnalysisConfig, SimSpec, SweepSpec, load_config
-from .equilibrium import (Equilibrium, build_equilibrium, equilibrium_poly_coeffs,
-                          find_equilibria)
+from .equilibrium import Equilibrium, build_equilibrium, find_equilibria
 from .errors import (ConfigError, ConvergenceError, DivergenceError, DomainError,
                      HopfDdeError, NumericalError, SingularSystemError)
 from .model import (IX1, IX2, IY1, IY2, PRESETS, STATE_NAMES, ModelParams,

@@ -1,31 +1,25 @@
 """The positive equilibrium of the delayed feedback model.
 
-At an equilibrium, x1 = 1/b1 and the remaining components are algebraic
-functions of the protein level y1 = y10, which must satisfy a polynomial
-of degree n + 2 obtained by clearing the Hill denominator:
+At a steady state x1 = 1/b1, x2 = f(y1)/b2 and y2 = x2/(a2 + a21*y1),
+with f the Hill function, so the protein level y1 = y10 solves the y1
+balance x1 = (a1 + a12*y2)*y1, that is g(y10) = 0 with
 
-    b1*b2*a1*y*(a2 + a21*y)*(a + y^n) + b1*a12*y^(n+1)
-        - b2*(a2 + a21*y)*(a + y^n) = 0
+    g(y) = a1*y + a12*y*f(y) / (b2*(a2 + a21*y)) - 1/b1.
 
-Dividing by b1*b2*(a2 + a21*y)*(a + y^n) > 0 leaves the same positive
-roots as
-
-    g(y) = a1*y + a12*y*f(y) / (b2*(a2 + a21*y)) - 1/b1,
-
-with f the Hill function. ModelParams keeps a1, a2, b1, b2 > 0 and
-a12, a21 >= 0, so g is strictly increasing on y > 0, g(0+) = -1/b1 < 0
-and g(1/(a1*b1)) >= 0: there is exactly one positive equilibrium. As
-f < 1, g is still negative at the lower end of
+ModelParams keeps a1, a2, b1, b2 > 0 and a12, a21 >= 0, so g is strictly
+increasing on y > 0, g(0+) = -1/b1 < 0 and g(1/(a1*b1)) >= 0: there is
+exactly one positive equilibrium. As f < 1, g is still negative at the
+lower end of
 
     [1/(b1*(a1 + a12/(a2*b2))), 1/(a1*b1)],
 
 so the equilibrium lies in that bracket.
 
 find_equilibria bisects g on that bracket down to adjacent floats, with
-f in log space so n in the hundreds cannot overflow, then polishes the
-root with three Newton steps on the polynomial. build_equilibrium checks
-the polynomial's scaled residual at the root, a second route to the
-same equation.
+f in log space so n in the hundreds cannot overflow. build_equilibrium
+checks the y1 balance at the assembled equilibrium; the other three
+steady-state equations hold by construction. The same bisection,
+_bisect, finds the crossing frequencies in stability.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .model import ModelParams, _hill_log, hill_derivs, hill_eval
 
-# residual threshold, relative to the largest coefficient magnitude
+# y1-balance threshold, relative to the sum of the balance's two sides
 _ACCEPT_TOL = 1e-10
 # the positive float range the bisection searches
 _TINY = math.ulp(0.0)
@@ -66,50 +60,21 @@ class Equilibrium:
         return np.array([self.x10, self.y10, self.x20, self.y20])
 
 
-def equilibrium_poly_coeffs(p: ModelParams) -> np.ndarray:
-    """Coefficients of the equilibrium polynomial, ascending by degree.
-
-    Length n + 3 (degrees 0 .. n+2). Contributions landing on the same
-    degree accumulate, which matters for small n where the low-degree
-    block overlaps the Hill block.
+def _bisect(below, lo: float, hi: float) -> float:
+    """Where a monotone test, true at lo (or lo = 0) and false at hi, turns
+    false: the upper end of a bracket of adjacent floats. The midpoint is
+    geometric while the bracket spans more than a factor 4, then arithmetic,
+    so a bracket over hundreds of decades takes a few dozen extra steps.
     """
-    coeffs = np.zeros(p.n + 3)
-    base = p.b1 * p.b2 * p.a1
-    coeffs[0] += -p.b2 * p.a * p.a2
-    coeffs[1] += base * p.a * p.a2 - p.b2 * p.a * p.a21
-    coeffs[2] += base * p.a * p.a21
-    coeffs[p.n] += -p.b2 * p.a2
-    coeffs[p.n + 1] += base * p.a2 + p.b1 * p.a12 - p.b2 * p.a21
-    coeffs[p.n + 2] += base * p.a21
-    return coeffs
-
-
-def _poly_eval(coeffs: np.ndarray, x: float) -> float:
-    # Horner on ascending coefficients
-    acc = 0.0
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_eval_scaled(coeffs: np.ndarray, x: float) -> float:
-    """p(x) / max(1, x)^deg for x > 0: same sign as p, no overflow.
-
-    For x > 1 this is Horner in 1/x on the reversed coefficients, so
-    degree-160+ polynomials can be evaluated far beyond x = 1 safely.
-    """
-    if x <= 1.0:
-        return _poly_eval(coeffs, x)
-    u = 1.0 / x
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * u + c
-    return acc
-
-
-def _poly_deriv(coeffs: np.ndarray) -> np.ndarray:
-    k = np.arange(1, len(coeffs))
-    return coeffs[1:] * k
+    while True:
+        mid = (math.sqrt(max(lo, _TINY)) * math.sqrt(hi) if hi > 4.0 * lo
+               else lo + 0.5 * (hi - lo))
+        if not lo < mid < hi:
+            return hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def _solve_y10(p: ModelParams) -> float:
@@ -117,9 +82,7 @@ def _solve_y10(p: ModelParams) -> float:
 
     g(y) < 0 is tested as a1*y + load < 1/b1, so no step divides by a
     product that can underflow or subtracts infinities; a load that
-    overflows reads as g > 0, which it is. The midpoint is geometric
-    while the bracket spans more than a factor 4, then arithmetic, so a
-    bracket over hundreds of decades takes a few dozen extra steps.
+    overflows reads as g > 0, which it is.
     """
     x10 = 1.0 / p.b1
     if x10 == math.inf:
@@ -142,58 +105,18 @@ def _solve_y10(p: ModelParams) -> float:
     if below(hi):
         raise DomainError("equilibrium protein level y10 is above the "
                           "largest float")
-    while True:
-        mid = (math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo
-               else lo + 0.5 * (hi - lo))
-        if not lo < mid < hi:
-            return hi
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-
-
-def _newton_polish(p: ModelParams, y: float) -> float:
-    """Three Newton steps on the equilibrium polynomial from y.
-
-    Skipped above y = 1e3, where Horner in y overflows for large n; a
-    step that is not finite or that leaves (y/2, 2y) ends the polish.
-    """
-    if y >= 1e3:
-        return y
-    coeffs = equilibrium_poly_coeffs(p)
-    # Python floats: the same bits as numpy scalars, faster per Horner
-    cs, deriv = coeffs.tolist(), _poly_deriv(coeffs).tolist()
-    root = y
-    for _ in range(3):
-        dr = _poly_eval(deriv, root)
-        if dr == 0.0:
-            break
-        nxt = root - _poly_eval(cs, root) / dr
-        if not 0.5 * y < nxt < 2.0 * y:
-            break
-        root = nxt
-    return root
+    return _bisect(below, lo, hi)
 
 
 def build_equilibrium(p: ModelParams, y10: float) -> Equilibrium:
     """Assemble the full equilibrium from a validated protein level y10.
 
-    y10 must be a positive float whose polynomial residual, scaled by the
-    largest coefficient, is at most 1e-10; NaN fails that test.
+    y10 must be a positive float at which the y1 balance
+    x10 = (a1 + a12*y20)*y10 holds to 1e-10 of the sum of its sides.
     """
     if not 0.0 < y10 < math.inf:
         raise DomainError(
             f"equilibrium protein level must be positive and finite, got {y10!r}")
-    cs = equilibrium_poly_coeffs(p).tolist()
-    tol = _ACCEPT_TOL * max(map(abs, cs))
-    while cs and cs[-1] == 0.0:
-        cs.pop()
-    # a non-finite coefficient makes resid or tol non-finite
-    if not abs(_poly_eval_scaled(cs, y10)) <= tol < math.inf:
-        raise DomainError(
-            f"y10={y10!r} does not satisfy the equilibrium polynomial "
-            "(scaled residual above tolerance)")
     f0 = hill_eval(y10, p)
     r1, r2, r3 = hill_derivs(y10, p)
     x20 = f0 / p.b2
@@ -209,9 +132,13 @@ def build_equilibrium(p: ModelParams, y10: float) -> Equilibrium:
     )
     if not all(map(math.isfinite, (eq.x10, eq.x20, eq.y20, r1, r2, r3))):
         raise DomainError(f"equilibrium is outside the float range: {eq}")
+    supply = (p.a1 + p.a12 * eq.y20) * eq.y10
+    if not abs(eq.x10 - supply) <= _ACCEPT_TOL * (eq.x10 + supply):
+        raise DomainError(f"y10={y10!r} does not satisfy the y1 balance "
+                          f"x10 = (a1 + a12*y20)*y10 = {supply!r}")
     return eq
 
 
 def find_equilibria(p: ModelParams) -> list[Equilibrium]:
     """The positive equilibrium, which is unique, as a one-element list."""
-    return [build_equilibrium(p, _newton_polish(p, _solve_y10(p)))]
+    return [build_equilibrium(p, _solve_y10(p))]

@@ -113,10 +113,15 @@ def analyze_branch(p: ModelParams, eq: Equilibrium, cfg: AnalysisConfig) -> Bran
             if br.nf.transversality_conflict:
                 other = ("supercritical" if br.nf.mu2_implicit > 0.0
                          else "subcritical")
+                z = br.hopf.omega_c ** 2
+                slope = (3.0 * z + 2.0 * br.cc.l1) * z + br.cc.l2
                 br.flags.append(
                     "closed-form and implicit delay derivatives disagree in "
                     "sign; direction classification follows the closed form, "
-                    f"the implicit route gives {other}")
+                    f"the implicit route gives {other}; F'(omega_c^2) = "
+                    f"{slope:.6g} > 0, and the Cooke-van den Driessche sign "
+                    "rule, sign Re dlambda/dtau = sign F'(omega_c^2), agrees "
+                    "with the implicit route")
             br.flags.append(
                 "period trend follows the sign rule (T2 > 0 means the period "
                 "grows along the branch); inverted phrasings of this rule "

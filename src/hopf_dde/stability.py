@@ -13,13 +13,22 @@ delay. Purely imaginary roots lambda = i*omega of Delta satisfy the real
 cubic F(z) = z^3 + l1 z^2 + l2 z + l3 at z = omega^2, and each positive
 simple root yields a ladder of critical delays tau_k.
 
+For this model l1 = al^2 + be^2 + b2^2 > 0 and
+l2 = (al*be)^2 + b2^2*(al^2 + be^2) - g^2 > 0, with al = a1 + a12*y20,
+be = a2 + a21*y10 and al*be > |g|. So F increases on z > 0 and has one
+positive root iff l3 < 0, where F' > 0; by the sign rule of Cooke and
+van den Driessche (1986; Beretta and Kuang 2002), sign Re dlambda/dtau =
+sign F'(omega^2), so every crossing destabilizes.
+
 Two delay-derivative evaluations are provided. `transversality` is the
 implicit-differentiation value (it matches root continuation and is the
 ground truth for crossing direction). `transversality_closed_form` is a
 trigonometric L1/L2 evaluation that swaps the roles of g and h in two
 places relative to the exact form; downstream direction classification is
 calibrated against it for comparability with existing reference tables,
-and reports flag whenever the two disagree in sign.
+and reports flag whenever the two disagree in sign. The sign rule sides
+with the implicit value; the closed form contradicts it on n2, n4 and
+n163.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import math
 
 import numpy as np
 
-from .equilibrium import Equilibrium
+from .equilibrium import Equilibrium, _bisect
 from .errors import DomainError, SingularSystemError
 from .model import ModelParams
 
@@ -130,43 +139,38 @@ def routh_hurwitz_stable(cc: CharCoeffs) -> bool:
     return cc.b > 0.0 and r > 0.0 and cc.b * q > r
 
 
-def _cubic_real_roots(l1: float, l2: float, l3: float) -> list[float]:
+def _cubic_positive_roots(l1: float, l2: float, l3: float) -> list[float]:
+    """Positive roots of F(z) = z^3 + l1 z^2 + l2 z + l3, ascending.
+
+    With M = max(|l1|, |l2|^(1/2), |l3|^(1/3)), every root has |z| < 1.84 M
+    (beyond, |z|^3 > M z^2 + M^2 |z| + M^3). The positive roots of F' split
+    (0, 2M] into pieces on which F is monotone, and each piece on which F
+    changes sign is bisected to adjacent floats.
+    """
     # z = 2^k y gives y^3 + (l1/2^k) y^2 + (l2/4^k) y + l3/8^k, exactly;
-    # with the coefficient scale below 2^170 no intermediate below can
-    # overflow (the largest, (q/2)^2, stays under 2^1019), so k = 0 there
+    # with the coefficient scale below 2^170 nothing below can overflow,
+    # so k = 0 there
     scale = max(abs(l1), math.sqrt(abs(l2)), abs(l3) ** (1.0 / 3.0))
     k = 0 if scale < _CUBIC_SCALE_MAX else math.frexp(scale)[1]
     l1, l2, l3 = math.ldexp(l1, -k), math.ldexp(l2, -2 * k), math.ldexp(l3, -3 * k)
-    # depressed form t^3 + p t + q, z = t - l1/3
-    p = l2 - l1 * l1 / 3.0
-    q = 2.0 * l1**3 / 27.0 - l1 * l2 / 3.0 + l3
-    shift = -l1 / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    bound = 2.0 * math.ldexp(scale, -k)
+    edges = [0.0, bound]
+    # F'(z) = 3 z^2 + 2 l1 z + l2, its roots by the stable quadratic formula
+    disc = l1 * l1 - 3.0 * l2
     if disc > 0.0:
-        s = math.sqrt(disc)
-        t = np.cbrt(-q / 2.0 + s) + np.cbrt(-q / 2.0 - s)
-        roots = [t + shift]
-    elif p == 0.0 and q == 0.0:
-        roots = [shift]
-    else:
-        # three real roots, trigonometric form
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg)
-        roots = [m * math.cos((theta - 2.0 * math.pi * k) / 3.0) + shift
-                 for k in range(3)]
-    # one Newton polish pass tightens the closed forms to machine precision
-    polished = []
-    for z in roots:
-        for _ in range(3):
-            f = ((z + l1) * z + l2) * z + l3
-            df = (3.0 * z + 2.0 * l1) * z + l2
-            if df == 0.0:
-                break
-            z -= f / df
-        polished.append(math.ldexp(z, k))
-    return polished
+        q = -(l1 + math.copysign(math.sqrt(disc), l1))
+        edges[1:1] = sorted(c for c in (q / 3.0, l2 / q) if 0.0 < c < bound)
+
+    def F(z: float) -> float:
+        return ((z + l1) * z + l2) * z + l3
+
+    roots = []
+    for a, b in zip(edges, edges[1:]):
+        if F(a) < 0.0 <= F(b):
+            roots.append(_bisect(lambda z: F(z) < 0.0, a, b))
+        elif F(a) > 0.0 >= F(b):
+            roots.append(_bisect(lambda z: F(z) > 0.0, a, b))
+    return [math.ldexp(z, k) for z in roots]
 
 
 def omega_candidates(cc: CharCoeffs) -> list[float]:
@@ -177,15 +181,13 @@ def omega_candidates(cc: CharCoeffs) -> list[float]:
     """
     out = []
     scale = max(1.0, abs(cc.l1), abs(cc.l2), abs(cc.l3))
-    for z in _cubic_real_roots(cc.l1, cc.l2, cc.l3):
-        if z <= 0.0:
-            continue
+    for z in _cubic_positive_roots(cc.l1, cc.l2, cc.l3):
         df = (3.0 * z + 2.0 * cc.l1) * z + cc.l2
         if abs(df) <= _SIMPLE_ROOT_TOL * scale:
             raise SingularSystemError(
                 f"frequency cubic has a non-simple positive root z={z!r}")
         out.append(math.sqrt(z))
-    return sorted(out)
+    return out
 
 
 def _ratio_G(omega: float, cc: CharCoeffs) -> complex:
@@ -286,9 +288,9 @@ def classify_stability(p: ModelParams, eq: Equilibrium, tau: float) -> str:
 
     'at-bifurcation' within 1e-9 of any critical delay. Otherwise the
     verdict combines zero-delay stability with the position of tau
-    relative to the first crossing (crossings here only destabilize,
-    since the frequency cubic has at most one positive simple root with
-    an upward crossing for this model class).
+    relative to the first crossing. That is exact for this model: F has
+    at most one positive root, and by the Cooke-van den Driessche sign
+    rule every crossing destabilizes (see the module docstring).
     """
     if tau < 0.0:
         raise DomainError(f"delay must be non-negative, got {tau!r}")

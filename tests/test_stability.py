@@ -2,21 +2,23 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_dde import (DomainError, PRESETS, build_equilibrium, char_coeffs,
-                      characteristic_residual, classify_stability,
+from hopf_dde import (DomainError, ModelParams, PRESETS, build_equilibrium,
+                      char_coeffs, characteristic_residual, classify_stability,
                       critical_delays, find_equilibria, first_hopf,
                       hopf_candidates, linearize, omega_candidates, rhs,
                       routh_hurwitz_stable, transversality,
                       transversality_closed_form)
-from hopf_dde.stability import CharCoeffs, _cubic_real_roots
+from hopf_dde.stability import CharCoeffs, _cubic_positive_roots
 
 from reference_values import CASES
 
@@ -143,18 +145,17 @@ def test_omega_candidates_planted_cubic():
 
 
 @pytest.mark.parametrize("l1, l2, l3, real_roots", [
-    # char.* of the a2 = b2 = 1e-200 run: z^2 (z + l1)
-    (3.1250000000001225e199, 0.0, 0.0, [-3.1250000000001225e199]),
+    # char.* of the a2 = b2 = 1e-200 run: z^2 (z + l1), no positive root
+    (3.1250000000001225e199, 0.0, 0.0, []),
     # (z + s)(z - s/4)(z - 4s) with s = 2^332
-    (-3.25 * 2.0**332, -3.25 * 2.0**664, 2.0**996,
-     [-2.0**332, 2.0**330, 2.0**334]),
+    (-3.25 * 2.0**332, -3.25 * 2.0**664, 2.0**996, [2.0**330, 2.0**334]),
 ])
 def test_cubic_roots_with_huge_coefficients(l1, l2, l3, real_roots):
-    # unscaled, l1**3 or (p/3)**3 overflows; the residual is evaluated in
-    # exact rationals, relative to the size of the cubic's terms
-    roots = _cubic_real_roots(l1, l2, l3)
-    for want in real_roots:
-        assert any(z == pytest.approx(want, rel=1e-12) for z in roots)
+    # coefficient scales above 2^170, which the solver rescales by a power
+    # of two; real_roots are the positive ones, and the residual is
+    # evaluated in exact rationals, relative to the size of the cubic's terms
+    roots = _cubic_positive_roots(l1, l2, l3)
+    assert roots == pytest.approx(real_roots, rel=1e-12)
     c1, c2, c3 = map(Fraction, (l1, l2, l3))
     for z in map(Fraction, roots):
         residual = ((z + c1) * z + c2) * z + c3
@@ -166,6 +167,85 @@ def test_omega_candidates_empty_without_positive_roots():
     # all-positive coefficients force negative real roots only
     cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=3.0, l2=3.0, l3=1.0)
     assert omega_candidates(cc) == []
+
+
+@pytest.mark.parametrize("l1", [0.53, 1.3])
+def test_omega_candidates_no_root_from_a_complex_pair(l1):
+    # roots -l1 and about +-1e-10 i: no positive root, although the
+    # discriminant is below its own rounding
+    cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=l1, l2=0.0, l3=1e-20)
+    assert omega_candidates(cc) == []
+
+
+def test_crossing_with_widely_scaled_cubic_is_found():
+    # l1 = 1.18e6, l2 = 125.7, l3 = -0.0404: the root z = 1.39e-4 is far
+    # below l1, which a depressed-cubic shift by -l1/3 loses
+    p = ModelParams(a1=0.054495819239503376, a2=0.007935829723229816,
+                    a12=0.05499607655923416, a21=0.0020044713755789758,
+                    b1=0.001009107631356451, b2=0.003829344535525291,
+                    a=0.05768647988444206, n=20)
+    eq = find_equilibria(p)[0]
+    hp = first_hopf(char_coeffs(p, eq))
+    assert hp is not None
+    assert hp.omega_c == pytest.approx(0.0118082238, rel=1e-8)
+    assert hp.tau_c == pytest.approx(37.71734, rel=1e-6)
+    assert hp.dlambda_dtau.real > 0.0
+    assert classify_stability(p, eq, 2.0 * hp.tau_c) == "unstable"
+
+
+def _mp_char_cubic(p, eq):
+    # l1, l2, l3 in 50 digits from the float equilibrium
+    a1, a2, a12, a21, b2 = map(mpmath.mpf, (p.a1, p.a2, p.a12, p.a21, p.b2))
+    y10, y20, rho1 = map(mpmath.mpf, (eq.y10, eq.y20, eq.rho1))
+    al, be = a1 + a12 * y20, a2 + a21 * y10
+    b, c, d = al + be + b2, al * be + b2 * (al + be), b2 * al * be
+    g = -a12 * y10 * a21 * y20
+    h = -a12 * y10 * (b2 * a21 * y20 - rho1)
+    return b * b - 2 * c, c * c - 2 * b * d - g * g, d * d - h * h
+
+
+def _mp_positive_root(l1, l2, l3, lo, hi):
+    # F is increasing on z > 0 when l1, l2 > 0; bisect to 1e-20 relative
+    def F(z):
+        return ((z + l1) * z + l2) * z + l3
+    assert F(lo) < 0 < F(hi)
+    while hi - lo > mpmath.mpf("1e-20") * hi:
+        mid = (lo + hi) / 2
+        if F(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_crossings_on_fixed_random_sample_against_mpmath():
+    # rates log-uniform in [1e-3, 1], a in [1e-2, 1e3], n in 1..40: the
+    # model's structure (l1 > 0, l2 > 0, d + h > 0) holds, a crossing is
+    # found iff l3 < 0 in 50 digits, omega matches a 50-digit bisection
+    # and every crossing destabilizes
+    rng = random.Random(7)
+    names = ("a1", "a2", "a12", "a21", "b1", "b2")
+    crossings = 0
+    with mpmath.workdps(50):
+        for _ in range(2000):
+            rates = {k: 10.0 ** rng.uniform(-3.0, 0.0) for k in names}
+            p = ModelParams(**rates, a=10.0 ** rng.uniform(-2.0, 3.0),
+                            n=rng.randint(1, 40))
+            eq = find_equilibria(p)[0]
+            cc = char_coeffs(p, eq)
+            assert cc.l1 > 0.0 and cc.l2 > 0.0 and cc.d + cc.h > 0.0
+            ladders = hopf_candidates(cc)
+            l1, l2, l3 = _mp_char_cubic(p, eq)
+            assert len(ladders) == (1 if l3 < 0 else 0), p
+            for omega, taus in ladders:
+                crossings += 1
+                z = mpmath.mpf(omega) ** 2
+                root = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
+                assert abs(omega - root) <= 2e-14 * root, p
+                assert taus
+                for tau in taus:
+                    assert transversality(omega, tau, cc).real > 0.0, p
+    assert crossings > 500
 
 
 @pytest.mark.parametrize("case", list(CASES))
