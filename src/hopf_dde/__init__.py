@@ -6,7 +6,7 @@ Library layout:
 - equilibrium: the positive steady state, bisected on its a-priori bracket
 - stability: linearization, characteristic coefficients, crossing
   frequencies, critical delays, transversality
-- normal_form: center-manifold reduction, first Lyapunov coefficient,
+- normal_form: first Lyapunov coefficient from the characteristic matrix,
   bifurcation classification
 - simulation: method-of-steps RK4, histories, oscillation statistics
 - pipeline/report/cli: orchestration and deterministic text outputs
@@ -19,7 +19,7 @@ from .errors import (ConfigError, ConvergenceError, DivergenceError, DomainError
 from .model import (IX1, IX2, IY1, IY2, PRESETS, STATE_NAMES, ModelParams,
                     hill_derivs, hill_eval, rhs)
 from .normal_form import (Eigenpair, NormalForm, compute_eigenpair,
-                          compute_normal_form, g_cubic, g_quadratic,
+                          compute_normal_form, g_quadratic,
                           hopf_quantities, solve_E_vectors)
 from .pipeline import BranchResult, RunResult, analyze_params, run_analysis
 from .report import parse_report, render_report

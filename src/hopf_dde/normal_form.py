@@ -1,23 +1,30 @@
-"""Center-manifold reduction and Hopf normal-form coefficients.
+"""Hopf normal-form coefficients from the characteristic matrix.
 
-At a crossing (omega_c, tau_c) the critical eigenspace is spanned by
-Phi(theta) = v e^(lambda1 theta) with lambda1 = i omega_c, paired against
-the adjoint row Psi(s) = w e^(lambda2 s) through the bilinear form
+At a crossing (omega_c, tau_c) the characteristic matrix
+Delta(lambda) = lambda I - A - B e^(-lambda tau) is singular at
+lambda1 = i omega_c, with null vector v and null row w; w is scaled so
+that the bilinear pairing w (I + tau B e^(-lambda1 tau)) v of
+Phi = v e^(lambda1 theta) and Psi = w e^(-lambda1 s) is one. An
+exponential enters the delayed right-hand side only through its value and
+delayed value; on such pairs u = (u0, ud), _B2 and _C3 give the model's
+second and third derivative forms. With q = (v, v e^(-lambda1 tau)), its
+conjugate qb, E2 = Delta(2 lambda1)^-1 B2(q, q) and
+E1 = Delta(0)^-1 B2(q, qb), the first Lyapunov coefficient in
+characteristic-matrix form (Kuznetsov, Elements of Applied Bifurcation
+Theory, sections 3.5 and 8.7; Bosschaert, Janssens and Kuznetsov, SIAM J.
+Appl. Dyn. Syst. 19, 2020) is the paper's Hassard-Kazarinoff-Wan C1(0):
 
-    <Psi, Phi> = Psi(0) Phi(0)
-                 + integral_{-tau}^{0} Psi(xi + tau) B Phi(xi) d xi
-
-normalized to one. Projecting the quadratic and cubic Taylor terms of the
-delayed right-hand side onto this pair gives g20, g11, g02, g21 and
-
-    C1(0) = (i / (2 omega_c)) (g20 g11 - 2|g11|^2 - |g02|^2 / 3) + g21 / 2
-    mu2   = -Re C1 / Re(dlambda/dtau)
-    beta2 = 2 Re C1
+    C1    = w [C3(q, q, qb) + B2(qb, (E2, E2 e^(-2 lambda1 tau)))
+               + 2 B2(q, (E1, E1))] / 2
+    mu2   = -Re C1 / Re(dlambda/dtau),  beta2 = 2 Re C1
     T2    = -(Im C1 + mu2 Im(dlambda/dtau)) / omega_c
 
-The quadratic blocks F20, F11, F02 and the cubic block behind g21 are the
-one Hassard-Kazarinoff-Wan reduction of the model; the tests rederive them
-from a symbolic Taylor expansion of the model equations. Classification
+The report keeps the projections g20, g11, g02 = w B2(q, q), w B2(q, qb),
+w B2(qb, qb) and g21 = 2 C1 - (i / omega_c)(g20 g11 - 2|g11|^2 - |g02|^2/3),
+which the tests rederive from a symbolic Taylor expansion of the model.
+As det Delta(lambda) = (lambda + b1) Delta(lambda, tau), the E-vector
+systems are singular iff Delta(2 i omega_c, tau_c) vanishes relative to its
+terms or d + h = 0; both are checked before solving. Classification
 fields use the closed-form delay derivative (see stability module notes);
 the strict implicit-route values ride along for comparison.
 """
@@ -31,27 +38,27 @@ import numpy as np
 from .equilibrium import Equilibrium
 from .errors import DomainError, SingularSystemError
 from .model import ModelParams
-from .stability import HopfPoint, linearize
+from .stability import HopfPoint, char_coeffs, characteristic_residual, linearize
 
 _ETA_TOL = 1e-12
 _SOLVE_RESIDUAL_TOL = 1e-10
-_COND_LIMIT = 1e12
+_RESONANCE_TOL = 1e-12
 _DEGENERATE_C1 = 1e-14
 
 
 @dataclasses.dataclass(frozen=True)
 class Eigenpair:
-    """Right/left critical eigenvectors and the pairing normalization.
+    """Right/left critical eigenvectors and the pairs of Phi and its conjugate.
 
-    w is already scaled so that <Psi, Phi> = 1; eta is the raw pairing of
-    the unscaled row.
+    w is already scaled so that <Psi, Phi> = 1; q = (v, v e^(-lambda1 tau))
+    and qb, its conjugate, are (value, delayed value) pairs.
     """
 
     v: np.ndarray
     w: np.ndarray
-    eta: complex
     lambda1: complex
-    lambda2: complex
+    q: tuple[np.ndarray, np.ndarray]
+    qb: tuple[np.ndarray, np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,7 +137,7 @@ def pairing_value(w_row: np.ndarray, v_col: np.ndarray, B: np.ndarray,
 
 def compute_eigenpair(p: ModelParams, eq: Equilibrium,
                       omega_c: float, tau_c: float) -> Eigenpair:
-    """Right/left pair with the pairing normalized to one."""
+    """Right/left pair with the pairing normalized to one, and q, qb."""
     lam1 = 1j * omega_c
     v = right_eigenvector(p, eq, omega_c, tau_c)
     wh = left_eigenvector_raw(p, eq, omega_c, tau_c)
@@ -138,42 +145,36 @@ def compute_eigenpair(p: ModelParams, eq: Equilibrium,
     eta = wh @ (np.eye(4) + tau_c * np.exp(-lam1 * tau_c) * B) @ v
     if abs(eta) < _ETA_TOL * (np.linalg.norm(wh) * np.linalg.norm(v)):
         raise SingularSystemError("pairing normalization is singular")
-    return Eigenpair(v=v, w=wh / eta, eta=complex(eta),
-                     lambda1=lam1, lambda2=-lam1)
+    vd = v * np.exp(-lam1 * tau_c)
+    return Eigenpair(v=v, w=wh / eta, lambda1=lam1,
+                     q=(v, vd), qb=(np.conj(v), np.conj(vd)))
 
 
-def _quadratic_blocks(p: ModelParams, eq: Equilibrium, v: np.ndarray,
-                      lam1: complex, tau: float) -> tuple[np.ndarray, ...]:
-    E1x = np.exp(-lam1 * tau)
-    E2x = np.conj(E1x)
-    v2, v4 = v[1], v[3]
-    r2 = eq.rho2
-    F20 = np.array([
+def _B2(p: ModelParams, eq: Equilibrium, u, v) -> np.ndarray:
+    """Second derivative form on (value, delayed value) pairs u and v."""
+    (u0, ud), (v0, vd) = u, v
+    return np.array([
         0.0,
-        -2.0 * p.a12 * v2 * v4 * E1x,
-        r2 * v2**2 * E1x**2,
-        -2.0 * p.a21 * v2 * v4 * E1x,
+        -p.a12 * (u0[1] * vd[3] + v0[1] * ud[3]),
+        eq.rho2 * ud[1] * vd[1],
+        -p.a21 * (ud[1] * v0[3] + vd[1] * u0[3]),
     ], dtype=complex)
-    F11 = np.array([
-        0.0,
-        -p.a12 * (v2 * np.conj(v4) * E2x + np.conj(v2) * v4 * E1x),
-        r2 * v2 * np.conj(v2),
-        -p.a21 * (v2 * np.conj(v4) * E1x + v4 * np.conj(v2) * E2x),
-    ], dtype=complex)
-    F02 = np.array([
-        0.0,
-        -2.0 * p.a12 * np.conj(v2) * np.conj(v4) * E2x,
-        r2 * np.conj(v2) ** 2 * E2x**2,
-        -2.0 * p.a21 * np.conj(v2) * np.conj(v4) * E2x,
-    ], dtype=complex)
-    return F20, F11, F02
+
+
+def _C3(eq: Equilibrium, u, v, s) -> np.ndarray:
+    """Third derivative form: only the Hill term is cubic."""
+    return np.array([0.0, 0.0, eq.rho3 * u[1][1] * v[1][1] * s[1][1], 0.0],
+                    dtype=complex)
 
 
 def g_quadratic(p: ModelParams, eq: Equilibrium, ep: Eigenpair, tau_c: float,
                 ) -> tuple[complex, complex, complex, np.ndarray, np.ndarray, np.ndarray]:
-    """Quadratic projections (g20, g11, g02) and the raw F-blocks."""
-    F20, F11, F02 = _quadratic_blocks(p, eq, ep.v, ep.lambda1, tau_c)
-    w = ep.w
+    """Quadratic projections (g20, g11, g02) and the blocks F20, F11, F02.
+
+    ep.q and ep.qb already carry the delay tau_c.
+    """
+    q, qb, w = ep.q, ep.qb, ep.w
+    F20, F11, F02 = _B2(p, eq, q, q), _B2(p, eq, q, qb), _B2(p, eq, qb, qb)
     return (complex(w @ F20), complex(w @ F11), complex(w @ F02),
             F20, F11, F02)
 
@@ -181,94 +182,40 @@ def g_quadratic(p: ModelParams, eq: Equilibrium, ep: Eigenpair, tau_c: float,
 def solve_E_vectors(p: ModelParams, eq: Equilibrium, omega_c: float,
                     tau_c: float, F20: np.ndarray, F11: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Particular-solution vectors of the w20/w11 boundary problems.
+    """E1 = Delta(0)^-1 F11 and E2 = Delta(2 i omega_c)^-1 F20.
 
-    E2 solves (A + B e^(-2 lambda1 tau) - 2 lambda1 I) E2 = -F20 and
-    E1 solves (A + B) E1 = -F11. Raises on ill-conditioned systems and
-    verifies solve residuals.
+    Raises when 0 or 2 i omega_c is a characteristic root (the systems are
+    then singular) and verifies the solve residuals.
     """
+    cc = char_coeffs(p, eq)
+    lam2 = 2j * omega_c
+    r = abs(lam2)
+    terms = ((r + abs(cc.b)) * r + abs(cc.c) + abs(cc.g)) * r + abs(cc.d) + abs(cc.h)
+    if (abs(characteristic_residual(lam2, tau_c, cc)) <= _RESONANCE_TOL * terms
+            or abs(cc.d + cc.h) <= _RESONANCE_TOL * (abs(cc.d) + abs(cc.h))):
+        raise SingularSystemError(
+            "resonant E-vector system (2 lambda1 or 0 is a characteristic root)")
     lin = linearize(p, eq)
-    lam1 = 1j * omega_c
-    M2 = lin.A + lin.B * np.exp(-2.0 * lam1 * tau_c) - 2.0 * lam1 * np.eye(4)
-    M1 = (lin.A + lin.B).astype(complex)
-    for M in (M1, M2):
-        if np.linalg.cond(M) > _COND_LIMIT:
-            raise SingularSystemError(
-                "resonant or near-singular E-vector system "
-                "(2 lambda1 or 0 is close to a characteristic root)")
-    E2 = -np.linalg.solve(M2, F20.astype(complex))
-    E1 = -np.linalg.solve(M1, F11.astype(complex))
-    for M, E, F in ((M2, E2, F20), (M1, E1, F11)):
-        res = np.linalg.norm(M @ E + F)
+    D2 = lam2 * np.eye(4) - lin.A - lin.B * np.exp(-lam2 * tau_c)
+    D0 = -(lin.A + lin.B)
+    E2 = np.linalg.solve(D2, F20)
+    E1 = np.linalg.solve(D0, F11)
+    for D, E, F in ((D2, E2, F20), (D0, E1, F11)):
+        res = np.linalg.norm(D @ E - F)
         if res > _SOLVE_RESIDUAL_TOL * max(1.0, np.linalg.norm(F)):
             raise SingularSystemError(f"E-vector solve residual {res:.3e}")
     return E1, E2
 
 
-def make_w_evaluators(ep: Eigenpair, g20: complex, g11: complex, g02: complex,
-                      E1: np.ndarray, E2: np.ndarray, omega_c: float):
-    """Component evaluators w20(idx, theta) and w11(idx, theta).
-
-    These are the quadratic center-manifold coefficient functions on
-    [-tau, 0]; their values at 0 and -tau feed the cubic projection.
-    """
-    lam1 = 1j * omega_c
-    lam2 = -lam1
-    v = ep.v
-
-    def w20(idx: int, theta: float) -> complex:
-        return (-(g20 / lam1) * v[idx] * np.exp(lam1 * theta)
-                - (np.conj(g02) / (3.0 * lam1)) * np.conj(v[idx])
-                * np.exp(lam2 * theta)
-                + E2[idx] * np.exp(2.0 * lam1 * theta))
-
-    def w11(idx: int, theta: float) -> complex:
-        return ((g11 / lam1) * v[idx] * np.exp(lam1 * theta)
-                - (np.conj(g11) / lam1) * np.conj(v[idx]) * np.exp(lam2 * theta)
-                + E1[idx])
-
-    return w20, w11
-
-
-def g_cubic(p: ModelParams, eq: Equilibrium, ep: Eigenpair, tau_c: float,
-            g20: complex, g11: complex, g02: complex,
-            E1: np.ndarray, E2: np.ndarray) -> complex:
-    """Cubic projection g21 from the quadratic manifold coefficients."""
-    lam1 = ep.lambda1
-    tau = tau_c
-    E1x = np.exp(-lam1 * tau)
-    E2x = np.conj(E1x)
-    v2, v4 = ep.v[1], ep.v[3]
-    r2, r3 = eq.rho2, eq.rho3
-    w20, w11 = make_w_evaluators(ep, g20, g11, g02, E1, E2, float(lam1.imag))
-    F21_2 = -p.a12 * (2.0 * v2 * w11(3, -tau)
-                      + np.conj(v2) * w20(3, -tau)
-                      + np.conj(v4) * w20(1, 0.0) * E2x
-                      + 2.0 * v4 * w11(1, 0.0) * E1x)
-    F21_3 = (r2 * (2.0 * v2 * w11(1, -tau) * E1x
-                   + np.conj(v2) * w20(1, -tau) * E2x)
-             + r3 * v2**2 * np.conj(v2) * E1x)
-    F21_4 = -p.a21 * (2.0 * v2 * w11(3, 0.0) * E1x
-                      + np.conj(v2) * w20(3, 0.0) * E2x
-                      + np.conj(v4) * w20(1, -tau)
-                      + 2.0 * v4 * w11(1, -tau))
-    w = ep.w
-    return complex(F21_2 * w[1] + F21_3 * w[2] + F21_4 * w[3])
-
-
-def hopf_quantities(g20: complex, g11: complex, g02: complex, g21: complex,
-                    dlambda_dtau: complex, omega_c: float,
-                    ) -> tuple[complex, float, float, float]:
-    """(C1, mu2, beta2, T2) from the projections and a delay derivative.
+def hopf_quantities(C1: complex, dlambda_dtau: complex, omega_c: float,
+                    ) -> tuple[float, float, float]:
+    """(mu2, beta2, T2) from the first Lyapunov coefficient C1.
 
     Source-agnostic in dlambda_dtau: pass whichever delay-derivative
     evaluation the classification should be based on. Raises if the
     first Lyapunov quantity is degenerate (|Re C1| < 1e-14) or the
     crossing is tangent (Re dlambda = 0).
     """
-    C1 = ((1j / (2.0 * omega_c))
-          * (g20 * g11 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)
-          + g21 / 2.0)
     if abs(C1.real) < _DEGENERATE_C1:
         raise SingularSystemError(
             "degenerate Hopf point: |Re C1| < 1e-14, classification undefined")
@@ -277,7 +224,7 @@ def hopf_quantities(g20: complex, g11: complex, g02: complex, g21: complex,
     mu2 = -C1.real / dlambda_dtau.real
     beta2 = 2.0 * C1.real
     T2 = -(C1.imag + mu2 * dlambda_dtau.imag) / omega_c
-    return C1, mu2, beta2, T2
+    return mu2, beta2, T2
 
 
 def compute_normal_form(p: ModelParams, eq: Equilibrium, hp: HopfPoint,
@@ -288,14 +235,18 @@ def compute_normal_form(p: ModelParams, eq: Equilibrium, hp: HopfPoint,
     companions are attached, with a conflict flag when the two disagree
     on the sign of the crossing speed.
     """
-    ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
-    g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c)
-    E1, E2 = solve_E_vectors(p, eq, hp.omega_c, hp.tau_c, F20, F11)
-    g21 = g_cubic(p, eq, ep, hp.tau_c, g20, g11, g02, E1, E2)
-    C1, mu2, beta2, T2 = hopf_quantities(
-        g20, g11, g02, g21, hp.dlambda_dtau_closed, hp.omega_c)
-    _, mu2_i, _, T2_i = hopf_quantities(
-        g20, g11, g02, g21, hp.dlambda_dtau, hp.omega_c)
+    omega, tau = hp.omega_c, hp.tau_c
+    ep = compute_eigenpair(p, eq, omega, tau)
+    g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, tau)
+    E1, E2 = solve_E_vectors(p, eq, omega, tau, F20, F11)
+    q, qb = ep.q, ep.qb
+    h20 = (E2, E2 * np.exp(-2.0 * ep.lambda1 * tau))
+    C1 = complex(0.5 * (ep.w @ (_C3(eq, q, q, qb) + _B2(p, eq, qb, h20)
+                                + 2.0 * _B2(p, eq, q, (E1, E1)))))
+    g21 = 2.0 * C1 - (1j / omega) * (
+        g20 * g11 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)
+    mu2, beta2, T2 = hopf_quantities(C1, hp.dlambda_dtau_closed, omega)
+    mu2_i, _, T2_i = hopf_quantities(C1, hp.dlambda_dtau, omega)
     conflict = (hp.dlambda_dtau.real > 0.0) != (hp.dlambda_dtau_closed.real > 0.0)
     return NormalForm(
         g20=g20, g11=g11, g02=g02, g21=g21, E1=E1, E2=E2, C1=C1,

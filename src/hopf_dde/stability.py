@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -139,7 +140,10 @@ def routh_hurwitz_stable(cc: CharCoeffs) -> bool:
     return cc.b > 0.0 and r > 0.0 and cc.b * q > r
 
 
-def _cubic_positive_roots(l1: float, l2: float, l3: float) -> list[float]:
+# hopf_candidates, first_hopf and classify_stability ask in turn for the
+# crossings of one branch's cubic; the last solve serves all three
+@functools.lru_cache(maxsize=1)
+def _cubic_positive_roots(l1: float, l2: float, l3: float) -> tuple[float, ...]:
     """Positive roots of F(z) = z^3 + l1 z^2 + l2 z + l3, ascending.
 
     With M = max(|l1|, |l2|^(1/2), |l3|^(1/3)), every root has |z| < 1.84 M
@@ -170,7 +174,7 @@ def _cubic_positive_roots(l1: float, l2: float, l3: float) -> list[float]:
             roots.append(_bisect(lambda z: F(z) < 0.0, a, b))
         elif F(a) > 0.0 >= F(b):
             roots.append(_bisect(lambda z: F(z) > 0.0, a, b))
-    return [math.ldexp(z, k) for z in roots]
+    return tuple(math.ldexp(z, k) for z in roots)
 
 
 def omega_candidates(cc: CharCoeffs) -> list[float]:

@@ -1,4 +1,4 @@
-"""Center-manifold reduction: eigenpairs, projections, Hopf quantities."""
+"""Normal form: eigenpairs, projections, E-vectors, Hopf quantities."""
 
 import dataclasses
 
@@ -7,12 +7,11 @@ import pytest
 import sympy
 
 from hopf_dde import (DomainError, ModelParams, SingularSystemError,
-                      char_coeffs, compute_eigenpair, compute_normal_form,
-                      find_equilibria, first_hopf, g_cubic, g_quadratic,
-                      hopf_quantities, linearize, solve_E_vectors)
-from hopf_dde.normal_form import (left_eigenvector_raw, make_w_evaluators,
-                                  pairing_value, right_eigenvector,
-                                  _quadratic_blocks)
+                      char_coeffs, characteristic_residual, compute_eigenpair,
+                      compute_normal_form, find_equilibria, first_hopf,
+                      g_quadratic, hopf_quantities, linearize, solve_E_vectors)
+from hopf_dde.normal_form import (_B2, left_eigenvector_raw, pairing_value,
+                                  right_eigenvector)
 
 from reference_values import CASES
 
@@ -165,6 +164,22 @@ def test_E_vector_solve_residuals(case, preset_data):
     assert np.linalg.norm(M1 @ E1 + F11) <= 1e-10 * max(1.0, np.linalg.norm(F11))
 
 
+def _manifold_coefficients(v, g20, g11, g02, E1, E2, omega):
+    # the Hassard-Kazarinoff-Wan closed form of the quadratic
+    # center-manifold coefficients, theta -> (w20(theta), w11(theta)); the
+    # package computes C1 without them
+    lam = 1j * omega
+
+    def at(theta):
+        q, qb = v * np.exp(lam * theta), np.conj(v) * np.exp(-lam * theta)
+        w20 = ((1j * g20 / omega) * q + (1j * np.conj(g02) / (3.0 * omega)) * qb
+               + E2 * np.exp(2.0 * lam * theta))
+        w11 = -(1j * g11 / omega) * q + (1j * np.conj(g11) / omega) * qb + E1
+        return w20, w11
+
+    return at
+
+
 def _boundary_residuals(p, eq, hp):
     # the quadratic manifold coefficients must satisfy the boundary
     # conditions of their defining linear problems:
@@ -173,15 +188,13 @@ def _boundary_residuals(p, eq, hp):
     ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
     g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c)
     E1, E2 = solve_E_vectors(p, eq, hp.omega_c, hp.tau_c, F20, F11)
-    w20f, w11f = make_w_evaluators(ep, g20, g11, g02, E1, E2, hp.omega_c)
+    manifold = _manifold_coefficients(ep.v, g20, g11, g02, E1, E2, hp.omega_c)
     lin = linearize(p, eq)
     tau = hp.tau_c
     lam1 = 1j * hp.omega_c
     v = ep.v
-    w20_0 = np.array([w20f(i, 0.0) for i in range(4)])
-    w20_mt = np.array([w20f(i, -tau) for i in range(4)])
-    w11_0 = np.array([w11f(i, 0.0) for i in range(4)])
-    w11_mt = np.array([w11f(i, -tau) for i in range(4)])
+    w20_0, w11_0 = manifold(0.0)
+    w20_mt, w11_mt = manifold(-tau)
     r20 = (lin.A @ w20_0 + lin.B @ w20_mt
            - (2.0 * lam1 * w20_0 + g20 * v + np.conj(g02) * np.conj(v) - F20))
     r11 = (lin.A @ w11_0 + lin.B @ w11_mt
@@ -271,11 +284,10 @@ def _taylor_reference(p, eq, ep, omega, tau):
                          F20)
     E1 = np.linalg.solve(-(A + B), F11)
 
+    coefficients_at = _manifold_coefficients(v, g20, g11, g02, E1, E2, omega)
+
     def manifold(theta):
-        q, qb = v * np.exp(lam * theta), np.conj(v) * np.exp(-lam * theta)
-        w20 = ((1j * g20 / omega) * q + (1j * np.conj(g02) / (3.0 * omega)) * qb
-               + E2 * np.exp(2.0 * lam * theta))
-        w11 = -(1j * g11 / omega) * q + (1j * np.conj(g11) / omega) * qb + E1
+        w20, w11 = coefficients_at(theta)
         return [lin + z**2 / 2 * _sym(w20[j]) + z * zb * _sym(w11[j])
                 + zb**2 / 2 * _sym(np.conj(w20[j]))
                 for j, lin in enumerate(linear(theta))]
@@ -308,17 +320,15 @@ def test_conjugation_symmetry_of_reduction(preset_data):
     # running the whole chain at -omega must conjugate every complex
     # output and leave the real classification quantities unchanged
     p, eq, _, hp = preset_data["n4"]
-    tau = hp.tau_c
 
     def chain(omega):
-        ep = compute_eigenpair(p, eq, omega, tau)
-        g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, tau)
-        E1, E2 = solve_E_vectors(p, eq, omega, tau, F20, F11)
-        g21 = g_cubic(p, eq, ep, tau, g20, g11, g02, E1, E2)
-        return hopf_quantities(g20, g11, g02, g21, 1.0 + 0.0j, omega)
+        nf = compute_normal_form(p, eq, dataclasses.replace(
+            hp, omega_c=omega, dlambda_dtau=1.0 + 0.0j,
+            dlambda_dtau_closed=1.0 + 0.0j))
+        return nf.C1, nf.mu2, nf.beta2
 
-    C1p, mu2p, beta2p, _ = chain(hp.omega_c)
-    C1m, mu2m, beta2m, _ = chain(-hp.omega_c)
+    C1p, mu2p, beta2p = chain(hp.omega_c)
+    C1m, mu2m, beta2m = chain(-hp.omega_c)
     assert C1m.real == pytest.approx(C1p.real, rel=1e-12)
     assert C1m.imag == pytest.approx(-C1p.imag, rel=1e-12)
     assert mu2m == pytest.approx(mu2p, rel=1e-12)
@@ -327,9 +337,9 @@ def test_conjugation_symmetry_of_reduction(preset_data):
 
 def test_hopf_quantities_degenerate_inputs_raise():
     with pytest.raises(SingularSystemError):
-        hopf_quantities(0.0j, 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 1.0)
+        hopf_quantities(0.0j, 1.0 + 0.0j, 1.0)
     with pytest.raises(SingularSystemError):
-        hopf_quantities(0.0j, 0.0j, 0.0j, 1.0 + 0.0j, 1.0j, 1.0)
+        hopf_quantities(0.5 + 0.0j, 1.0j, 1.0)
 
 
 def test_quadratic_blocks_vanish_without_coupling_or_curvature():
@@ -337,7 +347,33 @@ def test_quadratic_blocks_vanish_without_coupling_or_curvature():
                     b1=0.8, b2=0.01, a=4.0, n=2)
     eq = dataclasses.replace(find_equilibria(p)[0], rho2=0.0)
     v = np.array([0.1 + 0.2j, 0.3, 1.0, -0.4j])
-    F20, F11, F02 = _quadratic_blocks(p, eq, v, 0.3j, 2.0)
+    q = (v, v * np.exp(-0.3j * 2.0))
+    qb = (np.conj(q[0]), np.conj(q[1]))
+    F20, F11, F02 = _B2(p, eq, q, q), _B2(p, eq, q, qb), _B2(p, eq, qb, qb)
     assert np.all(F20 == 0.0)
     assert np.all(F11 == 0.0)
     assert np.all(F02 == 0.0)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_E_vectors_raise_at_1_2_resonance(case, preset_data):
+    # at half the crossing frequency, 2 i omega is the crossing root
+    # i omega_c itself at tau_c, so Delta(2 i omega) is singular
+    p, eq, cc, hp = preset_data[case]
+    half = dataclasses.replace(hp, omega_c=hp.omega_c / 2.0)
+    assert abs(characteristic_residual(1j * hp.omega_c, hp.tau_c, cc)) < 1e-15
+    with pytest.raises(SingularSystemError, match="resonant"):
+        compute_normal_form(p, eq, half)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_E_vectors_raise_at_zero_root(case, preset_data):
+    # rho1 = b2 a21 y20 - d / (a12 y10) makes h = -d, so 0 is a root of
+    # Delta(lambda, tau) and Delta(0) = -(A + B) is singular
+    p, eq, cc, hp = preset_data[case]
+    bad = dataclasses.replace(
+        eq, rho1=p.b2 * p.a21 * eq.y20 - cc.d / (p.a12 * eq.y10))
+    bad_cc = char_coeffs(p, bad)
+    assert abs(bad_cc.d + bad_cc.h) <= 1e-15 * abs(bad_cc.d)
+    with pytest.raises(SingularSystemError, match="resonant"):
+        compute_normal_form(p, bad, hp)
