@@ -100,13 +100,12 @@ def main(argv: list[str] | None = None) -> int:
         multi = len(results) > 1
         for run in results:
             suffix = f"_{_label_slug(run.label)}" if (multi and run.label) else ""
-            for br_index, br in enumerate(run.branches):
+            for br in run.branches:
                 if br.sim is None:
                     continue
-                eq_suffix = f"_eq{br_index}" if len(run.branches) > 1 else ""
                 traj = br.sim.trajectory
-                tpath = os.path.join(args.out, f"trajectory{suffix}{eq_suffix}.csv")
-                ppath = os.path.join(args.out, f"phase{suffix}{eq_suffix}.csv")
+                tpath = os.path.join(args.out, f"trajectory{suffix}.csv")
+                ppath = os.path.join(args.out, f"phase{suffix}.csv")
                 # phase.csv's y1, y2 text is formatted once, for both files
                 write_trajectory_csv(tpath, traj,
                                      lambda chunks: write_phase_csv(ppath, traj, chunks))

@@ -22,23 +22,25 @@ Appl. Dyn. Syst. 19, 2020) is the paper's Hassard-Kazarinoff-Wan C1(0):
 The report keeps the projections g20, g11, g02 = w B2(q, q), w B2(q, qb),
 w B2(qb, qb) and g21 = 2 C1 - (i / omega_c)(g20 g11 - 2|g11|^2 - |g02|^2/3),
 which the tests rederive from a symbolic Taylor expansion of the model.
-As det Delta(lambda) = (lambda + b1) Delta(lambda, tau), the E-vector
-systems are singular iff Delta(2 i omega_c, tau_c) vanishes relative to its
-terms or d + h = 0; both are checked before solving. Classification
+The E-vector systems are solved from their entries: the x1 row by division,
+the y1, x2, y2 rows by Cramer's rule, whose determinant Delta(lambda, tau)
+(d + h at lambda = 0) is the one resonance check for both. Classification
 fields use the closed-form delay derivative (see stability module notes);
 the strict implicit-route values ride along for comparison.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 
 import numpy as np
 
 from .equilibrium import Equilibrium
 from .errors import DomainError, SingularSystemError
 from .model import ModelParams
-from .stability import HopfPoint, char_coeffs, characteristic_residual, linearize
+from .stability import HopfPoint
 
 _ETA_TOL = 1e-12
 _SOLVE_RESIDUAL_TOL = 1e-10
@@ -118,31 +120,17 @@ def left_eigenvector_raw(p: ModelParams, eq: Equilibrium,
     ], dtype=complex)
 
 
-def pairing_value(w_row: np.ndarray, v_col: np.ndarray, B: np.ndarray,
-                  tau: float, rate_psi: complex, rate_phi: complex) -> complex:
-    """Closed-form bilinear pairing of exponential eigenfunctions.
-
-    <w e^(rate_psi s), v e^(rate_phi theta)> for the delay form above;
-    the integral reduces to (1 - e^(-mu tau)) / mu with
-    mu = rate_psi + rate_phi (tau in the mu -> 0 limit).
-    """
-    mu = rate_psi + rate_phi
-    if abs(mu) < 1e-14:
-        integral = tau
-    else:
-        integral = (1.0 - np.exp(-mu * tau)) / mu
-    return (w_row @ v_col
-            + np.exp(rate_psi * tau) * (w_row @ B @ v_col) * integral)
-
-
 def compute_eigenpair(p: ModelParams, eq: Equilibrium,
                       omega_c: float, tau_c: float) -> Eigenpair:
     """Right/left pair with the pairing normalized to one, and q, qb."""
     lam1 = 1j * omega_c
     v = right_eigenvector(p, eq, omega_c, tau_c)
     wh = left_eigenvector_raw(p, eq, omega_c, tau_c)
-    B = linearize(p, eq).B
-    eta = wh @ (np.eye(4) + tau_c * np.exp(-lam1 * tau_c) * B) @ v
+    # w B v from B's three nonzero entries: B[1,3] = -a12 y10,
+    # B[2,1] = rho1 and B[3,1] = -a21 y20
+    wBv = ((eq.rho1 * wh[2] - p.a21 * eq.y20 * wh[3]) * v[1]
+           - p.a12 * eq.y10 * wh[1] * v[3])
+    eta = wh @ v + tau_c * np.exp(-lam1 * tau_c) * wBv
     if abs(eta) < _ETA_TOL * (np.linalg.norm(wh) * np.linalg.norm(v)):
         raise SingularSystemError("pairing normalization is singular")
     vd = v * np.exp(-lam1 * tau_c)
@@ -184,27 +172,33 @@ def solve_E_vectors(p: ModelParams, eq: Equilibrium, omega_c: float,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """E1 = Delta(0)^-1 F11 and E2 = Delta(2 i omega_c)^-1 F20.
 
-    Raises when 0 or 2 i omega_c is a characteristic root (the systems are
-    then singular) and verifies the solve residuals.
+    Raises when the pivot Delta(lambda, tau) vanishes relative to its
+    terms' moduli (a resonance) and verifies the solve residuals.
     """
-    cc = char_coeffs(p, eq)
-    lam2 = 2j * omega_c
-    r = abs(lam2)
-    terms = ((r + abs(cc.b)) * r + abs(cc.c) + abs(cc.g)) * r + abs(cc.d) + abs(cc.h)
-    if (abs(characteristic_residual(lam2, tau_c, cc)) <= _RESONANCE_TOL * terms
-            or abs(cc.d + cc.h) <= _RESONANCE_TOL * (abs(cc.d) + abs(cc.h))):
-        raise SingularSystemError(
-            "resonant E-vector system (2 lambda1 or 0 is a characteristic root)")
-    lin = linearize(p, eq)
-    D2 = lam2 * np.eye(4) - lin.A - lin.B * np.exp(-lam2 * tau_c)
-    D0 = -(lin.A + lin.B)
-    E2 = np.linalg.solve(D2, F20)
-    E1 = np.linalg.solve(D0, F11)
-    for D, E, F in ((D2, E2, F20), (D0, E1, F11)):
-        res = np.linalg.norm(D @ E - F)
-        if res > _SOLVE_RESIDUAL_TOL * max(1.0, np.linalg.norm(F)):
+    al, be = p.a1 + p.a12 * eq.y20, p.a2 + p.a21 * eq.y10
+    k12, k21, r1 = p.a12 * eq.y10, p.a21 * eq.y20, eq.rho1
+    out = []
+    for lam, F in ((0.0, F11), (2j * omega_c, F20)):
+        e, la, lb, le = cmath.exp(-lam * tau_c), lam + al, lam + p.b2, lam + be
+        det = la * lb * le + k12 * e * e * (r1 - k21 * lb)
+        scale = abs(la * lb * le) + k12 * abs(e) ** 2 * (abs(r1) + k21 * abs(lb))
+        if abs(det) <= _RESONANCE_TOL * scale:
+            raise SingularSystemError(
+                f"resonant E-vector system ({lam!r} is a characteristic root)")
+        f0, f1, f2, f3 = (complex(x) for x in F)
+        u0 = f0 / (lam + p.b1)
+        f1 += u0
+        u1 = (f1 * lb * le - k12 * e * (lb * f3 + f2)) / det
+        u2 = (la * le * f2 + r1 * e * le * f1 - k12 * e * e * (r1 * f3 + k21 * f2)) / det
+        u3 = (la * (lb * f3 + f2) + e * f1 * (r1 - k21 * lb)) / det
+        res = math.hypot(abs((lam + p.b1) * u0 - f0),
+                         abs(la * u1 + k12 * e * u3 - f1),
+                         abs(lb * u2 - r1 * e * u1 - f2),
+                         abs(k21 * e * u1 - u2 + le * u3 - f3))
+        if res > _SOLVE_RESIDUAL_TOL * max(1.0, math.hypot(*map(abs, F))):
             raise SingularSystemError(f"E-vector solve residual {res:.3e}")
-    return E1, E2
+        out.append(np.array([u0, u1, u2, u3]))
+    return out[0], out[1]
 
 
 def hopf_quantities(C1: complex, dlambda_dtau: complex, omega_c: float,

@@ -13,11 +13,15 @@ delay. Purely imaginary roots lambda = i*omega of Delta satisfy the real
 cubic F(z) = z^3 + l1 z^2 + l2 z + l3 at z = omega^2, and each positive
 simple root yields a ladder of critical delays tau_k.
 
-For this model l1 = al^2 + be^2 + b2^2 > 0 and
-l2 = (al*be)^2 + b2^2*(al^2 + be^2) - g^2 > 0, with al = a1 + a12*y20,
-be = a2 + a21*y10 and al*be > |g|. So F increases on z > 0 and has one
-positive root iff l3 < 0, where F' > 0; by the sign rule of Cooke and
-van den Driessche (1986; Beretta and Kuang 2002), sign Re dlambda/dtau =
+With al = a1 + a12*y20, be = a2 + a21*y10, k12 = a12*y10, k21 = a21*y20,
+two identities hold exactly, with every term positive (rho1 = f'(y10) >= 0):
+s = al*be - k12*k21 = a1*a2 + a1*a21*y10 + a2*a12*y20 and
+d + h = b2*s + k12*rho1. So l2 = s*(al*be + k12*k21) + b2^2*(al^2 + be^2)
+> 0 and d + h > 0 for every valid parameter set, and char_coeffs takes l2
+and l3 = (d - h)(d + h) from them without cancellation. With
+l1 = al^2 + be^2 + b2^2 > 0, F increases on z > 0 and has one positive
+root iff l3 < 0, where F' > 0; by the sign rule of Cooke and van den
+Driessche (1986; Beretta and Kuang 2002), sign Re dlambda/dtau =
 sign F'(omega^2), so every crossing destabilizes.
 
 Two delay-derivative evaluations are provided. `transversality` is the
@@ -108,14 +112,16 @@ def linearize(p: ModelParams, eq: Equilibrium) -> LinearPair:
 def char_coeffs(p: ModelParams, eq: Equilibrium) -> CharCoeffs:
     al = p.a1 + p.a12 * eq.y20
     be = p.a2 + p.a21 * eq.y10
+    k12, k21 = p.a12 * eq.y10, p.a21 * eq.y20
     b = al + be + p.b2
     c = al * be + p.b2 * (al + be)
     d = p.b2 * al * be
-    g = -p.a12 * eq.y10 * p.a21 * eq.y20
-    h = -p.a12 * eq.y10 * (p.b2 * p.a21 * eq.y20 - eq.rho1)
+    g = -k12 * k21
+    h = -k12 * (p.b2 * k21 - eq.rho1)
+    s = p.a1 * p.a2 + p.a1 * p.a21 * eq.y10 + p.a2 * p.a12 * eq.y20
     l1 = b * b - 2.0 * c
-    l2 = c * c - 2.0 * b * d - g * g
-    l3 = d * d - h * h
+    l2 = s * (al * be + k12 * k21) + p.b2 ** 2 * (al * al + be * be)
+    l3 = (p.b2 * (al * be + k12 * k21) - k12 * eq.rho1) * (p.b2 * s + k12 * eq.rho1)
     cc = CharCoeffs(b=b, c=c, d=d, g=g, h=h, l1=l1, l2=l2, l3=l3)
     if not all(map(math.isfinite, (b, c, d, g, h, l1, l2, l3))):
         raise DomainError(f"characteristic coefficients leave the float range: {cc}")

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from hopf_dde import (DomainError, ModelParams, PRESETS, build_equilibrium,
                       char_coeffs, characteristic_residual, classify_stability,
-                      critical_delays, find_equilibria, first_hopf,
-                      hopf_candidates, linearize, omega_candidates, rhs,
-                      routh_hurwitz_stable, transversality,
+                      compute_eigenpair, critical_delays, find_equilibria,
+                      first_hopf, g_quadratic, hopf_candidates, linearize,
+                      omega_candidates, rhs, routh_hurwitz_stable,
+                      solve_E_vectors, transversality,
                       transversality_closed_form)
 from hopf_dde.stability import CharCoeffs, _cubic_positive_roots
 
@@ -218,21 +219,26 @@ def _mp_positive_root(l1, l2, l3, lo, hi):
     return (lo + hi) / 2
 
 
-def test_crossings_on_fixed_random_sample_against_mpmath():
-    # rates log-uniform in [1e-3, 1], a in [1e-2, 1e3], n in 1..40: the
-    # model's structure (l1 > 0, l2 > 0, d + h > 0) holds, a crossing is
-    # found iff l3 < 0 in 50 digits, omega matches a 50-digit bisection
-    # and every crossing destabilizes
+def _fixed_random_sample():
+    # 2000 sets from random.Random(7): rates log-uniform in [1e-3, 1],
+    # a in [1e-2, 1e3], n in 1..40
     rng = random.Random(7)
     names = ("a1", "a2", "a12", "a21", "b1", "b2")
+    for _ in range(2000):
+        rates = {k: 10.0 ** rng.uniform(-3.0, 0.0) for k in names}
+        p = ModelParams(**rates, a=10.0 ** rng.uniform(-2.0, 3.0),
+                        n=rng.randint(1, 40))
+        eq = find_equilibria(p)[0]
+        yield p, eq, char_coeffs(p, eq)
+
+
+def test_crossings_on_fixed_random_sample_against_mpmath():
+    # the model's structure (l1 > 0, l2 > 0, d + h > 0) holds, a crossing
+    # is found iff l3 < 0 in 50 digits, omega matches a 50-digit bisection
+    # and every crossing destabilizes
     crossings = 0
     with mpmath.workdps(50):
-        for _ in range(2000):
-            rates = {k: 10.0 ** rng.uniform(-3.0, 0.0) for k in names}
-            p = ModelParams(**rates, a=10.0 ** rng.uniform(-2.0, 3.0),
-                            n=rng.randint(1, 40))
-            eq = find_equilibria(p)[0]
-            cc = char_coeffs(p, eq)
+        for p, eq, cc in _fixed_random_sample():
             assert cc.l1 > 0.0 and cc.l2 > 0.0 and cc.d + cc.h > 0.0
             ladders = hopf_candidates(cc)
             l1, l2, l3 = _mp_char_cubic(p, eq)
@@ -241,11 +247,65 @@ def test_crossings_on_fixed_random_sample_against_mpmath():
                 crossings += 1
                 z = mpmath.mpf(omega) ** 2
                 root = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
-                assert abs(omega - root) <= 2e-14 * root, p
+                assert abs(omega - root) <= 1e-14 * root, p
                 assert taus
                 for tau in taus:
                     assert transversality(omega, tau, cc).real > 0.0, p
     assert crossings > 500
+
+
+def _mp_pencil_solve(p, eq, lam, tau, F):
+    # Delta(lam) = lam I - A - B e^(-lam tau) built from linearize, solved
+    # by LU in the working precision
+    lin = linearize(p, eq)
+    e = mpmath.exp(-lam * tau)
+    M = mpmath.matrix(4, 4)
+    for i in range(4):
+        for j in range(4):
+            M[i, j] = (lam if i == j else 0) - lin.A[i, j] - lin.B[i, j] * e
+    return mpmath.lu_solve(M, mpmath.matrix([mpmath.mpc(f) for f in F]))
+
+
+def test_E_vectors_on_fixed_random_sample_against_mpmath():
+    # at every crossing of the sample above, E1 = Delta(0)^-1 F11 and
+    # E2 = Delta(2 i omega_c)^-1 F20 match a 30-digit solve of the 4x4
+    # pencil to 1e-14 in norm
+    crossings = 0
+    with mpmath.workdps(30):
+        for p, eq, cc in _fixed_random_sample():
+            hp = first_hopf(cc)
+            if hp is None:
+                continue
+            crossings += 1
+            ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
+            _, _, _, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c)
+            E1, E2 = solve_E_vectors(p, eq, hp.omega_c, hp.tau_c, F20, F11)
+            for lam, F, E in ((0.0, F11, E1), (2j * hp.omega_c, F20, E2)):
+                ref = _mp_pencil_solve(p, eq, mpmath.mpc(lam), hp.tau_c, F)
+                err = mpmath.norm(mpmath.matrix([mpmath.mpc(x) for x in E]) - ref)
+                assert err <= 1e-14 * mpmath.norm(ref), p
+    assert crossings > 500
+
+
+def test_n163_critical_delay_against_mpmath(preset_data):
+    # n163 sits 7 % below the zero-delay Routh-Hurwitz boundary, so
+    # arg G(i omega_c) is small and tau_c is ill-conditioned; the float
+    # chain must still match a 50-digit one from the same equilibrium
+    p, eq, _, hp = preset_data["n163"]
+    with mpmath.workdps(50):
+        l1, l2, l3 = _mp_char_cubic(p, eq)
+        z = mpmath.mpf(hp.omega_c) ** 2
+        omega = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
+        a1, a2, a12, a21, b2 = map(mpmath.mpf, (p.a1, p.a2, p.a12, p.a21, p.b2))
+        y10, y20, rho1 = map(mpmath.mpf, (eq.y10, eq.y20, eq.rho1))
+        al, be = a1 + a12 * y20, a2 + a21 * y10
+        lam = mpmath.mpc(0, omega)
+        G = (a12 * y10 * (b2 * a21 * y20 - rho1 + a21 * y20 * lam)
+             / ((lam + al) * (lam + be) * (lam + b2)))
+        tau = (mpmath.arg(G) % (2 * mpmath.pi)) / (2 * omega)
+        # omega is bisected to 1e-20, which leaves tau good to ~1e-18
+        assert abs(tau / mpmath.mpf("0.0021362560646201398543") - 1) < 1e-17
+        assert abs(hp.tau_c - tau) <= 1e-14 * tau
 
 
 @pytest.mark.parametrize("case", list(CASES))
