@@ -14,8 +14,8 @@ Library layout:
 
 from .config import AnalysisConfig, SimSpec, SweepSpec, load_config
 from .equilibrium import Equilibrium, build_equilibrium, find_equilibria
-from .errors import (ConfigError, ConvergenceError, DivergenceError, DomainError,
-                     HopfDdeError, NumericalError, SingularSystemError)
+from .errors import (ConfigError, DivergenceError, DomainError, HopfDdeError,
+                     NumericalError, SingularSystemError)
 from .model import (IX1, IX2, IY1, IY2, PRESETS, STATE_NAMES, ModelParams,
                     hill_derivs, hill_eval, rhs)
 from .normal_form import (Eigenpair, NormalForm, compute_eigenpair,

@@ -21,10 +21,6 @@ class DomainError(NumericalError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(NumericalError):
-    """An iterative refinement failed to reach its tolerance."""
-
-
 class SingularSystemError(NumericalError):
     """A linear system or normalization is singular or degenerate."""
 

@@ -45,7 +45,7 @@ from .stability import HopfPoint
 _ETA_TOL = 1e-12
 _SOLVE_RESIDUAL_TOL = 1e-10
 _RESONANCE_TOL = 1e-12
-_DEGENERATE_C1 = 1e-14
+_DEGENERATE_C1 = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,8 +130,9 @@ def compute_eigenpair(p: ModelParams, eq: Equilibrium,
     # B[2,1] = rho1 and B[3,1] = -a21 y20
     wBv = ((eq.rho1 * wh[2] - p.a21 * eq.y20 * wh[3]) * v[1]
            - p.a12 * eq.y10 * wh[1] * v[3])
-    eta = wh @ v + tau_c * np.exp(-lam1 * tau_c) * wBv
-    if abs(eta) < _ETA_TOL * (np.linalg.norm(wh) * np.linalg.norm(v)):
+    tail = tau_c * np.exp(-lam1 * tau_c) * wBv
+    eta = wh @ v + tail
+    if abs(eta) < _ETA_TOL * (np.abs(wh * v).sum() + abs(tail)):
         raise SingularSystemError("pairing normalization is singular")
     vd = v * np.exp(-lam1 * tau_c)
     return Eigenpair(v=v, w=wh / eta, lambda1=lam1,
@@ -207,12 +208,12 @@ def hopf_quantities(C1: complex, dlambda_dtau: complex, omega_c: float,
 
     Source-agnostic in dlambda_dtau: pass whichever delay-derivative
     evaluation the classification should be based on. Raises if the
-    first Lyapunov quantity is degenerate (|Re C1| < 1e-14) or the
-    crossing is tangent (Re dlambda = 0).
+    first Lyapunov quantity vanishes (Re C1 = 0) or the crossing is
+    tangent (Re dlambda = 0).
     """
-    if abs(C1.real) < _DEGENERATE_C1:
+    if C1.real == 0.0:
         raise SingularSystemError(
-            "degenerate Hopf point: |Re C1| < 1e-14, classification undefined")
+            "degenerate Hopf point: Re C1 = 0, classification undefined")
     if dlambda_dtau.real == 0.0:
         raise SingularSystemError("tangent crossing: Re dlambda/dtau = 0")
     mu2 = -C1.real / dlambda_dtau.real
@@ -235,8 +236,11 @@ def compute_normal_form(p: ModelParams, eq: Equilibrium, hp: HopfPoint,
     E1, E2 = solve_E_vectors(p, eq, omega, tau, F20, F11)
     q, qb = ep.q, ep.qb
     h20 = (E2, E2 * np.exp(-2.0 * ep.lambda1 * tau))
-    C1 = complex(0.5 * (ep.w @ (_C3(eq, q, q, qb) + _B2(p, eq, qb, h20)
-                                + 2.0 * _B2(p, eq, q, (E1, E1)))))
+    terms = (_C3(eq, q, q, qb), _B2(p, eq, qb, h20), 2.0 * _B2(p, eq, q, (E1, E1)))
+    C1 = complex(0.5 * (ep.w @ (terms[0] + terms[1] + terms[2])))
+    if abs(C1.real) <= _DEGENERATE_C1 * 0.5 * sum(abs(ep.w @ t) for t in terms):
+        raise SingularSystemError(
+            "degenerate Hopf point: Re C1 vanishes against its terms")
     g21 = 2.0 * C1 - (1j / omega) * (
         g20 * g11 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)
     mu2, beta2, T2 = hopf_quantities(C1, hp.dlambda_dtau_closed, omega)

@@ -50,9 +50,7 @@ from .model import ModelParams
 
 _DEGENERATE_DENOM = 1e-12
 _UNIT_MODULUS_TOL = 1e-8
-_SIMPLE_ROOT_TOL = 1e-10
 _AT_BIFURCATION_TOL = 1e-9
-_CUBIC_SCALE_MAX = 2.0**170
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,62 +148,46 @@ def routh_hurwitz_stable(cc: CharCoeffs) -> bool:
 # crossings of one branch's cubic; the last solve serves all three
 @functools.lru_cache(maxsize=1)
 def _cubic_positive_roots(l1: float, l2: float, l3: float) -> tuple[float, ...]:
-    """Positive roots of F(z) = z^3 + l1 z^2 + l2 z + l3, ascending.
+    """The positive root of F(z) = z^3 + l1 z^2 + l2 z + l3, if any.
 
-    With M = max(|l1|, |l2|^(1/2), |l3|^(1/3)), every root has |z| < 1.84 M
-    (beyond, |z|^3 > M z^2 + M^2 |z| + M^3). The positive roots of F' split
-    (0, 2M] into pieces on which F is monotone, and each piece on which F
-    changes sign is bisected to adjacent floats.
+    char_coeffs gives l1 > 0 and l2 > 0, so F increases on z > 0 and has a
+    positive root iff l3 < 0. As F(z) >= z^3 + l3 and F(z) >= l2 z + l3 there,
+    the root lies below min((-l3)^(1/3), -l3/l2); F is bisected on twice
+    that bracket down to adjacent floats. Every term of F but l3 is
+    non-negative, so a term that overflows reads +inf, which has the sign
+    of F there, and no rescaling is needed.
     """
-    # z = 2^k y gives y^3 + (l1/2^k) y^2 + (l2/4^k) y + l3/8^k, exactly;
-    # with the coefficient scale below 2^170 nothing below can overflow,
-    # so k = 0 there
-    scale = max(abs(l1), math.sqrt(abs(l2)), abs(l3) ** (1.0 / 3.0))
-    k = 0 if scale < _CUBIC_SCALE_MAX else math.frexp(scale)[1]
-    l1, l2, l3 = math.ldexp(l1, -k), math.ldexp(l2, -2 * k), math.ldexp(l3, -3 * k)
-    bound = 2.0 * math.ldexp(scale, -k)
-    edges = [0.0, bound]
-    # F'(z) = 3 z^2 + 2 l1 z + l2, its roots by the stable quadratic formula
-    disc = l1 * l1 - 3.0 * l2
-    if disc > 0.0:
-        q = -(l1 + math.copysign(math.sqrt(disc), l1))
-        edges[1:1] = sorted(c for c in (q / 3.0, l2 / q) if 0.0 < c < bound)
-
-    def F(z: float) -> float:
-        return ((z + l1) * z + l2) * z + l3
-
-    roots = []
-    for a, b in zip(edges, edges[1:]):
-        if F(a) < 0.0 <= F(b):
-            roots.append(_bisect(lambda z: F(z) < 0.0, a, b))
-        elif F(a) > 0.0 >= F(b):
-            roots.append(_bisect(lambda z: F(z) > 0.0, a, b))
-    return tuple(math.ldexp(z, k) for z in roots)
+    if not (l1 >= 0.0 and l2 >= 0.0):
+        raise DomainError(f"frequency cubic needs l1, l2 >= 0, got {l1!r}, {l2!r}")
+    if not l3 < 0.0:
+        return ()
+    hi = min((-l3) ** (1.0 / 3.0), -l3 / l2 if l2 > 0.0 else math.inf)
+    return (_bisect(lambda z: ((z + l1) * z + l2) * z + l3 < 0.0, 0.0, 2.0 * hi),)
 
 
 def omega_candidates(cc: CharCoeffs) -> list[float]:
-    """Positive crossing frequencies omega with F(omega^2) = 0, ascending.
+    """Positive crossing frequencies omega with F(omega^2) = 0: at most one.
 
-    Only simple roots of the frequency cubic are accepted; a (near-)double
-    positive root means the crossing structure is degenerate and raises.
+    F' = 3 z^2 + 2 l1 z + l2 > 0 on z > 0, so the root is simple.
     """
-    out = []
-    scale = max(1.0, abs(cc.l1), abs(cc.l2), abs(cc.l3))
-    for z in _cubic_positive_roots(cc.l1, cc.l2, cc.l3):
-        df = (3.0 * z + 2.0 * cc.l1) * z + cc.l2
-        if abs(df) <= _SIMPLE_ROOT_TOL * scale:
-            raise SingularSystemError(
-                f"frequency cubic has a non-simple positive root z={z!r}")
-        out.append(math.sqrt(z))
-    return out
+    return [math.sqrt(z) for z in _cubic_positive_roots(cc.l1, cc.l2, cc.l3)]
 
 
-def _ratio_G(omega: float, cc: CharCoeffs) -> complex:
+def _ladder_phase(omega: float, cc: CharCoeffs) -> float:
+    """arg G(i omega) in [0, 2 pi), G = -(g lambda + h) / cubic part."""
+    if omega <= 0.0:
+        raise DomainError(f"omega must be positive, got {omega!r}")
     lam = 1j * omega
     den = lam**3 + cc.b * lam**2 + cc.c * lam + cc.d
     if abs(den) < 1e-300:
         raise DomainError("cubic part vanishes at i*omega; ratio undefined")
-    return -(cc.g * lam + cc.h) / den
+    G = -(cc.g * lam + cc.h) / den
+    if abs(abs(G) - 1.0) > _UNIT_MODULUS_TOL:
+        raise DomainError(
+            f"|G(i omega)| = {abs(G)!r} differs from 1; "
+            "omega is not a crossing frequency")
+    arg = cmath.phase(G)
+    return arg + 2.0 * math.pi if arg < 0.0 else arg
 
 
 def critical_delays(omega: float, cc: CharCoeffs, k_max: int = 8) -> list[float]:
@@ -215,16 +197,7 @@ def critical_delays(omega: float, cc: CharCoeffs, k_max: int = 8) -> list[float]
     in [0, 2 pi), k = 0..k_max. Requires |G(i omega)| = 1 (the defining
     property of a crossing frequency); raises DomainError otherwise.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega!r}")
-    G = _ratio_G(omega, cc)
-    if abs(abs(G) - 1.0) > _UNIT_MODULUS_TOL:
-        raise DomainError(
-            f"|G(i omega)| = {abs(G)!r} differs from 1; "
-            "omega is not a crossing frequency")
-    arg = cmath.phase(G)
-    if arg < 0.0:
-        arg += 2.0 * math.pi
+    arg = _ladder_phase(omega, cc)
     taus = [(arg + 2.0 * math.pi * k) / (2.0 * omega) for k in range(k_max + 1)]
     return [t for t in taus if t > 0.0]
 
@@ -296,20 +269,22 @@ def first_hopf(cc: CharCoeffs, k_max: int = 8) -> HopfPoint | None:
 def classify_stability(p: ModelParams, eq: Equilibrium, tau: float) -> str:
     """Verdict at a given delay: 'stable', 'unstable' or 'at-bifurcation'.
 
-    'at-bifurcation' within 1e-9 of any critical delay. Otherwise the
-    verdict combines zero-delay stability with the position of tau
+    'at-bifurcation' within 1e-9 of any critical delay: the rung nearest
+    tau is found in closed form from the ladder's own expression. Otherwise
+    the verdict combines zero-delay stability with the position of tau
     relative to the first crossing. That is exact for this model: F has
     at most one positive root, and by the Cooke-van den Driessche sign
     rule every crossing destabilizes (see the module docstring).
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise DomainError(f"delay must be non-negative, got {tau!r}")
     cc = char_coeffs(p, eq)
-    all_taus = [t for _, taus in hopf_candidates(cc) for t in taus]
-    if any(abs(tau - t) < _AT_BIFURCATION_TOL for t in all_taus):
-        return "at-bifurcation"
-    if not routh_hurwitz_stable(cc):
-        return "unstable"
-    if not all_taus or tau < min(all_taus):
-        return "stable"
-    return "unstable"
+    for w in omega_candidates(cc):
+        arg = _ladder_phase(w, cc)
+        # rounded to a float, so that an infinite tau cannot overflow
+        k = max(0.0, round((2.0 * w * tau - arg) / (2.0 * math.pi), 0))
+        if abs(tau - (arg + 2.0 * math.pi * k) / (2.0 * w)) < _AT_BIFURCATION_TOL:
+            return "at-bifurcation"
+        if tau > arg / (2.0 * w):
+            return "unstable"
+    return "stable" if routh_hurwitz_stable(cc) else "unstable"

@@ -28,6 +28,27 @@ def test_preset_branch_is_complete(case):
     assert br.sim is None
 
 
+@pytest.mark.parametrize("case", ["n2", "n4", "n163", "n164"])
+def test_preset_with_rates_scaled_down(case):
+    # all six rates times 10^-e: the degeneracy guards are relative to the
+    # terms they test, so no branch fails; n163 and n164 sit near the
+    # zero-delay Routh-Hurwitz boundary, and rate scaling is not an exact
+    # symmetry, so only n2 and n4 keep their classification
+    p0 = PRESETS[case]
+    ref = analyze_params(p0, NO_SIM).branches[0]
+    for e in range(1, 13):
+        p = dataclasses.replace(p0, **{k: getattr(p0, k) * 10.0 ** -e for k in
+                                       ("a1", "a2", "a12", "a21", "b1", "b2")})
+        br = analyze_params(p, NO_SIM).branches[0]
+        assert br.error is None, (e, br.error)
+        assert len(br.candidates) == 1
+        if case in ("n2", "n4"):
+            assert (br.nf.direction, br.nf.orbit_stability, br.nf.period_trend,
+                    br.classification) == (
+                ref.nf.direction, ref.nf.orbit_stability, ref.nf.period_trend,
+                ref.classification), e
+
+
 def test_instability_flag_only_for_rh_failure():
     stable = analyze_params(PRESETS["n2"], NO_SIM).branches[0]
     unstable = analyze_params(PRESETS["n164"], NO_SIM).branches[0]

@@ -137,24 +137,25 @@ def test_routh_hurwitz_eigenvalue_cross_check(case):
 
 
 def test_omega_candidates_planted_cubic():
-    # (z + 1)(z - 1/4)(z - 4) = z^3 - 13/4 z^2 - 13/4 z + 1
+    # (z + 1)(z - 1/4)(z - 4) = z^3 - 13/4 z^2 - 13/4 z + 1 has two positive
+    # roots, which no parameter set can produce: char_coeffs gives l1, l2 > 0
     cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=-3.25, l2=-3.25, l3=1.0)
-    omegas = omega_candidates(cc)
-    assert len(omegas) == 2
-    assert omegas[0] == pytest.approx(0.5, rel=1e-12)
-    assert omegas[1] == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(DomainError, match="l1, l2 >= 0"):
+        omega_candidates(cc)
 
 
 @pytest.mark.parametrize("l1, l2, l3, real_roots", [
     # char.* of the a2 = b2 = 1e-200 run: z^2 (z + l1), no positive root
     (3.1250000000001225e199, 0.0, 0.0, []),
-    # (z + s)(z - s/4)(z - 4s) with s = 2^332
-    (-3.25 * 2.0**332, -3.25 * 2.0**664, 2.0**996, [2.0**330, 2.0**334]),
+    # s^3 (y^3 + y^2 + y - 1) at z = s y with s = 2^332: F overflows to
+    # +inf beyond the root, which has the right sign
+    (2.0**332, 2.0**664, -(2.0**996), [0.5436890126920764 * 2.0**332]),
+    # the root 1e-300 sits 600 decades below l1
+    (1e300, 1e-300, -1e-300, [1e-300]),
 ])
 def test_cubic_roots_with_huge_coefficients(l1, l2, l3, real_roots):
-    # coefficient scales above 2^170, which the solver rescales by a power
-    # of two; real_roots are the positive ones, and the residual is
-    # evaluated in exact rationals, relative to the size of the cubic's terms
+    # real_roots are the positive ones, and the residual is evaluated in
+    # exact rationals, relative to the size of the cubic's terms
     roots = _cubic_positive_roots(l1, l2, l3)
     assert roots == pytest.approx(real_roots, rel=1e-12)
     c1, c2, c3 = map(Fraction, (l1, l2, l3))
@@ -217,6 +218,42 @@ def _mp_positive_root(l1, l2, l3, lo, hi):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def test_crossing_with_rates_down_to_1e_94_is_found():
+    # l1 = 1.4e76, l2 = 4.1e-10, l3 = -1.6e-188: the root z = 3.8e-179 was
+    # lost when the cubic was rescaled by a power of two, which flushed l3
+    p = ModelParams(a1=6.258391237719194e-77, a2=2.648027735462592e-46,
+                    a12=9.897298184014353e-64, a21=2.4660612532753093e-40,
+                    b1=3.732762949809942e-38, b2=3.5717900571239005e-94,
+                    a=0.011636971153806437, n=54)
+    eq = find_equilibria(p)[0]
+    hp = first_hopf(char_coeffs(p, eq))
+    assert hp is not None
+    with mpmath.workdps(50):
+        l1, l2, l3 = _mp_char_cubic(p, eq)
+        z = mpmath.mpf(hp.omega_c) ** 2
+        root = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
+        assert abs(hp.omega_c - root) <= 1e-14 * root
+    assert classify_stability(p, eq, 2.0 * hp.tau_c) == "unstable"
+
+
+_RATES = ("a1", "a2", "a12", "a21", "b1", "b2")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(exps=st.lists(st.floats(-30.0, 0.0), min_size=6, max_size=6),
+       a_exp=st.floats(-2.0, 3.0), n=st.integers(1, 60))
+def test_frequency_cubic_structure_with_rates_down_to_1e_30(exps, a_exp, n):
+    # l1 > 0 and l2 >= 0 for every valid set, and the crossing layer finds
+    # one crossing iff l3 < 0
+    p = ModelParams(**{k: 10.0 ** e for k, e in zip(_RATES, exps)},
+                    a=10.0 ** a_exp, n=n)
+    cc = char_coeffs(p, find_equilibria(p)[0])
+    assert cc.l1 > 0.0 and cc.l2 >= 0.0
+    ladders = hopf_candidates(cc)
+    assert len(ladders) == (1 if cc.l3 < 0.0 else 0)
+    assert all(taus for _, taus in ladders)
 
 
 def _fixed_random_sample():
@@ -441,8 +478,23 @@ def test_classify_stability_verdicts():
     assert classify_stability(p, eq, tau_c) == "at-bifurcation"
     assert classify_stability(p, eq, tau_c + 1e-10) == "at-bifurcation"
     assert classify_stability(p, eq, tau_c + 1.0) == "unstable"
-    with pytest.raises(DomainError):
-        classify_stability(p, eq, -1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            classify_stability(p, eq, bad)
+
+
+def test_classify_stability_at_every_rung():
+    # rungs beyond the k_max = 8 of hopf_candidates are critical delays too
+    p = PRESETS["n2"]
+    eq = _eq("n2")
+    taus = critical_delays(CASES["n2"]["omega"], _cc("n2"), k_max=12)
+    assert taus[9] == pytest.approx(2498.6763671445965, rel=1e-12)
+    assert taus[12] == pytest.approx(3301.496598934181, rel=1e-12)
+    for tau in (taus[9], taus[12]):
+        assert classify_stability(p, eq, tau) == "at-bifurcation"
+        assert classify_stability(p, eq, tau + 1e-10) == "at-bifurcation"
+        assert classify_stability(p, eq, tau + 1.0) == "unstable"
+    assert classify_stability(p, eq, math.inf) == "unstable"
 
 
 def test_classify_stability_zero_delay_unstable_case():
