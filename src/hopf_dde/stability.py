@@ -48,6 +48,8 @@ from .equilibrium import Equilibrium, _bisect
 from .errors import DomainError, SingularSystemError
 from .model import ModelParams
 
+#: a denominator within this fraction of the sum of its terms' moduli
+#: counts as vanishing
 _DEGENERATE_DENOM = 1e-12
 _UNIT_MODULUS_TOL = 1e-8
 _AT_BIFURCATION_TOL = 1e-9
@@ -63,7 +65,8 @@ class LinearPair:
 
 @dataclasses.dataclass(frozen=True)
 class CharCoeffs:
-    """Coefficients of Delta and of the frequency cubic F."""
+    """Coefficients of Delta and of the frequency cubic F, and the two
+    sides of the zero-delay stability condition (routh_hurwitz_stable)."""
 
     b: float
     c: float
@@ -73,6 +76,8 @@ class CharCoeffs:
     l1: float
     l2: float
     l3: float
+    rh_left: float
+    rh_right: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,8 +125,11 @@ def char_coeffs(p: ModelParams, eq: Equilibrium) -> CharCoeffs:
     l1 = b * b - 2.0 * c
     l2 = s * (al * be + k12 * k21) + p.b2 ** 2 * (al * al + be * be)
     l3 = (p.b2 * (al * be + k12 * k21) - k12 * eq.rho1) * (p.b2 * s + k12 * eq.rho1)
-    cc = CharCoeffs(b=b, c=c, d=d, g=g, h=h, l1=l1, l2=l2, l3=l3)
-    if not all(map(math.isfinite, (b, c, d, g, h, l1, l2, l3))):
+    rh_left = (al + be) * (s + p.b2 * b)
+    rh_right = k12 * eq.rho1
+    cc = CharCoeffs(b=b, c=c, d=d, g=g, h=h, l1=l1, l2=l2, l3=l3,
+                    rh_left=rh_left, rh_right=rh_right)
+    if not all(map(math.isfinite, (b, c, d, g, h, l1, l2, l3, rh_left, rh_right))):
         raise DomainError(f"characteristic coefficients leave the float range: {cc}")
     return cc
 
@@ -137,11 +145,13 @@ def routh_hurwitz_stable(cc: CharCoeffs) -> bool:
 
     At zero delay Delta reduces to lambda^3 + b lambda^2 + (c+g) lambda
     + (d+h); all roots lie in the open left half plane iff b > 0,
-    d + h > 0, and b (c + g) > d + h.
+    d + h > 0, and b (c + g) > d + h. The first two hold for every valid
+    parameter set (see the module docstring). The sums c + g and d + h
+    cancel, so the third is taken as
+        b (c + g) - (d + h) = (al + be)(s + b2 b) - k12 rho1,
+    a comparison of two positive products, cc.rh_left > cc.rh_right.
     """
-    q = cc.c + cc.g
-    r = cc.d + cc.h
-    return cc.b > 0.0 and r > 0.0 and cc.b * q > r
+    return cc.rh_left > cc.rh_right
 
 
 # hopf_candidates, first_hopf and classify_stability ask in turn for the
@@ -179,7 +189,8 @@ def _ladder_phase(omega: float, cc: CharCoeffs) -> float:
         raise DomainError(f"omega must be positive, got {omega!r}")
     lam = 1j * omega
     den = lam**3 + cc.b * lam**2 + cc.c * lam + cc.d
-    if abs(den) < 1e-300:
+    scale = ((omega + abs(cc.b)) * omega + abs(cc.c)) * omega + abs(cc.d)
+    if abs(den) <= _DEGENERATE_DENOM * scale:
         raise DomainError("cubic part vanishes at i*omega; ratio undefined")
     G = -(cc.g * lam + cc.h) / den
     if abs(abs(G) - 1.0) > _UNIT_MODULUS_TOL:
@@ -206,14 +217,17 @@ def transversality(omega_c: float, tau_c: float, cc: CharCoeffs) -> complex:
     """d lambda / d tau at the crossing, by implicit differentiation.
 
     Matches Newton continuation of the characteristic root. Raises when
-    the denominator is near zero (degenerate crossing).
+    the denominator is near zero against the sum of its terms' moduli
+    (degenerate crossing).
     """
     lam = 1j * omega_c
     E = cmath.exp(-2.0 * lam * tau_c)
     gh = cc.g * lam + cc.h
     num = 2.0 * lam * gh * E
     den = 3.0 * lam**2 + 2.0 * cc.b * lam + cc.c + (cc.g - 2.0 * tau_c * gh) * E
-    if abs(den) < _DEGENERATE_DENOM:
+    scale = ((3.0 * omega_c + 2.0 * abs(cc.b)) * omega_c + abs(cc.c)
+             + (abs(cc.g) + 2.0 * tau_c * abs(gh)) * abs(E))
+    if abs(den) <= _DEGENERATE_DENOM * scale:
         raise SingularSystemError("transversality denominator vanishes")
     return num / den
 
@@ -235,7 +249,11 @@ def transversality_closed_form(
     L1 = (c - 3.0 * w * w) * co - 2.0 * b * w * si - 2.0 * g * t + h
     L2 = (c - 3.0 * w * w) * si + 2.0 * b * w * co - 2.0 * h * w * t
     den = L1 * L1 + L2 * L2
-    if den < _DEGENERATE_DENOM**2:
+    # L1 and L2 against the sums of their terms' moduli
+    cw, bw = abs(c) + 3.0 * w * w, 2.0 * abs(b) * w
+    S1 = cw * abs(co) + bw * abs(si) + 2.0 * abs(g) * t + abs(h)
+    S2 = cw * abs(si) + bw * abs(co) + 2.0 * abs(h) * w * t
+    if den <= _DEGENERATE_DENOM**2 * (S1 * S1 + S2 * S2):
         raise SingularSystemError("closed-form denominator vanishes")
     re = 2.0 * (w * g * L2 + w * w * h * L1) / den
     im = 2.0 * (w * g * L1 + w * w * h * L2) / den

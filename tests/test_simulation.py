@@ -210,6 +210,36 @@ def test_integrate_matches_reference_bit_for_bit(case):
     assert np.array_equal(traj.derivs, derivs)
 
 
+def test_one_step_intervals_match_reference_bit_for_bit(preset_data):
+    # n163 at its critical delay with step = tau: one step per delay
+    # interval, where the per-step path takes every lookup from the nodes
+    # it keeps in locals. The step times round into each lookup case, and
+    # only at large i: midpoints off s = 0.5, end lookups at node i past
+    # the 1e-13 shortcut (which touch the unwritten node i + 1) and at
+    # node i - 1 (s near 1), and next-node lookups at other times than
+    # the end lookup
+    p, eq, _, hp = preset_data["n163"]
+    tau = step = hp.tau_c
+    n_full = 10_000
+    cases = [0, 0, 0, 0]
+    for i in range(n_full):
+        t = i * step
+        x = (t + 0.5 * step - tau) / step
+        cases[0] += x > 0.0 and x - int(x) != 0.5
+        tqe = t + step - tau
+        x = tqe / step
+        cases[1] += x > 0.0 and int(x) == i and x - i >= 1e-13
+        cases[2] += x > 0.0 and int(x) == i - 1
+        cases[3] += (i + 1) * step - tau != tqe
+    assert min(cases) > 100, cases
+    history = History.constant(eq.state() * 1.01, tau)
+    t_end = (n_full + 0.5) * step
+    traj = integrate(p, tau, history, t_end, step)
+    states, derivs = _reference_integrate(p, tau, history, t_end, step)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
+
+
 def _spy_on_interval_pass(monkeypatch):
     """Count the calls of the interval pass's Hill evaluation."""
     calls = []

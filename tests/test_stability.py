@@ -12,13 +12,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_dde import (DomainError, ModelParams, PRESETS, build_equilibrium,
+from hopf_dde import (AnalysisConfig, DomainError, ModelParams, PRESETS,
+                      analyze_params, build_equilibrium,
                       char_coeffs, characteristic_residual, classify_stability,
                       compute_eigenpair, critical_delays, find_equilibria,
                       first_hopf, g_quadratic, hopf_candidates, linearize,
                       omega_candidates, rhs, routh_hurwitz_stable,
                       solve_E_vectors, transversality,
                       transversality_closed_form)
+from hopf_dde.config import SimSpec
 from hopf_dde.stability import CharCoeffs, _cubic_positive_roots
 
 from reference_values import CASES
@@ -139,7 +141,8 @@ def test_routh_hurwitz_eigenvalue_cross_check(case):
 def test_omega_candidates_planted_cubic():
     # (z + 1)(z - 1/4)(z - 4) = z^3 - 13/4 z^2 - 13/4 z + 1 has two positive
     # roots, which no parameter set can produce: char_coeffs gives l1, l2 > 0
-    cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=-3.25, l2=-3.25, l3=1.0)
+    cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=-3.25, l2=-3.25, l3=1.0,
+                    rh_left=0, rh_right=0)
     with pytest.raises(DomainError, match="l1, l2 >= 0"):
         omega_candidates(cc)
 
@@ -167,7 +170,8 @@ def test_cubic_roots_with_huge_coefficients(l1, l2, l3, real_roots):
 
 def test_omega_candidates_empty_without_positive_roots():
     # all-positive coefficients force negative real roots only
-    cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=3.0, l2=3.0, l3=1.0)
+    cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=3.0, l2=3.0, l3=1.0,
+                    rh_left=0, rh_right=0)
     assert omega_candidates(cc) == []
 
 
@@ -175,7 +179,8 @@ def test_omega_candidates_empty_without_positive_roots():
 def test_omega_candidates_no_root_from_a_complex_pair(l1):
     # roots -l1 and about +-1e-10 i: no positive root, although the
     # discriminant is below its own rounding
-    cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=l1, l2=0.0, l3=1e-20)
+    cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=l1, l2=0.0, l3=1e-20,
+                    rh_left=0, rh_right=0)
     assert omega_candidates(cc) == []
 
 
@@ -204,6 +209,36 @@ def _mp_char_cubic(p, eq):
     g = -a12 * y10 * a21 * y20
     h = -a12 * y10 * (b2 * a21 * y20 - rho1)
     return b * b - 2 * c, c * c - 2 * b * d - g * g, d * d - h * h
+
+
+def _mp_routh_hurwitz(p, eq):
+    # d + h and b (c + g) - (d + h) from their definitions, at the float
+    # equilibrium; 8000 bits hold every product of up to four floats, so
+    # the sums are exact
+    with mpmath.workprec(8000):
+        a1, a2, a12, a21, b2 = map(mpmath.mpf, (p.a1, p.a2, p.a12, p.a21, p.b2))
+        y10, y20, rho1 = map(mpmath.mpf, (eq.y10, eq.y20, eq.rho1))
+        al, be = a1 + a12 * y20, a2 + a21 * y10
+        b, c, d = al + be + b2, al * be + b2 * (al + be), b2 * al * be
+        g = -a12 * y10 * a21 * y20
+        h = -a12 * y10 * (b2 * a21 * y20 - rho1)
+        return d + h, b * (c + g) - (d + h)
+
+
+def test_routh_hurwitz_verdict_without_cancellation():
+    # c + g and d + h cancel in floats: here cc.d + cc.h reads 0, which
+    # would give an unstable verdict; evaluated exactly, d + h is 2.0e-16
+    # and b (c + g) - (d + h) is 2.6e16
+    p = ModelParams(a1=1e-16, a2=1.0, a12=1.0, a21=1.0, b1=1e-16, b2=1e-16,
+                    a=1.0, n=1)
+    eq = find_equilibria(p)[0]
+    cc = char_coeffs(p, eq)
+    assert cc.d + cc.h == 0.0
+    dh, margin = _mp_routh_hurwitz(p, eq)
+    assert float(dh) == pytest.approx(2.01e-16, rel=1e-2)
+    assert float(margin) == pytest.approx(2.63e16, rel=1e-2)
+    assert routh_hurwitz_stable(cc)
+    assert classify_stability(p, eq, 0.0) == "stable"
 
 
 def _mp_positive_root(l1, l2, l3, lo, hi):
@@ -249,11 +284,16 @@ def test_frequency_cubic_structure_with_rates_down_to_1e_30(exps, a_exp, n):
     # one crossing iff l3 < 0
     p = ModelParams(**{k: 10.0 ** e for k, e in zip(_RATES, exps)},
                     a=10.0 ** a_exp, n=n)
-    cc = char_coeffs(p, find_equilibria(p)[0])
+    eq = find_equilibria(p)[0]
+    cc = char_coeffs(p, eq)
     assert cc.l1 > 0.0 and cc.l2 >= 0.0
     ladders = hopf_candidates(cc)
     assert len(ladders) == (1 if cc.l3 < 0.0 else 0)
     assert all(taus for _, taus in ladders)
+    # d + h > 0, and the zero-delay verdict is the exact one
+    dh, margin = _mp_routh_hurwitz(p, eq)
+    assert dh > 0
+    assert routh_hurwitz_stable(cc) is (margin > 0)
 
 
 def _fixed_random_sample():
@@ -419,6 +459,47 @@ def test_implicit_equals_exact_trigonometric_form(case):
     dl = transversality(w, tau, cc)
     assert dl.real == pytest.approx(exact.real, rel=1e-12)
     assert dl.imag == pytest.approx(exact.imag, rel=1e-12)
+
+
+def _scaled(cc, k):
+    # Delta's coefficients under lambda -> k lambda: the crossings move to
+    # (k omega, tau / k)
+    return CharCoeffs(b=k * cc.b, c=k**2 * cc.c, d=k**3 * cc.d, g=k**2 * cc.g,
+                      h=k**3 * cc.h, l1=k**2 * cc.l1, l2=k**4 * cc.l2,
+                      l3=k**6 * cc.l3, rh_left=k**3 * cc.rh_left,
+                      rh_right=k**3 * cc.rh_right)
+
+
+def test_crossing_guards_are_scale_free():
+    # k is a power of two, so the scaled crossing is exact: the ladder
+    # scales by 1/k and the implicit derivative by k^2, to the bit. The
+    # denominators fall far below absolute thresholds such as 1e-12, 1e-24
+    # and 1e-300, but not below the sums of their terms' moduli
+    cc = _cc("n2")
+    hp = first_hopf(cc)
+    k = 2.0**-170
+    ck = _scaled(cc, k)
+    assert transversality(k * hp.omega_c, hp.tau_c / k, ck) == k * k * hp.dlambda_dtau
+    dl, L1, L2 = transversality_closed_form(k * hp.omega_c, hp.tau_c / k, ck)
+    assert math.isfinite(dl.real) and math.isfinite(dl.imag) and L1 * L1 + L2 * L2 > 0.0
+    for k in (2.0**-170, 2.0**-330):
+        taus = critical_delays(k * hp.omega_c, _scaled(cc, k))
+        assert [t * k for t in taus] == critical_delays(hp.omega_c, cc)
+
+
+def test_transversality_with_rates_down_to_1e_65():
+    # |den| = 2.6e-22 is 0.73 of the sum of its terms' moduli, so the
+    # crossing is not degenerate although |den| is far below 1e-12
+    p = ModelParams(a1=3.86e-62, a2=1.23e-65, a12=3.22e-42, a21=2.66e-42,
+                    b1=2.63e-10, b2=1.58e-32, a=441.3, n=55)
+    eq = find_equilibria(p)[0]
+    cc = char_coeffs(p, eq)
+    hp = first_hopf(cc)
+    # the sign rule: sign Re dlambda/dtau = sign F'(omega^2) > 0
+    assert hp.dlambda_dtau.real == pytest.approx(2.218e-81, rel=1e-3)
+    assert classify_stability(p, eq, 2.0 * hp.tau_c) == "unstable"
+    run = analyze_params(p, AnalysisConfig(sim=SimSpec(enabled=False)))
+    assert run.branches[0].error is None
 
 
 def _newton_root(cc, tau, lam0):
