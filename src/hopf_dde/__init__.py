@@ -2,14 +2,19 @@
 
 Library layout:
 
-- model: parameters, Hill nonlinearity, right-hand side
+- model: parameters, Hill nonlinearity
 - equilibrium: the positive steady state, bisected on its a-priori bracket
-- stability: linearization, characteristic coefficients, crossing
-  frequencies, critical delays, transversality
+- stability: characteristic coefficients, crossing frequencies, critical
+  delays, transversality
 - normal_form: first Lyapunov coefficient from the characteristic matrix,
   bifurcation classification
 - simulation: method-of-steps RK4, histories, oscillation statistics
-- pipeline/report/cli: orchestration and deterministic text outputs
+- pipeline/report/cli: orchestration and deterministic text outputs;
+  csv_output writes the simulated waveforms
+
+Only simulation and csv_output import numpy. The simulation names below
+load on first access, so importing the package, or running an analysis
+that does not simulate, does not import numpy.
 """
 
 from .config import AnalysisConfig, SimSpec, SweepSpec, load_config
@@ -17,19 +22,26 @@ from .equilibrium import Equilibrium, build_equilibrium, find_equilibria
 from .errors import (ConfigError, DivergenceError, DomainError, HopfDdeError,
                      NumericalError, SingularSystemError)
 from .model import (IX1, IX2, IY1, IY2, PRESETS, STATE_NAMES, ModelParams,
-                    hill_derivs, hill_eval, rhs)
+                    hill_derivs, hill_eval)
 from .normal_form import (Eigenpair, NormalForm, compute_eigenpair,
                           compute_normal_form, g_quadratic,
                           hopf_quantities, solve_E_vectors)
 from .pipeline import BranchResult, RunResult, analyze_params, run_analysis
 from .report import parse_report, render_report
-from .simulation import (History, Trajectory, integrate, oscillation_summary,
-                         upward_crossings)
-from .stability import (CharCoeffs, HopfPoint, LinearPair, char_coeffs,
-                        characteristic_residual, classify_stability,
+from .stability import (CharCoeffs, HopfPoint, char_coeffs, classify_stability,
                         critical_delays, first_hopf, hopf_candidates,
-                        hopf_point, linearize, omega_candidates,
-                        routh_hurwitz_stable, transversality,
-                        transversality_closed_form)
+                        hopf_point, omega_candidates, routh_hurwitz_stable,
+                        transversality, transversality_closed_form)
 
 __version__ = "0.1.0"
+
+_SIMULATION_NAMES = ("History", "Trajectory", "integrate",
+                     "oscillation_summary", "upward_crossings")
+
+
+def __getattr__(name: str):
+    # PEP 562: `from hopf_dde import integrate` imports simulation here
+    if name in _SIMULATION_NAMES:
+        from . import simulation
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

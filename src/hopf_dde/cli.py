@@ -23,10 +23,14 @@ import sys
 from .config import AnalysisConfig, load_config
 from .errors import ConfigError, NumericalError
 from .model import PRESETS
-from .pipeline import run_analysis
-from .report import render_report, write_phase_csv, write_trajectory_csv
+from .pipeline import deferred, run_analysis
+from .report import render_report
 
 log = logging.getLogger("hopf_dde")
+
+# main calls these module names, which a tracer can wrap
+write_trajectory_csv = deferred(".csv_output", "write_trajectory_csv")
+write_phase_csv = deferred(".csv_output", "write_phase_csv")
 
 
 class _Parser(argparse.ArgumentParser):

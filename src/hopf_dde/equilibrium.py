@@ -28,8 +28,6 @@ import dataclasses
 import math
 import sys
 
-import numpy as np
-
 from .errors import DomainError
 from .model import ModelParams, _hill_log, hill_derivs, hill_eval
 
@@ -56,8 +54,8 @@ class Equilibrium:
     rho2: float
     rho3: float
 
-    def state(self) -> np.ndarray:
-        return np.array([self.x10, self.y10, self.x20, self.y20])
+    def state(self) -> tuple[float, float, float, float]:
+        return (self.x10, self.y10, self.x20, self.y20)
 
 
 def _bisect(below, lo: float, hi: float) -> float:

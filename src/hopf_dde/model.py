@@ -18,8 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
 from .errors import DivergenceError, DomainError
 
 # state-vector component indices
@@ -82,7 +80,7 @@ def hill_eval(x: float, p: ModelParams) -> float:
     """
     if x < 0.0:
         raise DomainError(f"hill_eval requires x >= 0, got {x!r}")
-    return _hill_extended(float(x), p.n, p.a)
+    return _hill_log(float(x), p.n, math.log(p.a))
 
 
 def hill_derivs(x: float, p: ModelParams) -> tuple[float, float, float]:
@@ -99,21 +97,26 @@ def hill_derivs(x: float, p: ModelParams) -> tuple[float, float, float]:
     finite for finite x > 0; inside, the values are the plain products
     bit for bit. A derivative reads 0 where it underflows, and also where
     s or a bracketed factor underflows on its own (s^2 for n = 1 once x
-    drops below about 1e-154).
+    drops below about 1e-154). Where sigma > 1/2, 1 - sigma is taken in
+    log space as a/(a + x^n), so that f' keeps its digits once x^n/a
+    passes 1e16 and sigma rounds to 1.
     """
     if x <= 0.0:
         raise DomainError(f"hill_derivs requires x > 0, got {x!r}")
     x = float(x)
     n = float(p.n)
-    s = _hill_extended(x, p.n, p.a)
-    u = s * (1.0 - s)
+    log_a = math.log(p.a)
+    s = _hill_log(x, p.n, log_a)
+    # a/(a + x^n) = 1/(1 + e^(-t)): _hill_log's t = ln a - n ln x negated
+    r = 1.0 - s if s <= 0.5 else _hill_log(x, -p.n, -log_a)
+    u = s * r
     k = 0 if _POW_SAFE_MIN < x < _POW_SAFE_MAX else math.frexp(x)[1]
     xs = math.ldexp(x, -k)
     r1 = _scaled_product((n / xs, u), -k)
     r2 = _scaled_product((n / xs**2, u, (n - 1.0) - 2.0 * n * s), -2 * k)
     r3 = _scaled_product((n / xs**3, u,
-                          (n - 1.0) * (n - 2.0) * (1.0 - s) ** 2
-                          - 4.0 * (n * n - 1.0) * s * (1.0 - s)
+                          (n - 1.0) * (n - 2.0) * r ** 2
+                          - 4.0 * (n * n - 1.0) * s * r
                           + (n + 1.0) * (n + 2.0) * s * s), -3 * k)
     return r1, r2, r3
 
@@ -156,66 +159,3 @@ def _hill_log(x: float, n: int, log_a: float) -> float:
     if t == 0.0 and sign < 0.0:
         raise DivergenceError(f"Hill term has a pole at x={x!r} for odd n={n}")
     return 1.0 / (1.0 + sign * math.exp(t))
-
-
-def _hill_extended(x: float, n: int, a: float) -> float:
-    """_hill_log with the half-saturation constant a itself."""
-    return _hill_log(x, n, math.log(a))
-
-
-def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray:
-    """_hill_log elementwise, with numpy's log and exp.
-
-    Agrees with _hill_log to a few ulp (the transcendental parts round
-    differently); zero, the +-700 clamps and the pole are as in
-    _hill_log.
-    """
-    ax = np.abs(x)
-    zero = ax == 0.0
-    any_zero = zero.any()
-    if any_zero:
-        ax[zero] = 1.0
-    t = log_a - n * np.log(ax)
-    # exp(-700) is below half an ulp of 1, so capping t at 700 already
-    # gives the t < -700 branch's 1.0 and keeps exp finite
-    e = np.exp(np.minimum(t, 700.0))
-    if n % 2:
-        neg = x < 0.0
-        if neg.any():
-            if np.any(t[neg] == 0.0):
-                raise DivergenceError(f"Hill term has a pole for odd n={n}")
-            e[neg] = -e[neg]
-    out = 1.0 / (1.0 + e)
-    tail = t > 700.0
-    if tail.any():
-        out[tail] = np.copysign(np.exp(-t[tail]), e[tail])
-    if any_zero:
-        out[zero] = 0.0
-    return out
-
-
-def field(x1: float, y1: float, x2: float, y2: float,
-          y1d: float, y2d: float, p: ModelParams) -> tuple[float, float, float, float]:
-    """Right-hand side of the delay system on scalars.
-
-    (x1, y1, x2, y2) is the state at time t; y1d, y2d are y1 and y2 at
-    t - tau. Components may be negative during transients; the Hill term
-    uses the real continuation. rhs wraps it for arrays; the integrator
-    writes the same expressions out inline on precomputed delayed
-    coefficients, and a test pins it to rhs.
-    """
-    return (1.0 - p.b1 * x1,
-            x1 - (p.a1 + p.a12 * y2d) * y1,
-            _hill_extended(y1d, p.n, p.a) - p.b2 * x2,
-            x2 - (p.a2 + p.a21 * y1d) * y2)
-
-
-def rhs(state: np.ndarray, delayed: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Right-hand side of the delay system on state vectors.
-
-    state: (x1, y1, x2, y2) at time t; delayed: the same components at
-    t - tau (only y1, y2 of it are used). See field.
-    """
-    return np.array(field(float(state[IX1]), float(state[IY1]),
-                          float(state[IX2]), float(state[IY2]),
-                          float(delayed[IY1]), float(delayed[IY2]), p))

@@ -35,8 +35,6 @@ import cmath
 import dataclasses
 import math
 
-import numpy as np
-
 from .equilibrium import Equilibrium
 from .errors import DomainError, SingularSystemError
 from .model import ModelParams
@@ -47,6 +45,9 @@ _SOLVE_RESIDUAL_TOL = 1e-10
 _RESONANCE_TOL = 1e-12
 _DEGENERATE_C1 = 1e-12
 
+#: a complex 4-vector, entries in state order (x1, y1, x2, y2)
+Vec = tuple[complex, complex, complex, complex]
+
 
 @dataclasses.dataclass(frozen=True)
 class Eigenpair:
@@ -56,11 +57,11 @@ class Eigenpair:
     and qb, its conjugate, are (value, delayed value) pairs.
     """
 
-    v: np.ndarray
-    w: np.ndarray
+    v: Vec
+    w: Vec
     lambda1: complex
-    q: tuple[np.ndarray, np.ndarray]
-    qb: tuple[np.ndarray, np.ndarray]
+    q: tuple[Vec, Vec]
+    qb: tuple[Vec, Vec]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,8 +72,8 @@ class NormalForm:
     g11: complex
     g02: complex
     g21: complex
-    E1: np.ndarray
-    E2: np.ndarray
+    E1: Vec
+    E2: Vec
     C1: complex
     mu2: float
     beta2: float
@@ -89,35 +90,40 @@ class NormalForm:
     period_trend: str
 
 
+def _dot(w: Vec, u: Vec) -> complex:
+    """w u for a u whose x1 entry is zero: v, and every B2 and C3 value."""
+    return w[1] * u[1] + w[2] * u[2] + w[3] * u[3]
+
+
+def _conj(u: Vec) -> Vec:
+    return tuple(z.conjugate() for z in u)
+
+
 def right_eigenvector(p: ModelParams, eq: Equilibrium,
-                      omega_c: float, tau_c: float) -> np.ndarray:
+                      omega_c: float, tau_c: float) -> Vec:
     """Null vector of lambda1 I - A - B e^(-lambda1 tau), v3 = 1 gauge."""
     if eq.rho1 == 0.0 or p.a12 == 0.0 or eq.y10 == 0.0:
         raise DomainError("right eigenvector undefined: rho1 * a12 * y10 = 0")
     al = p.a1 + p.a12 * eq.y20
     lam1 = 1j * omega_c
-    ph = np.exp(lam1 * tau_c)
-    return np.array([
-        0.0,
-        (lam1 + p.b2) / eq.rho1 * ph,
-        1.0,
-        -(lam1 + p.b2) * (lam1 + al) * ph**2 / (eq.rho1 * p.a12 * eq.y10),
-    ], dtype=complex)
+    ph = cmath.exp(lam1 * tau_c)
+    return (0j,
+            (lam1 + p.b2) / eq.rho1 * ph,
+            1.0 + 0j,
+            -(lam1 + p.b2) * (lam1 + al) * ph**2 / (eq.rho1 * p.a12 * eq.y10))
 
 
 def left_eigenvector_raw(p: ModelParams, eq: Equilibrium,
-                         omega_c: float, tau_c: float) -> np.ndarray:
+                         omega_c: float, tau_c: float) -> Vec:
     """Row null vector of the same matrix pencil, first component 1."""
     be = p.a2 + p.a21 * eq.y10
     lam1 = 1j * omega_c
-    E = np.exp(-lam1 * tau_c)
+    E = cmath.exp(-lam1 * tau_c)
     pref = -p.a12 * eq.y10 * E * (p.b1 + lam1)
-    return np.array([
-        1.0,
-        p.b1 + lam1,
-        pref / ((be + lam1) * (p.b2 + lam1)),
-        pref / (be + lam1),
-    ], dtype=complex)
+    return (1.0 + 0j,
+            p.b1 + lam1,
+            pref / ((be + lam1) * (p.b2 + lam1)),
+            pref / (be + lam1))
 
 
 def compute_eigenpair(p: ModelParams, eq: Equilibrium,
@@ -126,51 +132,47 @@ def compute_eigenpair(p: ModelParams, eq: Equilibrium,
     lam1 = 1j * omega_c
     v = right_eigenvector(p, eq, omega_c, tau_c)
     wh = left_eigenvector_raw(p, eq, omega_c, tau_c)
+    e = cmath.exp(-lam1 * tau_c)
     # w B v from B's three nonzero entries: B[1,3] = -a12 y10,
     # B[2,1] = rho1 and B[3,1] = -a21 y20
     wBv = ((eq.rho1 * wh[2] - p.a21 * eq.y20 * wh[3]) * v[1]
            - p.a12 * eq.y10 * wh[1] * v[3])
-    tail = tau_c * np.exp(-lam1 * tau_c) * wBv
-    eta = wh @ v + tail
-    if abs(eta) < _ETA_TOL * (np.abs(wh * v).sum() + abs(tail)):
+    tail = tau_c * e * wBv
+    eta = _dot(wh, v) + tail
+    if abs(eta) < _ETA_TOL * (sum(abs(a * b) for a, b in zip(wh, v)) + abs(tail)):
         raise SingularSystemError("pairing normalization is singular")
-    vd = v * np.exp(-lam1 * tau_c)
-    return Eigenpair(v=v, w=wh / eta, lambda1=lam1,
-                     q=(v, vd), qb=(np.conj(v), np.conj(vd)))
+    vd = tuple(z * e for z in v)
+    return Eigenpair(v=v, w=tuple(z / eta for z in wh), lambda1=lam1,
+                     q=(v, vd), qb=(_conj(v), _conj(vd)))
 
 
-def _B2(p: ModelParams, eq: Equilibrium, u, v) -> np.ndarray:
+def _B2(p: ModelParams, eq: Equilibrium, u, v) -> Vec:
     """Second derivative form on (value, delayed value) pairs u and v."""
     (u0, ud), (v0, vd) = u, v
-    return np.array([
-        0.0,
-        -p.a12 * (u0[1] * vd[3] + v0[1] * ud[3]),
-        eq.rho2 * ud[1] * vd[1],
-        -p.a21 * (ud[1] * v0[3] + vd[1] * u0[3]),
-    ], dtype=complex)
+    return (0j,
+            -p.a12 * (u0[1] * vd[3] + v0[1] * ud[3]),
+            eq.rho2 * ud[1] * vd[1],
+            -p.a21 * (ud[1] * v0[3] + vd[1] * u0[3]))
 
 
-def _C3(eq: Equilibrium, u, v, s) -> np.ndarray:
+def _C3(eq: Equilibrium, u, v, s) -> Vec:
     """Third derivative form: only the Hill term is cubic."""
-    return np.array([0.0, 0.0, eq.rho3 * u[1][1] * v[1][1] * s[1][1], 0.0],
-                    dtype=complex)
+    return (0j, 0j, eq.rho3 * u[1][1] * v[1][1] * s[1][1], 0j)
 
 
 def g_quadratic(p: ModelParams, eq: Equilibrium, ep: Eigenpair, tau_c: float,
-                ) -> tuple[complex, complex, complex, np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[complex, complex, complex, Vec, Vec, Vec]:
     """Quadratic projections (g20, g11, g02) and the blocks F20, F11, F02.
 
     ep.q and ep.qb already carry the delay tau_c.
     """
     q, qb, w = ep.q, ep.qb, ep.w
     F20, F11, F02 = _B2(p, eq, q, q), _B2(p, eq, q, qb), _B2(p, eq, qb, qb)
-    return (complex(w @ F20), complex(w @ F11), complex(w @ F02),
-            F20, F11, F02)
+    return _dot(w, F20), _dot(w, F11), _dot(w, F02), F20, F11, F02
 
 
 def solve_E_vectors(p: ModelParams, eq: Equilibrium, omega_c: float,
-                    tau_c: float, F20: np.ndarray, F11: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    tau_c: float, F20: Vec, F11: Vec) -> tuple[Vec, Vec]:
     """E1 = Delta(0)^-1 F11 and E2 = Delta(2 i omega_c)^-1 F20.
 
     Raises when the pivot Delta(lambda, tau) vanishes relative to its
@@ -186,7 +188,7 @@ def solve_E_vectors(p: ModelParams, eq: Equilibrium, omega_c: float,
         if abs(det) <= _RESONANCE_TOL * scale:
             raise SingularSystemError(
                 f"resonant E-vector system ({lam!r} is a characteristic root)")
-        f0, f1, f2, f3 = (complex(x) for x in F)
+        f0, f1, f2, f3 = F
         u0 = f0 / (lam + p.b1)
         f1 += u0
         u1 = (f1 * lb * le - k12 * e * (lb * f3 + f2)) / det
@@ -198,7 +200,7 @@ def solve_E_vectors(p: ModelParams, eq: Equilibrium, omega_c: float,
                          abs(k21 * e * u1 - u2 + le * u3 - f3))
         if res > _SOLVE_RESIDUAL_TOL * max(1.0, math.hypot(*map(abs, F))):
             raise SingularSystemError(f"E-vector solve residual {res:.3e}")
-        out.append(np.array([u0, u1, u2, u3]))
+        out.append((u0, u1, u2, u3))
     return out[0], out[1]
 
 
@@ -234,11 +236,13 @@ def compute_normal_form(p: ModelParams, eq: Equilibrium, hp: HopfPoint,
     ep = compute_eigenpair(p, eq, omega, tau)
     g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, tau)
     E1, E2 = solve_E_vectors(p, eq, omega, tau, F20, F11)
-    q, qb = ep.q, ep.qb
-    h20 = (E2, E2 * np.exp(-2.0 * ep.lambda1 * tau))
-    terms = (_C3(eq, q, q, qb), _B2(p, eq, qb, h20), 2.0 * _B2(p, eq, q, (E1, E1)))
-    C1 = complex(0.5 * (ep.w @ (terms[0] + terms[1] + terms[2])))
-    if abs(C1.real) <= _DEGENERATE_C1 * 0.5 * sum(abs(ep.w @ t) for t in terms):
+    q, qb, w = ep.q, ep.qb, ep.w
+    e2 = cmath.exp(-2.0 * ep.lambda1 * tau)
+    h20 = (E2, tuple(z * e2 for z in E2))
+    terms = (_dot(w, _C3(eq, q, q, qb)), _dot(w, _B2(p, eq, qb, h20)),
+             2.0 * _dot(w, _B2(p, eq, q, (E1, E1))))
+    C1 = 0.5 * (terms[0] + terms[1] + terms[2])
+    if abs(C1.real) <= _DEGENERATE_C1 * 0.5 * sum(map(abs, terms)):
         raise SingularSystemError(
             "degenerate Hopf point: Re C1 vanishes against its terms")
     g21 = 2.0 * C1 - (1j / omega) * (

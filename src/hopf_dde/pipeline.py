@@ -14,21 +14,37 @@ another, in sweep order.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import logging
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import AnalysisConfig
 from .equilibrium import Equilibrium, find_equilibria
 from .errors import HopfDdeError, NumericalError
 from .model import IY1, ModelParams
 from .normal_form import NormalForm, compute_normal_form
-from .simulation import History, Trajectory, integrate, oscillation_summary
 from .stability import (CharCoeffs, HopfPoint, char_coeffs, classify_stability,
                         first_hopf, hopf_candidates, routh_hurwitz_stable)
 
+if TYPE_CHECKING:
+    from .simulation import Trajectory
+
 log = logging.getLogger("hopf_dde")
+
+
+def deferred(module: str, name: str):
+    """module.name, with module (relative to this package) imported on the
+    first call: simulation and csv_output import numpy, which an analysis
+    that does not simulate never needs."""
+    def call(*args):
+        return getattr(importlib.import_module(module, __package__), name)(*args)
+    return call
+
+
+# _simulate calls these module names, which a tracer can wrap
+integrate = deferred(".simulation", "integrate")
+oscillation_summary = deferred(".simulation", "oscillation_summary")
 
 
 @dataclasses.dataclass
@@ -73,6 +89,8 @@ class RunResult:
 
 def _simulate(p: ModelParams, eq: Equilibrium, tau: float,
               cfg: AnalysisConfig, hopf: HopfPoint | None) -> SimResult:
+    from .simulation import History
+
     sim = cfg.sim
     if sim.t_end is not None:
         t_end = sim.t_end
@@ -86,7 +104,7 @@ def _simulate(p: ModelParams, eq: Equilibrium, tau: float,
         m = 256
     step = tau / m
     pert = sim.perturbation
-    history = History.constant(eq.state() * (1.0 + pert), tau)
+    history = History.constant([c * (1.0 + pert) for c in eq.state()], tau)
     log.info("simulating tau=%.6g t_end=%.6g step=%.6g", tau, t_end, step)
     traj = integrate(p, tau, history, t_end, step)
     osc = oscillation_summary(traj.t, traj.component(IY1))
@@ -129,7 +147,7 @@ def analyze_branch(p: ModelParams, eq: Equilibrium, cfg: AnalysisConfig) -> Bran
         br.tau_eval = cfg.tau if cfg.tau is not None else (
             br.hopf.tau_c if br.hopf is not None else None)
         if br.tau_eval is not None:
-            br.classification = classify_stability(p, eq, br.tau_eval)
+            br.classification = classify_stability(br.cc, br.tau_eval)
         if cfg.sim.enabled and br.tau_eval is not None and br.tau_eval > 0.0:
             br.sim = _simulate(p, eq, br.tau_eval, cfg, br.hopf)
     except (NumericalError, ArithmeticError) as exc:
@@ -155,7 +173,13 @@ def sweep_values(spec) -> list[float | int]:
     if spec.count == 1:
         vals = [spec.start]
     else:
-        vals = list(np.linspace(spec.start, spec.stop, spec.count))
+        # np.linspace's arithmetic, value for value: start + i step, the
+        # last value stop, and i/div delta where the step underflows to 0
+        div = spec.count - 1
+        delta = spec.stop - spec.start
+        step = delta / div
+        vals = [(i * step if step else i / div * delta) + spec.start
+                for i in range(div)] + [spec.stop]
     if spec.param == "n":
         seen: list[int] = []
         for v in vals:

@@ -42,8 +42,6 @@ import dataclasses
 import functools
 import math
 
-import numpy as np
-
 from .equilibrium import Equilibrium, _bisect
 from .errors import DomainError, SingularSystemError
 from .model import ModelParams
@@ -53,14 +51,6 @@ from .model import ModelParams
 _DEGENERATE_DENOM = 1e-12
 _UNIT_MODULUS_TOL = 1e-8
 _AT_BIFURCATION_TOL = 1e-9
-
-
-@dataclasses.dataclass(frozen=True)
-class LinearPair:
-    """Instantaneous and delayed Jacobians of the linearized system."""
-
-    A: np.ndarray
-    B: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,22 +86,6 @@ class HopfPoint:
     L2: float
 
 
-def linearize(p: ModelParams, eq: Equilibrium) -> LinearPair:
-    al = p.a1 + p.a12 * eq.y20
-    be = p.a2 + p.a21 * eq.y10
-    A = np.array([
-        [-p.b1, 0.0, 0.0, 0.0],
-        [1.0, -al, 0.0, 0.0],
-        [0.0, 0.0, -p.b2, 0.0],
-        [0.0, 0.0, 1.0, -be],
-    ])
-    B = np.zeros((4, 4))
-    B[1, 3] = -p.a12 * eq.y10
-    B[2, 1] = eq.rho1
-    B[3, 1] = -p.a21 * eq.y20
-    return LinearPair(A=A, B=B)
-
-
 def char_coeffs(p: ModelParams, eq: Equilibrium) -> CharCoeffs:
     al = p.a1 + p.a12 * eq.y20
     be = p.a2 + p.a21 * eq.y10
@@ -132,12 +106,6 @@ def char_coeffs(p: ModelParams, eq: Equilibrium) -> CharCoeffs:
     if not all(map(math.isfinite, (b, c, d, g, h, l1, l2, l3, rh_left, rh_right))):
         raise DomainError(f"characteristic coefficients leave the float range: {cc}")
     return cc
-
-
-def characteristic_residual(lam: complex, tau: float, cc: CharCoeffs) -> complex:
-    """Delta(lambda, tau); zero at characteristic roots."""
-    return (lam**3 + cc.b * lam**2 + cc.c * lam + cc.d
-            + (cc.g * lam + cc.h) * cmath.exp(-2.0 * lam * tau))
 
 
 def routh_hurwitz_stable(cc: CharCoeffs) -> bool:
@@ -284,7 +252,7 @@ def first_hopf(cc: CharCoeffs, k_max: int = 8) -> HopfPoint | None:
     return hopf_point(cc, best[0], best[1])
 
 
-def classify_stability(p: ModelParams, eq: Equilibrium, tau: float) -> str:
+def classify_stability(cc: CharCoeffs, tau: float) -> str:
     """Verdict at a given delay: 'stable', 'unstable' or 'at-bifurcation'.
 
     'at-bifurcation' within 1e-9 of any critical delay: the rung nearest
@@ -296,7 +264,6 @@ def classify_stability(p: ModelParams, eq: Equilibrium, tau: float) -> str:
     """
     if not tau >= 0.0:
         raise DomainError(f"delay must be non-negative, got {tau!r}")
-    cc = char_coeffs(p, eq)
     for w in omega_candidates(cc):
         arg = _ladder_phase(w, cc)
         # rounded to a float, so that an infinite tau cannot overflow

@@ -1,9 +1,12 @@
 """End-to-end command-line behavior and exit codes."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import hopf_dde
 from hopf_dde import NumericalError, parse_report
 from hopf_dde import cli
 
@@ -203,3 +206,42 @@ def test_quiet_by_default(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == ""
+
+
+def _python(code, *args):
+    """Run code in a fresh interpreter that imports this hopf_dde."""
+    src = os.path.dirname(os.path.dirname(hopf_dde.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+# numpy set to None in sys.modules makes every `import numpy` raise
+_CLI_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from hopf_dde import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+def test_analytic_run_needs_no_numpy(tmp_path, sweep):
+    text = FAST_CFG + "sim.enabled = false\n"
+    if sweep:
+        text += "sweep.param = n\nsweep.start = 2\nsweep.stop = 4\nsweep.count = 3\n"
+    cfg = _write_cfg(tmp_path, text)
+    proc = _python(_CLI_WITHOUT_NUMPY, "--config", cfg, "--out", str(tmp_path / "a"))
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    report = (tmp_path / "b" / "report.txt").read_bytes()
+    assert (tmp_path / "a" / "report.txt").read_bytes() == report
+    assert report.count(b"nf.C1.re") == (3 if sweep else 1)
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = _python("import sys, hopf_dde.cli; print('numpy' in sys.modules); "
+                   "from hopf_dde import integrate, History; "
+                   "print(integrate.__module__, History.__module__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] + ["hopf_dde.simulation"] * 2

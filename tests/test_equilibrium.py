@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopf_dde import (DomainError, ModelParams, PRESETS, build_equilibrium,
-                      find_equilibria, hill_eval, rhs)
+                      find_equilibria, hill_eval)
 
+from reference_model import rhs
 from reference_values import CASES
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopf_dde import (DivergenceError, DomainError, ModelParams, PRESETS,
-                      hill_derivs, hill_eval, rhs)
-from hopf_dde.model import _hill_extended, _hill_log, _hill_log_many
+                      find_equilibria, hill_derivs, hill_eval)
+from hopf_dde.model import _hill_log
+from hopf_dde.simulation import _hill_log_many
 
+from reference_model import rhs
 from reference_values import CASES, HILL_N4_AT_EQ
 
 
@@ -132,30 +135,47 @@ def test_hill_derivatives_at_the_ends_of_the_float_range(x, n):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300), k
 
 
+def test_hill_derivatives_where_the_hill_value_rounds_to_one():
+    # a1 = b1 = b2 = 1e-16 put y10 at 9.0e15, where x^n/a > 1e16 and
+    # f(y10) rounds to 1.0; 1 - f = a/(a + x^n) must come from log space,
+    # or rho1 = f' reads 0 (true 1.2e-32)
+    p = ModelParams(a1=1e-16, a2=1.0, a12=1.0, a21=1.0, b1=1e-16, b2=1e-16,
+                    a=1.0, n=1)
+    eq = find_equilibria(p)[0]
+    assert eq.y10 == pytest.approx(9.0289e15, rel=1e-4)
+    assert hill_eval(eq.y10, p) == 1.0
+    with mpmath.workdps(60):
+        # the k-th derivative of x/(a + x) is (-1)^(k+1) k! a/(a + x)^(k+1)
+        x = mpmath.mpf(eq.y10)
+        for k, got in enumerate((eq.rho1, eq.rho2, eq.rho3), start=1):
+            want = (-1) ** (k + 1) * mpmath.factorial(k) / (1 + x) ** (k + 1)
+            assert abs(got - want) <= 1e-14 * abs(want), (k, got, want)
+
+
 def test_hill_extension_matches_parity():
     # even n: symmetric; odd n: real odd-power continuation
-    assert _hill_extended(-2.0, 2, 4.0) == pytest.approx(0.5, rel=1e-14)
+    assert _hill_log(-2.0, 2, math.log(4.0)) == pytest.approx(0.5, rel=1e-14)
     x, n, a = -1.2, 3, 4.0
     expected = (x**3) / (a + x**3)
-    assert _hill_extended(x, n, a) == pytest.approx(expected, rel=1e-12)
+    assert _hill_log(x, n, math.log(a)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_hill_odd_branch_stays_finite_for_huge_exponents():
     # (-100)^163 overflows a float; in log space the term is 1/(1 - e^t)
     # with t = ln a - n ln|x| far below -700
-    assert _hill_extended(-100.0, 163, 1.0) == 1.0
+    assert _hill_log(-100.0, 163, math.log(1.0)) == 1.0
     x = -1.01
-    assert _hill_extended(x, 163, 1.0) == pytest.approx(x**163 / (1.0 + x**163), rel=1e-12)
+    assert _hill_log(x, 163, math.log(1.0)) == pytest.approx(x**163 / (1.0 + x**163), rel=1e-12)
     # far inside the pole |x| = a^(1/n) the term underflows to -0.0
-    assert math.copysign(1.0, _hill_extended(-1e-5, 163, 1.0)) == -1.0
-    assert _hill_extended(-0.5, 3, 4.0) == pytest.approx(-0.125 / 3.875, rel=1e-14)
+    assert math.copysign(1.0, _hill_log(-1e-5, 163, math.log(1.0))) == -1.0
+    assert _hill_log(-0.5, 3, math.log(4.0)) == pytest.approx(-0.125 / 3.875, rel=1e-14)
 
 
 @pytest.mark.parametrize("x, n, a", [(-1.0, 3, 1.0), (-2.0, 1, 2.0)])
 def test_hill_odd_branch_pole_is_divergence(x, n, a):
     # x^n = -a makes the denominator vanish
     with pytest.raises(DivergenceError):
-        _hill_extended(x, n, a)
+        _hill_log(x, n, math.log(a))
     with pytest.raises(DivergenceError):
         _hill_log_many(np.array([0.5, x]), n, math.log(a))
 

@@ -2,7 +2,10 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopf_dde import (AnalysisConfig, ModelParams, NumericalError, PRESETS,
                       analyze_params, render_report, run_analysis)
@@ -118,6 +121,35 @@ def test_sweep_values_dedupe_integer_exponent():
     vals = pipeline.sweep_values(SweepSpec("b1", 0.5, 0.9, 5))
     assert vals == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9])
     assert pipeline.sweep_values(SweepSpec("b1", 0.5, 0.9, 1)) == [0.5]
+
+
+def _linspace_bits(start, stop, count):
+    return [float(v).hex() for v in np.linspace(start, stop, count)]
+
+
+#: perfbench's grids: the five n sweeps over 2..158 and the a12 sweep
+PERFBENCH_GRIDS = [(2.0 + 32 * g, 30.0 + 32 * g, 8) for g in range(5)] + [
+    (0.01, 0.01 + 0.03, 8)]
+
+
+@pytest.mark.parametrize("start, stop, count", PERFBENCH_GRIDS)
+def test_sweep_values_are_np_linspace_on_perfbench_grids(start, stop, count):
+    got = pipeline.sweep_values(SweepSpec("a12", start, stop, count))
+    assert [v.hex() for v in got] == _linspace_bits(start, stop, count)
+    n_grid = pipeline.sweep_values(SweepSpec("n", start, stop, count))
+    assert n_grid == list(dict.fromkeys(
+        int(round(v)) for v in np.linspace(start, stop, count)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(start=st.floats(-1e6, 1e6),
+       width=st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-300)),
+       count=st.integers(2, 300))
+def test_sweep_values_are_np_linspace(start, width, count):
+    # a width below count ulps of 0 takes linspace's zero-step branch
+    stop = start + width
+    got = pipeline.sweep_values(SweepSpec("a12", start, stop, count))
+    assert [v.hex() for v in got] == _linspace_bits(start, stop, count)
 
 
 def test_sweep_runs_ordered_and_workers_equivalent():

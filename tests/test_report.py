@@ -10,9 +10,10 @@ import pytest
 from hopf_dde import (AnalysisConfig, PRESETS, analyze_params, parse_report,
                       render_report)
 from hopf_dde.config import SimSpec
-from hopf_dde import report
-from hopf_dde.report import (_csv_rows, _format_values, fmt_float,
-                             write_phase_csv, write_trajectory_csv)
+from hopf_dde import csv_output
+from hopf_dde.csv_output import (_csv_rows, _format_values, write_phase_csv,
+                                 write_trajectory_csv)
+from hopf_dde.report import fmt_float
 from hopf_dde.simulation import History, Trajectory, integrate
 
 
@@ -143,8 +144,8 @@ def test_phase_csv_reuses_the_trajectory_text(tmp_path, monkeypatch):
     # bytes as on its own, and its y1, y2 are not formatted a second time
     traj, want_traj, want_phase = _special_waveform()
     formatted = []
-    real = report._format_rows
-    monkeypatch.setattr(report, "_format_rows",
+    real = csv_output._format_rows
+    monkeypatch.setattr(csv_output, "_format_rows",
                         lambda v, rows: formatted.append(len(v)) or real(v, rows))
     ppath = str(tmp_path / "phase.csv")
     write_trajectory_csv(str(tmp_path / "traj.csv"), traj,
@@ -216,7 +217,7 @@ def test_format_values_matches_percent_format(ncols):
 def test_format_values_falls_back_rarely(monkeypatch):
     # the fast path, not the per-value fallback, formats a waveform
     fallbacks = []
-    monkeypatch.setattr(report, "fmt_float",
+    monkeypatch.setattr(csv_output, "fmt_float",
                         lambda x: fallbacks.append(x) or fmt_float(x))
     rng = np.random.default_rng(3)
     values = (rng.standard_normal((4000, 5)) * [1.0, 0.1, 1.0, 10.0, 80.0]

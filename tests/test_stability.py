@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 
 from hopf_dde import (AnalysisConfig, DomainError, ModelParams, PRESETS,
                       analyze_params, build_equilibrium,
-                      char_coeffs, characteristic_residual, classify_stability,
+                      char_coeffs, classify_stability,
                       compute_eigenpair, critical_delays, find_equilibria,
-                      first_hopf, g_quadratic, hopf_candidates, linearize,
-                      omega_candidates, rhs, routh_hurwitz_stable,
+                      first_hopf, g_quadratic, hopf_candidates,
+                      omega_candidates, routh_hurwitz_stable,
                       solve_E_vectors, transversality,
                       transversality_closed_form)
 from hopf_dde.config import SimSpec
 from hopf_dde.stability import CharCoeffs, _cubic_positive_roots
 
+from reference_model import characteristic_residual, linearize, rhs
 from reference_values import CASES
 
 
@@ -52,7 +53,7 @@ def test_linearize_matches_finite_difference_jacobians():
     p = PRESETS["n4"]
     eq = _eq("n4")
     lin = linearize(p, eq)
-    s0 = eq.state()
+    s0 = np.asarray(eq.state())
     h = 1e-7
     J_inst = np.zeros((4, 4))
     J_del = np.zeros((4, 4))
@@ -192,12 +193,13 @@ def test_crossing_with_widely_scaled_cubic_is_found():
                     b1=0.001009107631356451, b2=0.003829344535525291,
                     a=0.05768647988444206, n=20)
     eq = find_equilibria(p)[0]
-    hp = first_hopf(char_coeffs(p, eq))
+    cc = char_coeffs(p, eq)
+    hp = first_hopf(cc)
     assert hp is not None
     assert hp.omega_c == pytest.approx(0.0118082238, rel=1e-8)
     assert hp.tau_c == pytest.approx(37.71734, rel=1e-6)
     assert hp.dlambda_dtau.real > 0.0
-    assert classify_stability(p, eq, 2.0 * hp.tau_c) == "unstable"
+    assert classify_stability(cc, 2.0 * hp.tau_c) == "unstable"
 
 
 def _mp_char_cubic(p, eq):
@@ -227,18 +229,19 @@ def _mp_routh_hurwitz(p, eq):
 
 def test_routh_hurwitz_verdict_without_cancellation():
     # c + g and d + h cancel in floats: here cc.d + cc.h reads 0, which
-    # would give an unstable verdict; evaluated exactly, d + h is 2.0e-16
-    # and b (c + g) - (d + h) is 2.6e16
+    # would give an unstable verdict; evaluated exactly, d + h is 3.1e-16
+    # (b2 s = 2.0e-16 plus k12 rho1 = 1.1e-16) and b (c + g) - (d + h) is
+    # 2.6e16
     p = ModelParams(a1=1e-16, a2=1.0, a12=1.0, a21=1.0, b1=1e-16, b2=1e-16,
                     a=1.0, n=1)
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
     assert cc.d + cc.h == 0.0
     dh, margin = _mp_routh_hurwitz(p, eq)
-    assert float(dh) == pytest.approx(2.01e-16, rel=1e-2)
+    assert float(dh) == pytest.approx(3.118e-16, rel=1e-3, abs=0.0)
     assert float(margin) == pytest.approx(2.63e16, rel=1e-2)
     assert routh_hurwitz_stable(cc)
-    assert classify_stability(p, eq, 0.0) == "stable"
+    assert classify_stability(cc, 0.0) == "stable"
 
 
 def _mp_positive_root(l1, l2, l3, lo, hi):
@@ -263,14 +266,15 @@ def test_crossing_with_rates_down_to_1e_94_is_found():
                     b1=3.732762949809942e-38, b2=3.5717900571239005e-94,
                     a=0.011636971153806437, n=54)
     eq = find_equilibria(p)[0]
-    hp = first_hopf(char_coeffs(p, eq))
+    cc = char_coeffs(p, eq)
+    hp = first_hopf(cc)
     assert hp is not None
     with mpmath.workdps(50):
         l1, l2, l3 = _mp_char_cubic(p, eq)
         z = mpmath.mpf(hp.omega_c) ** 2
         root = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
         assert abs(hp.omega_c - root) <= 1e-14 * root
-    assert classify_stability(p, eq, 2.0 * hp.tau_c) == "unstable"
+    assert classify_stability(cc, 2.0 * hp.tau_c) == "unstable"
 
 
 _RATES = ("a1", "a2", "a12", "a21", "b1", "b2")
@@ -497,7 +501,7 @@ def test_transversality_with_rates_down_to_1e_65():
     hp = first_hopf(cc)
     # the sign rule: sign Re dlambda/dtau = sign F'(omega^2) > 0
     assert hp.dlambda_dtau.real == pytest.approx(2.218e-81, rel=1e-3)
-    assert classify_stability(p, eq, 2.0 * hp.tau_c) == "unstable"
+    assert classify_stability(cc, 2.0 * hp.tau_c) == "unstable"
     run = analyze_params(p, AnalysisConfig(sim=SimSpec(enabled=False)))
     assert run.branches[0].error is None
 
@@ -551,38 +555,35 @@ def test_hopf_candidates_structure():
 
 
 def test_classify_stability_verdicts():
-    p = PRESETS["n2"]
-    eq = _eq("n2")
+    cc = _cc("n2")
     tau_c = CASES["n2"]["taus"][0]
-    assert classify_stability(p, eq, 0.0) == "stable"
-    assert classify_stability(p, eq, 0.5 * tau_c) == "stable"
-    assert classify_stability(p, eq, tau_c) == "at-bifurcation"
-    assert classify_stability(p, eq, tau_c + 1e-10) == "at-bifurcation"
-    assert classify_stability(p, eq, tau_c + 1.0) == "unstable"
+    assert classify_stability(cc, 0.0) == "stable"
+    assert classify_stability(cc, 0.5 * tau_c) == "stable"
+    assert classify_stability(cc, tau_c) == "at-bifurcation"
+    assert classify_stability(cc, tau_c + 1e-10) == "at-bifurcation"
+    assert classify_stability(cc, tau_c + 1.0) == "unstable"
     for bad in (-1.0, math.nan):
         with pytest.raises(DomainError):
-            classify_stability(p, eq, bad)
+            classify_stability(cc, bad)
 
 
 def test_classify_stability_at_every_rung():
     # rungs beyond the k_max = 8 of hopf_candidates are critical delays too
-    p = PRESETS["n2"]
-    eq = _eq("n2")
-    taus = critical_delays(CASES["n2"]["omega"], _cc("n2"), k_max=12)
+    cc = _cc("n2")
+    taus = critical_delays(CASES["n2"]["omega"], cc, k_max=12)
     assert taus[9] == pytest.approx(2498.6763671445965, rel=1e-12)
     assert taus[12] == pytest.approx(3301.496598934181, rel=1e-12)
     for tau in (taus[9], taus[12]):
-        assert classify_stability(p, eq, tau) == "at-bifurcation"
-        assert classify_stability(p, eq, tau + 1e-10) == "at-bifurcation"
-        assert classify_stability(p, eq, tau + 1.0) == "unstable"
-    assert classify_stability(p, eq, math.inf) == "unstable"
+        assert classify_stability(cc, tau) == "at-bifurcation"
+        assert classify_stability(cc, tau + 1e-10) == "at-bifurcation"
+        assert classify_stability(cc, tau + 1.0) == "unstable"
+    assert classify_stability(cc, math.inf) == "unstable"
 
 
 def test_classify_stability_zero_delay_unstable_case():
-    p = PRESETS["n164"]
-    eq = _eq("n164")
-    assert classify_stability(p, eq, 0.0) == "unstable"
-    assert classify_stability(p, eq, 1.0) == "unstable"
+    cc = _cc("n164")
+    assert classify_stability(cc, 0.0) == "unstable"
+    assert classify_stability(cc, 1.0) == "unstable"
 
 
 def test_decoupled_loop_has_no_crossings():
