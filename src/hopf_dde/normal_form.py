@@ -175,14 +175,18 @@ def solve_E_vectors(p: ModelParams, eq: Equilibrium, omega_c: float,
                     tau_c: float, F20: Vec, F11: Vec) -> tuple[Vec, Vec]:
     """E1 = Delta(0)^-1 F11 and E2 = Delta(2 i omega_c)^-1 F20.
 
-    Raises when the pivot Delta(lambda, tau) vanishes relative to its
-    terms' moduli (a resonance) and verifies the solve residuals.
+    F11 = B2(q, qb) and Delta(0) are real, so E1 is solved in real
+    arithmetic from F11's real parts (its imaginary parts are rounding
+    residue) and has imaginary parts exactly +0. Raises when the pivot
+    Delta(lambda, tau) vanishes relative to its terms' moduli (a
+    resonance) and verifies the solve residuals.
     """
     al, be = p.a1 + p.a12 * eq.y20, p.a2 + p.a21 * eq.y10
     k12, k21, r1 = p.a12 * eq.y10, p.a21 * eq.y20, eq.rho1
     out = []
-    for lam, F in ((0.0, F11), (2j * omega_c, F20)):
-        e, la, lb, le = cmath.exp(-lam * tau_c), lam + al, lam + p.b2, lam + be
+    for lam, F in ((0.0, tuple(f.real for f in F11)), (2j * omega_c, F20)):
+        e = cmath.exp(-lam * tau_c) if lam else 1.0
+        la, lb, le = lam + al, lam + p.b2, lam + be
         det = la * lb * le + k12 * e * e * (r1 - k21 * lb)
         scale = abs(la * lb * le) + k12 * abs(e) ** 2 * (abs(r1) + k21 * abs(lb))
         if abs(det) <= _RESONANCE_TOL * scale:
@@ -200,7 +204,7 @@ def solve_E_vectors(p: ModelParams, eq: Equilibrium, omega_c: float,
                          abs(k21 * e * u1 - u2 + le * u3 - f3))
         if res > _SOLVE_RESIDUAL_TOL * max(1.0, math.hypot(*map(abs, F))):
             raise SingularSystemError(f"E-vector solve residual {res:.3e}")
-        out.append((u0, u1, u2, u3))
+        out.append((complex(u0), complex(u1), complex(u2), complex(u3)))
     return out[0], out[1]
 
 

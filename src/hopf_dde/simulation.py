@@ -21,22 +21,17 @@ term f(y1(t - tau)). integrate takes the steps by one of two paths:
   z = P (z0 + cumsum(sigma / P)) with P = cumprod(rho). This path takes
   every interval of at least _PASS_MIN_STEPS steps (the measured
   crossover), including a trailing one cut short by t_end.
-- per step: a float loop with one Hill term per distinct lookup; a
-  step's end lookup doubles as the next node's derivative lookup when the
-  two times compare equal. Where a lookup falls (its node, Hermite
-  weights, the s < 1e-13 node shortcut, whether it repeats the end
-  lookup) depends on the step index alone, so _plan works it out in
-  numpy for blocks of up to 1024 steps, and the loop only combines
-  stored values with planned weights. The loop keeps nodes i - 1 and i
-  (y1, y2 and their derivatives) in locals: with one step per delay
-  interval every lookup of step i reads nodes i - 1, i and the still
-  unwritten i + 1, so such a step reads no stored node. This path takes
-  intervals shorter than the crossover, a partial final step, runs whose
-  step divides tau only to the accepted 1e-9 (the lookups then need
-  interpolation at the exact delay), and any interval whose decay
-  product P leaves [1e-250, 1e250] or whose states break the 1e12
-  blow-up bound; such an interval is re-run step by step, so a
-  divergence is reported at its step.
+- per step: a float loop with one Hill term per lookup. Full step i
+  reads node i - m + 1 for its end lookup, which is also node i + 1's
+  derivative lookup, and the Hermite midpoint of nodes i - m and
+  i - m + 1; node i - m is the previous step's end lookup, kept in
+  locals, so a step reads four stored values. On the first interval
+  both lookups come from the history, at the times the interval path
+  uses. Only a partial final step looks up by time, off the grid. This
+  path takes intervals shorter than the crossover, the partial final
+  step, and any interval whose decay product P leaves [1e-250, 1e250]
+  or whose states break the 1e12 blow-up bound; such an interval is
+  re-run step by step, so a divergence is reported at its step.
 
 Both paths apply the same RK4 map: the per-step path does the
 floating-point operations of RK4 on numpy 4-vectors built from the
@@ -64,27 +59,13 @@ _BLOWUP_NORM = 1e12
 _MAX_STEPS = 100_000_000
 #: shortest delay interval, in steps, that integrate solves as numpy
 #: affine recurrences; shorter ones run step by step. The measured
-#: crossover (n4, tau = 12, 20 k steps, best of 7, five runs, twice): at
-#: 16 steps per interval the numpy path took 1.46-2.16 times the per-step
-#: path's time, at 24 0.73-1.19, at 28 0.80-1.13 and at 32 0.71-1.34; the
-#: medians of 21 interleaved pairs were 1.01-1.10 at 24 and 0.78-0.85 at
-#: 28 (2-core Xeon, CPython 3.11, numpy 2.4)
-_PASS_MIN_STEPS = 28
-#: the per-step path plans its lookups in blocks of at most this many
-#: steps; a plan holds a few hundred bytes per step, and 4096-step blocks
-#: raised the presets' peak RSS by 2.4 MB (1024: 0.6 MB)
-_PLAN_BLOCK = 1024
-# Kinds of a planned lookup, by what it reads. For step i the per-step
-# loop keeps nodes i - 1, i and i + 1 (A, B and C) in locals; a lookup
-# reads node B; the end lookup's values again (_SAME, next-node lookups
-# only); another stored node; the Hermite interpolant on A and B, on B and
-# C, or on another stored pair; or the history.
-_B, _SAME, _NODE, _AB, _BC, _PAIR, _HIST = range(7)
-# the kind by lookup (midpoint, end, next node) and a code: 0, 1, 2 for an
-# interpolant from node i, i - 1 or an earlier node, 3, 4, 5 for that node
-# itself, 6 for the history. The midpoint takes only _AB from the locals.
-_KINDS = np.array([[_PAIR, _BC, _BC], [_AB] * 3, [_PAIR] * 3, [_NODE, _B, _B],
-                   [_NODE] * 3, [_NODE] * 3, [_HIST] * 3])
+#: crossover (n4, tau = 12, 20 k steps, 21 interleaved pairs per run, two
+#: or three runs): the numpy path's time over the per-step path's was, as
+#: best of 7 and as the median pair, 1.02-1.25 and 1.09-1.18 at 32 steps
+#: per interval, 0.94-1.02 and 1.01-1.02 at 36, 0.94-1.06 and 0.97-1.01
+#: at 38, and 0.82-1.00 and 0.87-0.91 at 40 (2-core Xeon, CPython 3.11,
+#: numpy 2.4)
+_PASS_MIN_STEPS = 36
 
 
 def _hermite_weights(s: float, h: float) -> tuple[float, float, float, float]:
@@ -350,56 +331,18 @@ def _in_range(P: np.ndarray) -> bool:
     return bool(a.min() >= 1e-250 and a.max() <= 1e250)
 
 
-def _plan(i0: int, i1: int, n_full: int, rem: float, step: float, tau: float,
-          history: History) -> tuple[list, list, list]:
-    """Where the delayed lookups of integrate's steps i0..i1-1 fall.
-
-    Step i looks up the delayed state at its midpoint, at its end and,
-    for the derivative of node i + 1, at (i + 1) step - tau. Where they
-    fall depends on i alone, and is worked out here elementwise with the
-    per-step loop's own float operations. Returns three lists over the
-    steps, the kinds of the three lookups; the flat weights (w0, w1, w2,
-    w3) of the lookups that interpolate, or the history's (y1, y2, 0, 0),
-    in the loop's order; and in that order, k = 4 j + 1 (y1 of node j in
-    the flat state array) for the lookups of stored nodes.
-    """
-    i = np.arange(i0, i1)[:, None]
-    t = i * step
-    tq = np.empty((i1 - i0, 3))
-    tq[:, :1] = t + 0.5 * step - tau
-    tq[:, 1:2] = t + step - tau
-    tq[:, 2:] = (i + 1) * step - tau
-    if i1 > n_full:
-        # the partial final step; its new node sits at t_end
-        t = n_full * step
-        tq[-1] = t + 0.5 * rem - tau, t + rem - tau, t + rem - tau
-    x = tq / step
-    j = x.astype(np.intp)
-    s = x - j
-    code = np.where(tq <= 0.0, 6, np.minimum(i - j, 2) + 3 * (s < 1e-13))
-    kind = _KINDS[code, np.arange(3)]
-    kind[tq[:, 2] == tq[:, 1], 2] = _SAME
-    kind, s, j, tq = kind.ravel(), s.ravel(), j.ravel(), tq.ravel()
-    pair = (kind >= _AB) & (kind <= _PAIR)
-    w = np.zeros((len(kind), 4))
-    w[pair] = np.transpose(_hermite_weights_many(s[pair], step))
-    hist = kind == _HIST
-    if hist.any():
-        w[hist, :2] = history.values(tq[hist])[:, IY1::2]
-    stored = (kind == _NODE) | (kind == _PAIR)
-    return (kind.reshape(-1, 3).T.tolist(), w[kind >= _AB].ravel().tolist(),
-            (4 * j[stored] + 1).tolist())
-
-
 def integrate(p: ModelParams, tau: float, history: History,
               t_end: float, step: float) -> Trajectory:
     """Method-of-steps RK4 over [0, t_end].
 
-    step must divide tau exactly (so delayed lookups never cross the
-    moving front). A final shorter step is taken when t_end is not a
-    multiple of step; the last node then sits at t_end. Raises
-    DivergenceError when the history holds non-finite values, or when the
-    state norm exceeds 1e12 or turns non-finite.
+    step must divide tau (to 1e-9 relative); it is then taken as tau/m
+    exactly, so every full step's delayed lookups fall on the grid's
+    nodes and midpoints (on the first interval, the history at those
+    times less tau). A final shorter step is taken when t_end is not a
+    multiple of step; the last node then sits at t_end, and only that
+    step's lookups fall off the grid. Raises DivergenceError when the
+    history holds non-finite values, or when the state norm exceeds 1e12
+    or turns non-finite.
     """
     if tau <= 0.0:
         raise DomainError(f"delay must be positive, got {tau!r}")
@@ -408,6 +351,7 @@ def integrate(p: ModelParams, tau: float, history: History,
     m = int(round(tau / step))
     if m < 1 or abs(m * step - tau) > 1e-9 * max(tau, 1.0):
         raise DomainError(f"step {step!r} does not divide the delay {tau!r}")
+    step = tau / m
     if history.tau < tau - 1e-9 * max(tau, 1.0):
         raise DomainError("history does not cover [-tau, 0]")
     if t_end <= 0.0:
@@ -423,10 +367,10 @@ def integrate(p: ModelParams, tau: float, history: History,
             and np.all(np.isfinite(history.derivs))):
         raise DivergenceError("history holds non-finite values")
 
-    # zeros, not empty: rounding can put a lookup at the newest node just
-    # past the s < 1e-13 shortcut, so its Hermite weights reach the next,
-    # unwritten node (with weights of order s^2); that node must hold zero,
-    # not whatever the allocator left there
+    # zeros, not empty: every lookup reads nodes that are already written
+    # (full step i reads nodes i - m and i - m + 1, the partial step at most
+    # node n_full), and should that ever break, the read gives 0, not
+    # whatever the allocator left there
     states = np.zeros((N + 1, 4))
     derivs = np.zeros((N + 1, 4))
     states[0] = history.value(0.0)
@@ -437,16 +381,20 @@ def integrate(p: ModelParams, tau: float, history: History,
     log_a = math.log(p.a)
     big, small = _BLOWUP_NORM, -_BLOWUP_NORM
 
-    def stored(kind: int, index, weights) -> tuple[float, float]:
-        """The delayed y1, y2 of a planned lookup of stored nodes or of the
-        history, taking its node index and weights from the plan."""
-        if kind == _HIST:
-            w0, w1, w2, w3 = weights()
-            return w0, w1
-        k = index()
-        if kind == _NODE:
+    def off_grid(tq: float) -> tuple[float, float]:
+        """y1, y2 at time tq, for the partial final step's lookups: from
+        the history, a stored node within 1e-13 of tq, or the Hermite
+        interpolant of the stored nodes around tq."""
+        if tq <= 0.0:
+            v = history.value(tq)
+            return float(v[IY1]), float(v[IY2])
+        x = tq / step
+        j = int(x)
+        s = x - j
+        k = 4 * j + 1
+        if s < 1e-13:
             return sv[k], sv[k + 2]
-        w0, w1, w2, w3 = weights()
+        w0, w1, w2, w3 = _hermite_weights(s, step)
         return (w0 * sv[k] + w1 * dv[k] + w2 * sv[k + 4] + w3 * dv[k + 4],
                 w0 * sv[k + 2] + w1 * dv[k + 2] + w2 * sv[k + 6] + w3 * dv[k + 6])
 
@@ -456,119 +404,89 @@ def integrate(p: ModelParams, tau: float, history: History,
         k = 4 * i0
         x1, y1, x2, y2 = sv[k], sv[k + 1], sv[k + 2], sv[k + 3]
         k1a, k1b, k1c, k1d = dv[k], dv[k + 1], dv[k + 2], dv[k + 3]
-        # y1, y2 and their derivatives at node i - 1 (none before node 0)
-        p1, p2, pd1, pd2 = ((sv[k - 3], sv[k - 1], dv[k - 3], dv[k - 1]) if i0
-                            else (0.0,) * 4)
+        # y1, y2 and their derivatives at node i - m, the previous step's
+        # end lookup (node 0 until the first interval is done)
+        k = 4 * max(i0 - m, 0) + 1
+        e1, e2, ed1, ed2 = sv[k], sv[k + 2], dv[k], dv[k + 2]
+        if i0 < m:
+            # the first interval's lookups, midpoints and ends in turn, at
+            # the same times as _IntervalSolver.solve's
+            hv = history.values(np.arange(2 * i0 + 1, 2 * min(i1, m, n_full) + 1)
+                                * (0.5 * step) - tau)[:, IY1::2].ravel().tolist()
+        w0, w1, w2, w3 = _hermite_weights(0.5, step)
         h, hh, h6 = step, 0.5 * step, step / 6.0
-        for lo in range(i0, i1, _PLAN_BLOCK):
-            hi = min(lo + _PLAN_BLOCK, i1)
-            kinds, w, ks = _plan(lo, hi, n_full, rem, step, tau, history)
-            # the weights four at a time, and the node indices, in the
-            # order the steps ask for them
-            weights = zip(*[iter(w)] * 4).__next__
-            index = iter(ks).__next__
-            for i, km, ke, kn in zip(range(lo, hi), *kinds):
-                if i == n_full:
-                    h, hh, h6 = rem, 0.5 * rem, rem / 6.0
-                # the delayed y1, y2 at the midpoint and at the end; node
-                # i + 1 is not written yet and holds zeros (only at one
-                # step per interval do lookups reach it, and then no
-                # interval pass writes ahead)
-                if km == _AB:
-                    w0, w1, w2, w3 = weights()
-                    d1 = w0 * p1 + w1 * pd1 + w2 * y1 + w3 * k1b
-                    d2 = w0 * p2 + w1 * pd2 + w2 * y2 + w3 * k1d
-                else:
-                    d1, d2 = stored(km, index, weights)
-                c1m, c2m, fm = a1 + a12 * d2, a2 + a21 * d1, _hill_log(d1, n, log_a)
-                if ke == _B:
-                    d1, d2 = y1, y2
-                elif ke == _AB:
-                    w0, w1, w2, w3 = weights()
-                    d1 = w0 * p1 + w1 * pd1 + w2 * y1 + w3 * k1b
-                    d2 = w0 * p2 + w1 * pd2 + w2 * y2 + w3 * k1d
-                elif ke == _BC:
-                    w0, w1, w2, w3 = weights()
-                    d1 = w0 * y1 + w1 * k1b + w2 * 0.0 + w3 * 0.0
-                    d2 = w0 * y2 + w1 * k1d + w2 * 0.0 + w3 * 0.0
-                else:
-                    d1, d2 = stored(ke, index, weights)
-                c1e, c2e, fe = a1 + a12 * d2, a2 + a21 * d1, _hill_log(d1, n, log_a)
-                # RK4 stages; k1 is the derivative stored at the current node
-                u1 = x1 + hh * k1a
-                v1 = y1 + hh * k1b
-                u2 = x2 + hh * k1c
-                v2 = y2 + hh * k1d
-                k2a = 1.0 - b1 * u1
-                k2b = u1 - c1m * v1
-                k2c = fm - b2 * u2
-                k2d = u2 - c2m * v2
-                u1 = x1 + hh * k2a
-                v1 = y1 + hh * k2b
-                u2 = x2 + hh * k2c
-                v2 = y2 + hh * k2d
-                k3a = 1.0 - b1 * u1
-                k3b = u1 - c1m * v1
-                k3c = fm - b2 * u2
-                k3d = u2 - c2m * v2
-                u1 = x1 + h * k3a
-                v1 = y1 + h * k3b
-                u2 = x2 + h * k3c
-                v2 = y2 + h * k3d
-                k4a = 1.0 - b1 * u1
-                k4b = u1 - c1e * v1
-                k4c = fe - b2 * u2
-                k4d = u2 - c2e * v2
-                # node i, for the next-node lookup
-                q1 = y1
-                q2 = y2
-                qd1 = k1b
-                qd2 = k1d
-                x1 = x1 + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-                y1 = y1 + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-                x2 = x2 + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-                y2 = y2 + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-                # NaN fails every comparison, so this also rejects non-finite states
-                if not (small <= x1 <= big and small <= y1 <= big
-                        and small <= x2 <= big and small <= y2 <= big):
-                    raise DivergenceError(
-                        f"trajectory diverged at t={(i * step + h):.6g} (step {i})")
-                k = 4 * i + 4
-                sv[k] = x1
-                sv[k + 1] = y1
-                sv[k + 2] = x2
-                sv[k + 3] = y2
-                # the new node's derivative: nodes i - 1 and i are p and q,
-                # node i + 1 has its state but no derivative yet
-                if kn == _SAME:
-                    c1n, c2n, fn = c1e, c2e, fe
-                else:
-                    if kn == _B:
-                        d1, d2 = q1, q2
-                    elif kn == _AB:
-                        w0, w1, w2, w3 = weights()
-                        d1 = w0 * p1 + w1 * pd1 + w2 * q1 + w3 * qd1
-                        d2 = w0 * p2 + w1 * pd2 + w2 * q2 + w3 * qd2
-                    elif kn == _BC:
-                        w0, w1, w2, w3 = weights()
-                        d1 = w0 * q1 + w1 * qd1 + w2 * y1 + w3 * 0.0
-                        d2 = w0 * q2 + w1 * qd2 + w2 * y2 + w3 * 0.0
-                    else:
-                        d1, d2 = stored(kn, index, weights)
-                    c1n, c2n, fn = a1 + a12 * d2, a2 + a21 * d1, _hill_log(d1, n, log_a)
-                k1a = 1.0 - b1 * x1
-                k1b = x1 - c1n * y1
-                k1c = fn - b2 * x2
-                k1d = x2 - c2n * y2
-                dv[k] = k1a
-                dv[k + 1] = k1b
-                dv[k + 2] = k1c
-                dv[k + 3] = k1d
-                # node i becomes node i - 1
-                p1 = q1
-                p2 = q2
-                pd1 = qd1
-                pd2 = qd2
+        for i in range(i0, i1):
+            # the delayed y1, y2 at the midpoint (d) and at the end (g)
+            if m <= i < n_full:
+                k = 4 * (i - m) + 5
+                g1 = sv[k]
+                g2 = sv[k + 2]
+                gd1 = dv[k]
+                gd2 = dv[k + 2]
+                d1 = w0 * e1 + w1 * ed1 + w2 * g1 + w3 * gd1
+                d2 = w0 * e2 + w1 * ed2 + w2 * g2 + w3 * gd2
+                e1 = g1
+                e2 = g2
+                ed1 = gd1
+                ed2 = gd2
+            elif i < n_full:
+                k = 4 * (i - i0)
+                d1, d2, g1, g2 = hv[k], hv[k + 1], hv[k + 2], hv[k + 3]
+            else:
+                h, hh, h6 = rem, 0.5 * rem, rem / 6.0
+                t = i * step
+                d1, d2 = off_grid(t + hh - tau)
+                g1, g2 = off_grid(t + rem - tau)
+            c1m, c2m, fm = a1 + a12 * d2, a2 + a21 * d1, _hill_log(d1, n, log_a)
+            c1e, c2e, fe = a1 + a12 * g2, a2 + a21 * g1, _hill_log(g1, n, log_a)
+            # RK4 stages; k1 is the derivative stored at the current node
+            u1 = x1 + hh * k1a
+            v1 = y1 + hh * k1b
+            u2 = x2 + hh * k1c
+            v2 = y2 + hh * k1d
+            k2a = 1.0 - b1 * u1
+            k2b = u1 - c1m * v1
+            k2c = fm - b2 * u2
+            k2d = u2 - c2m * v2
+            u1 = x1 + hh * k2a
+            v1 = y1 + hh * k2b
+            u2 = x2 + hh * k2c
+            v2 = y2 + hh * k2d
+            k3a = 1.0 - b1 * u1
+            k3b = u1 - c1m * v1
+            k3c = fm - b2 * u2
+            k3d = u2 - c2m * v2
+            u1 = x1 + h * k3a
+            v1 = y1 + h * k3b
+            u2 = x2 + h * k3c
+            v2 = y2 + h * k3d
+            k4a = 1.0 - b1 * u1
+            k4b = u1 - c1e * v1
+            k4c = fe - b2 * u2
+            k4d = u2 - c2e * v2
+            x1 = x1 + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            y1 = y1 + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            x2 = x2 + h6 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+            y2 = y2 + h6 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            # NaN fails every comparison, so this also rejects non-finite states
+            if not (small <= x1 <= big and small <= y1 <= big
+                    and small <= x2 <= big and small <= y2 <= big):
+                raise DivergenceError(
+                    f"trajectory diverged at t={(i * step + h):.6g} (step {i})")
+            k = 4 * i + 4
+            sv[k] = x1
+            sv[k + 1] = y1
+            sv[k + 2] = x2
+            sv[k + 3] = y2
+            # the new node's derivative takes the end lookup
+            k1a = 1.0 - b1 * x1
+            k1b = x1 - c1e * y1
+            k1c = fe - b2 * x2
+            k1d = x2 - c2e * y2
+            dv[k] = k1a
+            dv[k + 1] = k1b
+            dv[k + 2] = k1c
+            dv[k + 3] = k1d
 
     x1, y1, x2, y2 = sv[0], sv[1], sv[2], sv[3]
     v = history.value(-tau)
@@ -577,9 +495,7 @@ def integrate(p: ModelParams, tau: float, history: History,
                                   _hill_log(y1d, n, log_a) - b2 * x2,
                                   x2 - (a2 + a21 * y1d) * y2)
     i = 0
-    # a step that divides tau only to the accepted 1e-9 puts the lookups
-    # off the nodes; its intervals run step by step
-    if m >= _PASS_MIN_STEPS and abs(m * step - tau) <= 1e-14 * tau:
+    if m >= _PASS_MIN_STEPS:
         solver = _IntervalSolver(p, tau, history, states, derivs, m, step)
         while n_full - i >= _PASS_MIN_STEPS:
             i1 = min(i + m, n_full)

@@ -1,12 +1,13 @@
 """Normal form: eigenpairs, projections, E-vectors, Hopf quantities."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import sympy
 
-from hopf_dde import (DomainError, ModelParams, SingularSystemError,
+from hopf_dde import (PRESETS, DomainError, ModelParams, SingularSystemError,
                       char_coeffs, compute_eigenpair,
                       compute_normal_form, find_equilibria, first_hopf,
                       g_quadratic, hopf_quantities, solve_E_vectors)
@@ -160,6 +161,20 @@ def test_E1_is_essentially_real(case, preset_data):
     E1 = np.asarray(nf.E1)
     scale = max(1.0, float(np.max(np.abs(E1))))
     assert float(np.max(np.abs(E1.imag))) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [2, 4, 163, 164, 18, 6])
+def test_E1_imaginary_parts_are_exactly_zero(n):
+    # E1 = Delta(0)^-1 B2(q, qb) is real, so the report prints every
+    # nf.E1.k.im as 0, not -0 or rounding residue: the four presets, and
+    # n = 18 and n = 6 of the n4 rates (perfbench sweep_n points; n = 6
+    # printed residue of about 1e-17 while E1 was solved in complex
+    # arithmetic)
+    p = dataclasses.replace(PRESETS["n4"], n=n)
+    eq = find_equilibria(p)[0]
+    nf = compute_normal_form(p, eq, first_hopf(char_coeffs(p, eq)))
+    for z in nf.E1:
+        assert z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0
 
 
 @pytest.mark.parametrize("case", list(CASES))

@@ -144,9 +144,14 @@ def test_final_partial_step():
 def _reference_integrate(p, tau, history, t_end, step):
     """Per-step RK4 on numpy 4-vectors, the arithmetic integrate must keep.
 
-    After a partial final step the last node's delayed state is the last
-    k4 lookup, at t_end - tau.
+    step is tau/m. A full step's lookups, and every node's derivative
+    lookup, go by half-grid index 2(i - m) + 2 frac: an even index is a
+    node, an odd one the Hermite midpoint of its two neighbours, and an
+    index <= 0 reads the history at (2 i + 2 frac) (step/2) - tau. The
+    partial final step looks up by time; after it the last node's delayed
+    state is its k4 lookup, at t_end - tau.
     """
+    m = round(tau / step)
     n_full = int(t_end / step + 1e-9)
     rem = t_end - n_full * step
     if rem < 1e-12 * max(t_end, 1.0):
@@ -155,19 +160,25 @@ def _reference_integrate(p, tau, history, t_end, step):
     states, derivs = np.empty((N + 1, 4)), np.empty((N + 1, 4))
     states[0] = history.value(0.0)
 
-    def delayed(i, frac, h):
-        tq = i * step + frac * h - tau
-        if tq <= 0.0:
-            return history.value(tq)
-        x = tq / step
-        j = int(x)
-        s = x - j
-        if s < 1e-13:
-            return states[j]
+    def hermite(j, s):
         return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * states[j]
                 + s * (1.0 - s) ** 2 * step * derivs[j]
                 + s * s * (3.0 - 2.0 * s) * states[j + 1]
                 + s * s * (s - 1.0) * step * derivs[j + 1])
+
+    def delayed(i, frac, h):
+        if frac and h != step:
+            tq = i * step + frac * h - tau
+            if tq <= 0.0:
+                return history.value(tq)
+            x = tq / step
+            j = int(x)
+            s = x - j
+            return states[j] if s < 1e-13 else hermite(j, s)
+        k = 2 * (i - m) + int(2 * frac)
+        if k <= 0:
+            return history.value((2 * i + int(2 * frac)) * (0.5 * step) - tau)
+        return hermite(k // 2, 0.5) if k % 2 else states[k // 2]
 
     for i in range(N):
         h = step if i < n_full else rem
@@ -212,31 +223,20 @@ def test_integrate_matches_reference_bit_for_bit(case):
     assert np.array_equal(traj.derivs, derivs)
 
 
-def test_one_step_intervals_match_reference_bit_for_bit(preset_data):
+def test_one_step_intervals_match_reference_bit_for_bit(preset_data, monkeypatch):
     # n163 at its critical delay with step = tau: one step per delay
-    # interval, where the per-step path takes every lookup from the nodes
-    # it keeps in locals. The step times round into each lookup case, and
-    # only at large i: midpoints off s = 0.5, end lookups at node i past
-    # the 1e-13 shortcut (which touch the unwritten node i + 1) and at
-    # node i - 1 (s near 1), and next-node lookups at other times than
-    # the end lookup
+    # interval. Every full step looks up nodes i - 1 and i by index, so a
+    # step takes two Hill terms (midpoint and end, the end one also serving
+    # the new node's derivative) whatever the rounding of i * step, plus
+    # one for node 0's derivative
     p, eq, _, hp = preset_data["n163"]
     tau = step = hp.tau_c
     n_full = 10_000
-    cases = [0, 0, 0, 0]
-    for i in range(n_full):
-        t = i * step
-        x = (t + 0.5 * step - tau) / step
-        cases[0] += x > 0.0 and x - int(x) != 0.5
-        tqe = t + step - tau
-        x = tqe / step
-        cases[1] += x > 0.0 and int(x) == i and x - i >= 1e-13
-        cases[2] += x > 0.0 and int(x) == i - 1
-        cases[3] += (i + 1) * step - tau != tqe
-    assert min(cases) > 100, cases
     history = History.constant(np.asarray(eq.state()) * 1.01, tau)
     t_end = (n_full + 0.5) * step
+    lookups = _spy_on_per_step_lookups(monkeypatch)
     traj = integrate(p, tau, history, t_end, step)
+    assert len(lookups) == 2 * (n_full + 1) + 1
     states, derivs = _reference_integrate(p, tau, history, t_end, step)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.derivs, derivs)
@@ -307,7 +307,7 @@ def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
 @pytest.mark.parametrize("case, tau, m, t_end, stretch", [
     ("n4", 12.0, 256, 200.0, 1.0), ("n164", 7.4, 128, 100.0, 1.0),
     ("n163", 0.5, 36, 30.0, 1.0), ("n4", 3.0, 40, 31.3, 1.0),
-    # a step that divides tau only to the accepted 1e-9 runs step by step
+    # a step that divides tau only to the accepted 1e-9, taken as tau/m
     ("n4", 2.0, 256, 60.0, 1.0 + 9e-10)])
 def test_interval_path_equals_per_step_path(case, tau, m, t_end, stretch, monkeypatch):
     p = PRESETS[case]
@@ -335,21 +335,21 @@ def test_interval_with_underflowing_decay_product_runs_per_step(monkeypatch):
     _assert_same_map(traj, *_reference_integrate(p, tau, history, 2.0 * tau, tau / m))
 
 
-def test_stretched_step_runs_per_step(monkeypatch):
-    # a step that divides tau to 1e-9 but not to 1e-14: the lookups need
-    # interpolation at the exact delay, which only the per-step path makes
+def test_stretched_step_is_snapped_to_the_grid(monkeypatch):
+    # a step that divides tau only to the accepted 1e-9 is taken as tau/m,
+    # so its lookups fall on the grid and the interval path takes them
     p = PRESETS["n4"]
     tau, m = 2.0, 256
     eq = find_equilibria(p)[0]
     history = History.constant(np.asarray(eq.state()) * 1.01, tau)
-    step = tau / m * (1.0 + 9e-10)
     calls = _spy_on_solver(monkeypatch)
-    lookups = _spy_on_per_step_lookups(monkeypatch)
-    traj = integrate(p, tau, history, 3.0 * tau, step)
-    assert calls == [] and lookups
-    states, derivs = _reference_integrate(p, tau, history, 3.0 * tau, step)
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.derivs, derivs)
+    traj = integrate(p, tau, history, 3.0 * tau, tau / m * (1.0 + 9e-10))
+    assert traj.step == tau / m
+    assert calls == [(0, m, True), (m, 2 * m, True), (2 * m, 3 * m, True)]
+    want = integrate(p, tau, history, 3.0 * tau, tau / m)
+    assert np.array_equal(traj.t, want.t)
+    assert np.array_equal(traj.states, want.states)
+    assert np.array_equal(traj.derivs, want.derivs)
 
 
 def test_interval_breaking_the_blowup_bound_reruns_per_step(monkeypatch):
