@@ -4,8 +4,10 @@
 
 Runs the full analysis described by the configuration (or one of the
 named parameter presets) and writes `report.txt` plus, when a simulation
-ran, `trajectory.csv` and `phase.csv` into the output directory. Output
-bytes are deterministic for a given input.
+ran, `trajectory.csv` and `phase.csv` into the output directory. Each
+run's (each sweep point's) CSVs are written as soon as it is simulated,
+and its arrays are then released; `report.txt` is written after the last
+run. Output bytes are deterministic for a given input.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O failure. Set HOPF_DDE_LOG=info or =debug for progress logging on
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -23,7 +26,7 @@ import sys
 from .config import AnalysisConfig, load_config
 from .errors import ConfigError, NumericalError
 from .model import PRESETS
-from .pipeline import deferred, run_analysis
+from .pipeline import RunResult, deferred, run_analysis
 from .report import render_report
 
 log = logging.getLogger("hopf_dde")
@@ -70,6 +73,22 @@ def _label_slug(label: str) -> str:
     return "".join(ch if (ch.isalnum() or ch in "._-") else "_" for ch in label)
 
 
+def _write_csvs(out: str, run: RunResult, runs: int) -> None:
+    """One run's trajectory and phase CSVs, named for the run's label when
+    the analysis has more than one run."""
+    suffix = f"_{_label_slug(run.label)}" if (runs > 1 and run.label) else ""
+    for br in run.branches:
+        if br.sim is None:
+            continue
+        traj = br.sim.trajectory
+        tpath = os.path.join(out, f"trajectory{suffix}.csv")
+        ppath = os.path.join(out, f"phase{suffix}.csv")
+        # phase.csv's y1, y2 text is formatted once, for both files
+        write_trajectory_csv(tpath, traj,
+                             lambda chunks: write_phase_csv(ppath, traj, chunks))
+        log.info("wrote %s, %s", tpath, ppath)
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -84,36 +103,19 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.params is None:
             raise ConfigError("no model parameters: pass --config with a "
                               "model block or --paper-case")
-        results = run_analysis(cfg, workers=args.workers)
+        os.makedirs(args.out, exist_ok=True)
+        results = run_analysis(cfg, workers=args.workers,
+                               on_run=functools.partial(_write_csvs, args.out))
+        report_path = os.path.join(args.out, "report.txt")
+        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(render_report(results, cfg))
+        log.info("wrote %s", report_path)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        report_path = os.path.join(args.out, "report.txt")
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_report(results, cfg))
-        log.info("wrote %s", report_path)
-        multi = len(results) > 1
-        for run in results:
-            suffix = f"_{_label_slug(run.label)}" if (multi and run.label) else ""
-            for br in run.branches:
-                if br.sim is None:
-                    continue
-                traj = br.sim.trajectory
-                tpath = os.path.join(args.out, f"trajectory{suffix}.csv")
-                ppath = os.path.join(args.out, f"phase{suffix}.csv")
-                # phase.csv's y1, y2 text is formatted once, for both files
-                write_trajectory_csv(tpath, traj,
-                                     lambda chunks: write_phase_csv(ppath, traj, chunks))
-                log.info("wrote %s, %s", tpath, ppath)
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3

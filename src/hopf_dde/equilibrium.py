@@ -36,6 +36,7 @@ _ACCEPT_TOL = 1e-10
 # the positive float range the bisection searches
 _TINY = math.ulp(0.0)
 _HUGE = sys.float_info.max
+_NORMAL = sys.float_info.min
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,16 +81,26 @@ def _solve_y10(p: ModelParams) -> float:
 
     g(y) < 0 is tested as a1*y + load < 1/b1, so no step divides by a
     product that can underflow or subtracts infinities; a load that
-    overflows reads as g > 0, which it is.
+    overflows reads as g > 0, which it is. Where a12*f(y) underflows, the
+    load is formed in logs instead.
     """
     x10 = 1.0 / p.b1
     if x10 == math.inf:
         raise DomainError(f"x10 = 1/b1 overflows for b1={p.b1!r}")
     n, a1, a12, a2, a21, b2 = p.n, p.a1, p.a12, p.a2, p.a21, p.b2
     log_a = math.log(p.a)
+    log_a12 = math.log(a12) if a12 else -math.inf
+    log_b2, log_x10 = math.log(b2), math.log(x10)
 
     def below(y: float) -> bool:
         q = a12 * _hill_log(y, n, log_a)
+        if q < _NORMAL and a12:
+            # q lost digits to underflow, though the load can be a normal
+            # float: take it in logs, ln f = -softplus(t) with f = 1/(1 + e^t)
+            t = log_a - n * math.log(y)
+            log_load = (log_a12 - max(t, 0.0) - math.log1p(math.exp(-abs(t)))
+                        + math.log(y) - math.log(a2 + a21 * y) - log_b2)
+            return log_load < log_x10 and a1 * y + math.exp(log_load) < x10
         load = q * (y / (a2 + a21 * y)) / b2 if q else 0.0
         return a1 * y + load < x10
 

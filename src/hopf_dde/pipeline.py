@@ -28,6 +28,8 @@ from .stability import (CharCoeffs, HopfPoint, char_coeffs, classify_stability,
                         first_hopf, hopf_candidates, routh_hurwitz_stable)
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .simulation import Trajectory
 
 log = logging.getLogger("hopf_dde")
@@ -53,7 +55,8 @@ class SimResult:
     t_end: float
     step: float
     perturbation: float
-    trajectory: Trajectory
+    # None once run_analysis has passed the run to its on_run callback
+    trajectory: Trajectory | None
     period: float
     amp_variation: float
     y1_min: float
@@ -190,8 +193,14 @@ def sweep_values(spec) -> list[float | int]:
     return [float(v) for v in vals]
 
 
-def run_analysis(cfg: AnalysisConfig, workers: int = 1) -> list[RunResult]:
+def run_analysis(cfg: AnalysisConfig, workers: int = 1,
+                 on_run: Callable[[RunResult, int], None] | None = None
+                 ) -> list[RunResult]:
     """All runs for a configuration: single set or each sweep point in order.
+
+    on_run, if given, is called with each run and the number of runs as
+    soon as the run is analysed; the run's trajectories are released
+    after that call, so a sweep holds one member's arrays at a time.
 
     workers is accepted for compatibility and has no effect: the
     integrator runs in Python and holds the interpreter lock, so a thread
@@ -200,7 +209,17 @@ def run_analysis(cfg: AnalysisConfig, workers: int = 1) -> list[RunResult]:
     if cfg.params is None:
         raise HopfDdeError("configuration has no model parameters")
     if cfg.sweep is None:
-        return [analyze_params(cfg.params, cfg)]
-    return [analyze_params(dataclasses.replace(cfg.params, **{cfg.sweep.param: v}),
-                           cfg, f"{cfg.sweep.param}={v:.10g}")
-            for v in sweep_values(cfg.sweep)]
+        points = [(cfg.params, "")]
+    else:
+        points = [(dataclasses.replace(cfg.params, **{cfg.sweep.param: v}),
+                   f"{cfg.sweep.param}={v:.10g}") for v in sweep_values(cfg.sweep)]
+    results = []
+    for p, label in points:
+        run = analyze_params(p, cfg, label)
+        if on_run is not None:
+            on_run(run, len(points))
+            for br in run.branches:
+                if br.sim is not None:
+                    br.sim.trajectory = None
+        results.append(run)
+    return results

@@ -1,13 +1,17 @@
 """End-to-end command-line behavior and exit codes."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import hopf_dde
-from hopf_dde import NumericalError, parse_report
+from hopf_dde import (PRESETS, AnalysisConfig, NumericalError, csv_output,
+                      load_config, parse_report, pipeline, render_report,
+                      run_analysis)
 from hopf_dde import cli
 
 FAST_CFG = """
@@ -82,6 +86,86 @@ def test_sweep_writes_labeled_outputs(tmp_path):
     for slug in ("n_2", "n_3", "n_4"):
         assert (out / f"trajectory_{slug}.csv").exists()
         assert (out / f"phase_{slug}.csv").exists()
+
+
+A12_SWEEP = FAST_CFG + "sweep.param = a12\nsweep.start = 0.01\nsweep.stop = 0.03\nsweep.count = 3\n"
+
+
+def _write_after_the_run(cfg, out):
+    # the writer cli.main had before it streamed: every run first, then
+    # report.txt, then each simulated run's CSVs
+    results = run_analysis(cfg)
+    os.makedirs(out)
+    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(render_report(results, cfg))
+    for run in results:
+        suffix = f"_{cli._label_slug(run.label)}" if len(results) > 1 and run.label else ""
+        for br in run.branches:
+            traj = br.sim.trajectory
+            ppath = os.path.join(out, f"phase{suffix}.csv")
+            csv_output.write_trajectory_csv(
+                os.path.join(out, f"trajectory{suffix}.csv"), traj,
+                lambda chunks: csv_output.write_phase_csv(ppath, traj, chunks))
+
+
+@pytest.mark.parametrize("case", ["a12_sweep", "n4"])
+def test_streamed_outputs_match_writing_after_the_run(tmp_path, case):
+    if case == "n4":
+        argv = ["--paper-case", "n4"]
+        cfg = AnalysisConfig(params=PRESETS["n4"])
+    else:
+        argv = ["--config", _write_cfg(tmp_path, A12_SWEEP)]
+        cfg = load_config(argv[1])
+    assert cli.main(argv + ["--out", str(tmp_path / "streamed")]) == 0
+    _write_after_the_run(cfg, str(tmp_path / "after"))
+    names = sorted(os.listdir(tmp_path / "after"))
+    assert len(names) == (7 if case == "a12_sweep" else 3)
+    assert sorted(os.listdir(tmp_path / "streamed")) == names
+    for name in names:
+        assert ((tmp_path / "streamed" / name).read_bytes()
+                == (tmp_path / "after" / name).read_bytes()), name
+
+
+def test_sweep_holds_one_trajectory_at_a_time(tmp_path, monkeypatch):
+    # when member k is integrated, every earlier member's arrays are gone
+    refs, alive_at_call = [], []
+    real = pipeline.integrate
+
+    def spy(*args):
+        gc.collect()
+        alive_at_call.append([ref() is not None for ref in refs])
+        traj = real(*args)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(pipeline, "integrate", spy)
+    assert cli.main(["--config", _write_cfg(tmp_path, A12_SWEEP),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert alive_at_call == [[], [False], [False, False]]
+
+
+@pytest.mark.parametrize("sweep", [
+    "sweep.param = a12\nsweep.start = 0.02\nsweep.stop = 0.02\nsweep.count = 1\n",
+    "sweep.param = n\nsweep.start = 2\nsweep.stop = 2.4\nsweep.count = 3\n",
+], ids=["count_1", "n_rounds_to_one"])
+def test_one_run_sweep_keeps_unsuffixed_names(tmp_path, sweep):
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_cfg(tmp_path, FAST_CFG + sweep),
+                     "--out", str(out)]) == 0
+    assert parse_report((out / "report.txt").read_text())["runs.count"] == "1"
+    assert sorted(os.listdir(out)) == ["phase.csv", "report.txt", "trajectory.csv"]
+
+
+def test_unwritable_member_csv_exits_3(tmp_path, capsys):
+    # the second member's trajectory path is a directory; the first
+    # member's CSVs are already on disk, report.txt is never written
+    out = tmp_path / "out"
+    (out / "trajectory_a12_0.02.csv").mkdir(parents=True)
+    rc = cli.main(["--config", _write_cfg(tmp_path, A12_SWEEP), "--out", str(out)])
+    assert rc == 3
+    assert "i/o failure" in capsys.readouterr().err
+    assert (out / "trajectory_a12_0.01.csv").is_file()
+    assert not (out / "report.txt").exists()
 
 
 def _run_extreme(tmp_path, **model):
@@ -170,7 +254,7 @@ def test_missing_config_file_exits_3(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_2(tmp_path, monkeypatch, capsys):
-    def boom(cfg, workers=1):
+    def boom(cfg, workers=1, on_run=None):
         raise NumericalError("synthetic failure")
 
     monkeypatch.setattr(cli, "run_analysis", boom)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,6 +279,37 @@ def test_y20_when_b2_times_a2_underflows():
     eq = find_equilibria(p)[0]
     assert eq.y20 == pytest.approx(eq.x20 / p.a2, rel=1e-15)
     assert eq.y10 * (p.a1 + p.a12 * eq.y20) == pytest.approx(eq.x10, rel=1e-12)
+
+
+def _root_of_g_60_digits(p):
+    # g(y) = a1 y + a12 y f(y)/(b2 (a2 + a21 y)) - 1/b1 bisected at 60
+    # digits on the a-priori bracket; mpmath's exponent range is unbounded
+    with mpmath.workdps(60):
+        a1, a2, a12, a21, b1, b2, a = map(mpmath.mpf, (p.a1, p.a2, p.a12, p.a21,
+                                                       p.b1, p.b2, p.a))
+
+        def g(y):
+            yn = y ** p.n
+            return a1 * y + a12 * y * yn / (a + yn) / (b2 * (a2 + a21 * y)) - 1 / b1
+
+        lo, hi = 1 / (b1 * (a1 + a12 / (a2 * b2))), 1 / (a1 * b1)
+        assert g(lo) < 0 < g(hi)
+        while hi - lo > mpmath.mpf(10) ** -58 * hi:
+            mid = mpmath.sqrt(lo * hi) if hi > 4 * lo else (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+        return float(lo)
+
+
+def test_load_whose_hill_product_underflows():
+    # a12*f(y10) is about 4.5e-321, subnormal, while the load a12 f y/(b2
+    # (a2 + a21 y)) is about 1.1e21; formed from the subnormal product, the
+    # bisection stopped 1e-5 (relative) away and the y1 balance rejected it
+    p = ModelParams(a1=9.339e-193, a2=1.057e-230, a12=2.243e-277, a21=4.613e-139,
+                    b1=8.847e-22, b2=8.615e-204, a=2.025e222, n=35)
+    eq = find_equilibria(p)[0]
+    supply = (p.a1 + p.a12 * eq.y20) * eq.y10
+    assert abs(eq.x10 - supply) <= 1e-10 * (eq.x10 + supply)
+    assert eq.y10 == pytest.approx(_root_of_g_60_digits(p), rel=1e-13)
 
 
 def test_equilibrium_component_overflow_raises():

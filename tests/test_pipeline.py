@@ -162,6 +162,26 @@ def test_sweep_runs_ordered_and_workers_equivalent():
     assert render_report(serial, cfg) == render_report(threaded, cfg)
 
 
+def test_on_run_sees_each_run_before_its_arrays_are_released():
+    cfg = AnalysisConfig(params=PRESETS["n2"], tau=10.0,
+                         sim=SimSpec(t_end=50.0, step=0.5),
+                         sweep=SweepSpec("a12", 0.01, 0.03, 3))
+    seen = []
+
+    def on_run(run, runs):
+        traj = run.branches[0].sim.trajectory
+        seen.append((run.label, runs, len(traj.t)))
+
+    results = run_analysis(cfg, on_run=on_run)
+    assert seen == [("a12=0.01", 3, 101), ("a12=0.02", 3, 101), ("a12=0.03", 3, 101)]
+    assert [br.sim.trajectory for r in results for br in r.branches] == [None] * 3
+    # without a callback the trajectories are returned, and the report
+    # is the same either way
+    kept = run_analysis(cfg)
+    assert all(len(r.branches[0].sim.trajectory.t) == 101 for r in kept)
+    assert render_report(kept, cfg) == render_report(results, cfg)
+
+
 def test_run_analysis_requires_params():
     from hopf_dde import HopfDdeError
     with pytest.raises(HopfDdeError):

@@ -472,10 +472,11 @@ def test_final_node_derivative_after_partial_step(step):
 
 
 def test_lookup_at_the_front_ignores_unwritten_memory(monkeypatch):
-    # at step = tau the k4 lookup lands on the newest node, and rounding
-    # of t + h - tau can put it just past the 1e-13 shortcut, so the
-    # Hermite weights touch the next, unwritten node; what the allocator
-    # left there must not reach the trajectory
+    # at step = tau every full step reads the newest written node, next to
+    # the unwritten ones. The node arrays come from np.zeros, so even a
+    # read of an unwritten node gives 0, never what the allocator left
+    # there; np.empty is poisoned with NaN so that an array allocated with
+    # it and read before it is written shows in the result
     p = PRESETS["n2"]
     y0 = np.array([2.0, 0.7, 11.0, 79.0])
     tau = 0.3
