@@ -7,7 +7,9 @@ named parameter presets) and writes `report.txt` plus, when a simulation
 ran, `trajectory.csv` and `phase.csv` into the output directory. Each
 run's (each sweep point's) CSVs are written as soon as it is simulated,
 and its arrays are then released; `report.txt` is written after the last
-run. Output bytes are deterministic for a given input.
+run. Output bytes are deterministic for a given input. A process that
+calls main more than once (a script, a benchmark loop) builds the
+argument parser on the first call and reuses it.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O failure. Set HOPF_DDE_LOG=info or =debug for progress logging on
@@ -43,7 +45,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# built on the first call, not at import, and shared by later calls in the
+# process: parse_args leaves the parser as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `analyze` argument parser; callers share one and must not modify it."""
     ps = _Parser(prog="analyze",
                  description="Hopf bifurcation analysis of the delayed "
                              "P53-MDM2 feedback model")

@@ -18,8 +18,10 @@ so the equilibrium lies in that bracket.
 find_equilibria bisects g on that bracket down to adjacent floats, with
 f in log space so n in the hundreds cannot overflow. build_equilibrium
 checks the y1 balance at the assembled equilibrium; the other three
-steady-state equations hold by construction. The same bisection,
-_bisect, finds the crossing frequencies in stability.
+steady-state equations hold by construction. Where f(y10) or a12*f(y)
+underflows, the load, x20 and y20 carry f's binary exponent apart. The
+same bisection, _bisect, finishes the crossing-frequency solve in
+stability, on the bracket a few Newton steps leave.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import math
 import sys
 
 from .errors import DomainError
-from .model import ModelParams, _hill_log, hill_derivs, hill_eval
+from .model import (ModelParams, _hill_log, _hill_scaled, _scaled_product,
+                    hill_derivs, hill_eval)
 
 # y1-balance threshold, relative to the sum of the balance's two sides
 _ACCEPT_TOL = 1e-10
@@ -82,25 +85,28 @@ def _solve_y10(p: ModelParams) -> float:
     g(y) < 0 is tested as a1*y + load < 1/b1, so no step divides by a
     product that can underflow or subtracts infinities; a load that
     overflows reads as g > 0, which it is. Where a12*f(y) underflows, the
-    load is formed in logs instead.
+    load carries f's binary exponent apart. The test is not monotone in
+    floats where the Hill term rounds (at a1 = b1 = b2 = 1e-16, a band
+    10 % wide around y10 holds several sign changes), so it keeps
+    _bisect's midpoints rather than Newton steps.
     """
     x10 = 1.0 / p.b1
     if x10 == math.inf:
         raise DomainError(f"x10 = 1/b1 overflows for b1={p.b1!r}")
     n, a1, a12, a2, a21, b2 = p.n, p.a1, p.a12, p.a2, p.a21, p.b2
     log_a = math.log(p.a)
-    log_a12 = math.log(a12) if a12 else -math.inf
-    log_b2, log_x10 = math.log(b2), math.log(x10)
+    mb2, jb2 = math.frexp(b2)
 
     def below(y: float) -> bool:
         q = a12 * _hill_log(y, n, log_a)
         if q < _NORMAL and a12:
             # q lost digits to underflow, though the load can be a normal
-            # float: take it in logs, ln f = -softplus(t) with f = 1/(1 + e^t)
-            t = log_a - n * math.log(y)
-            log_load = (log_a12 - max(t, 0.0) - math.log1p(math.exp(-abs(t)))
-                        + math.log(y) - math.log(a2 + a21 * y) - log_b2)
-            return log_load < log_x10 and a1 * y + math.exp(log_load) < x10
+            # float: carry f's binary exponent apart
+            f, e = _hill_scaled(y, p)
+            mbe, jbe = math.frexp(a2 + a21 * y)
+            load = _scaled_product((a12, f, y, 1.0 / mbe, 1.0 / mb2),
+                                   e - jbe - jb2)
+            return a1 * y + load < x10
         load = q * (y / (a2 + a21 * y)) / b2 if q else 0.0
         return a1 * y + load < x10
 
@@ -128,17 +134,22 @@ def build_equilibrium(p: ModelParams, y10: float) -> Equilibrium:
             f"equilibrium protein level must be positive and finite, got {y10!r}")
     f0 = hill_eval(y10, p)
     r1, r2, r3 = hill_derivs(y10, p)
-    x20 = f0 / p.b2
     be = p.a2 + p.a21 * y10
-    # b2*be can underflow where x20/be does not
-    den = p.b2 * be
-    eq = Equilibrium(
-        x10=1.0 / p.b1,
-        y10=float(y10),
-        x20=x20,
-        y20=f0 / den if den >= sys.float_info.min else x20 / be,
-        rho1=r1, rho2=r2, rho3=r3,
-    )
+    if f0 >= _NORMAL:
+        x20 = f0 / p.b2
+        # b2*be can underflow where x20/be does not
+        den = p.b2 * be
+        y20 = f0 / den if den >= _NORMAL else x20 / be
+    else:
+        # f0 lost digits to underflow, though x20 = f0/b2 and y20 can be
+        # normal floats: carry f's binary exponent apart
+        f, e = _hill_scaled(y10, p)
+        mb2, jb2 = math.frexp(p.b2)
+        mbe, jbe = math.frexp(be)
+        x20 = _scaled_product((f, 1.0 / mb2), e - jb2)
+        y20 = _scaled_product((f, 1.0 / mb2, 1.0 / mbe), e - jb2 - jbe)
+    eq = Equilibrium(x10=1.0 / p.b1, y10=float(y10), x20=x20, y20=y20,
+                     rho1=r1, rho2=r2, rho3=r3)
     if not all(map(math.isfinite, (eq.x10, eq.x20, eq.y20, r1, r2, r3))):
         raise DomainError(f"equilibrium is outside the float range: {eq}")
     supply = (p.a1 + p.a12 * eq.y20) * eq.y10

@@ -25,6 +25,8 @@ IX1, IY1, IX2, IY2 = 0, 1, 2, 3
 STATE_NAMES = ("x1", "y1", "x2", "y2")
 #: hill_derivs forms x**2 and x**3 unscaled on this open range
 _POW_SAFE_MIN, _POW_SAFE_MAX = 2.0**-330, 2.0**330
+#: below this Hill value _hill_scaled carries it as a mantissa and exponent
+_SIGMA_SCALED = 2.0**-511
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,30 +97,66 @@ def hill_derivs(x: float, p: ModelParams) -> tuple[float, float, float]:
     the normal float range just beyond) x is scaled by a power of two and
     each product is assembled by _scaled_product, so every derivative is
     finite for finite x > 0; inside, the values are the plain products
-    bit for bit. A derivative reads 0 where it underflows, and also where
-    s or a bracketed factor underflows on its own (s^2 for n = 1 once x
-    drops below about 1e-154). Where sigma > 1/2, 1 - sigma is taken in
-    log space as a/(a + x^n), so that f' keeps its digits once x^n/a
-    passes 1e16 and sigma rounds to 1.
+    bit for bit. Below sigma = 2^-511, where sigma^2 and then sigma itself
+    leave the normal range, 1 - sigma rounds to 1 and each bracket is its
+    lowest power of sigma with a nonzero coefficient; sigma goes to
+    _scaled_product as _hill_scaled's mantissa and binary exponent, so
+    n x^(n-1)/a and its siblings keep their digits. A derivative reads 0
+    only where it underflows itself (or
+    where 1 - sigma underflows, for huge x). Where sigma > 1/2, 1 - sigma
+    is taken in log space as a/(a + x^n), so that f' keeps its digits
+    once x^n/a passes 1e16 and sigma rounds to 1.
     """
     if x <= 0.0:
         raise DomainError(f"hill_derivs requires x > 0, got {x!r}")
     x = float(x)
     n = float(p.n)
-    log_a = math.log(p.a)
-    s = _hill_log(x, p.n, log_a)
-    # a/(a + x^n) = 1/(1 + e^(-t)): _hill_log's t = ln a - n ln x negated
-    r = 1.0 - s if s <= 0.5 else _hill_log(x, -p.n, -log_a)
-    u = s * r
+    s, e = _hill_scaled(x, p)
     k = 0 if _POW_SAFE_MIN < x < _POW_SAFE_MAX else math.frexp(x)[1]
     xs = math.ldexp(x, -k)
-    r1 = _scaled_product((n / xs, u), -k)
-    r2 = _scaled_product((n / xs**2, u, (n - 1.0) - 2.0 * n * s), -2 * k)
-    r3 = _scaled_product((n / xs**3, u,
-                          (n - 1.0) * (n - 2.0) * r ** 2
-                          - 4.0 * (n * n - 1.0) * s * r
-                          + (n + 1.0) * (n + 2.0) * s * s), -3 * k)
+    c2 = ((n - 1.0), -2.0 * n)
+    c3 = ((n - 1.0) * (n - 2.0), -4.0 * (n * n - 1.0), (n + 1.0) * (n + 2.0))
+    if not e:
+        # sigma = s; a/(a + x^n) = 1/(1 + e^(-t)): _hill_log's t negated
+        r = 1.0 - s if s <= 0.5 else _hill_log(x, -p.n, -math.log(p.a))
+        u = s * r
+        b2 = (c2[0] + c2[1] * s,)
+        b3 = (c3[0] * r ** 2 + c3[1] * s * r + c3[2] * s * s,)
+    else:
+        # sigma = s 2^e, and 1 - sigma rounds to 1
+        u = s
+        b2, b3 = _lowest_power(c2, s), _lowest_power(c3, s)
+    r1 = _scaled_product((n / xs, u), e - k)
+    r2 = _scaled_product((n / xs**2, u) + b2, len(b2) * e - 2 * k)
+    r3 = _scaled_product((n / xs**3, u) + b3, len(b3) * e - 3 * k)
     return r1, r2, r3
+
+
+def _hill_scaled(x: float, p: ModelParams) -> tuple[float, int]:
+    """The Hill value f(x) at x > 0 as (m, e), f = m 2^e.
+
+    Where f >= 2^-511, m is _hill_log's value bit for bit and e = 0.
+    Below, f = x^n/a to a relative 2^-511; with x = mx 2^jx and
+    a = ma 2^ja, log2 f splits into the integer n jx - ja and
+    n log2(mx) - log2(ma), of size at most n + 1, so m in (1/2, 1] is good
+    to about n ulp however far f lies below the float range.
+    """
+    s = _hill_log(x, p.n, math.log(p.a))
+    if s >= _SIGMA_SCALED:
+        return s, 0
+    mx, jx = math.frexp(x)
+    ma, ja = math.frexp(p.a)
+    lg = p.n * math.log2(mx) - math.log2(ma)
+    lg_int = math.ceil(lg)
+    return 2.0 ** (lg - lg_int), p.n * jx - ja + lg_int
+
+
+def _lowest_power(coeffs: tuple[float, ...], u: float) -> tuple[float, ...]:
+    """c_i, u, ..., u (i times u) for the first nonzero c_i: the term of
+    sum c_i sigma^i that the sum rounds to when sigma = u 2^e is below
+    2^-511, as factors for _scaled_product (they carry e times i)."""
+    i = next(i for i, c in enumerate(coeffs) if c)
+    return (coeffs[i],) + (u,) * i
 
 
 def _scaled_product(factors: tuple[float, ...], exp2: int) -> float:
@@ -127,14 +165,15 @@ def _scaled_product(factors: tuple[float, ...], exp2: int) -> float:
     The running product is kept as a mantissa in [0.5, 1) and a separate
     binary exponent; renormalizing is exact, so each multiply rounds as
     the plain left-to-right product does wherever that stays normal. The
-    running product cannot overflow; the final ldexp underflows to 0, or
-    raises OverflowError when the product itself exceeds the float range.
+    running product cannot overflow; the result underflows to 0, or reads
+    +-inf where the product itself exceeds the float range.
     """
     m, e = 1.0, exp2
     for f in factors:
         m, de = math.frexp(m * f)
         e += de
-    return math.ldexp(m, e)
+    # |m| < 1, so m 2^e is finite exactly where e <= 1024
+    return math.ldexp(m, e) if e <= 1024 or not m else math.copysign(math.inf, m)
 
 
 def _hill_log(x: float, n: int, log_a: float) -> float:

@@ -11,92 +11,78 @@ from __future__ import annotations
 from .config import AnalysisConfig
 from .pipeline import BranchResult, RunResult
 
-_MODEL_FIELDS = ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n")
+_MODEL_FIELDS = ("a1", "a2", "a12", "a21", "b1", "b2", "a")
+_EQ_FIELDS = ("x10", "y10", "x20", "y20", "rho1", "rho2", "rho3")
+_CHAR_FIELDS = ("b", "c", "d", "g", "h", "l1", "l2", "l3")
+_NF_COMPLEX = ("g20", "g11", "g02", "g21", "C1")
+_NF_REAL = ("mu2", "beta2", "T2", "mu2_implicit", "T2_implicit")
+_SIM_FIELDS = ("tau", "t_end", "step", "perturbation",
+               "period", "amp_variation", "y1_min", "y1_max")
 
 
 def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _emit(lines: list[str], key: str, value) -> None:
-    if isinstance(value, bool):
-        lines.append(f"{key} = {'true' if value else 'false'}")
-    elif isinstance(value, int):
-        lines.append(f"{key} = {value}")
-    elif isinstance(value, float):
-        lines.append(f"{key} = {fmt_float(value)}")
-    elif isinstance(value, complex):
-        lines.append(f"{key}.re = {fmt_float(value.real)}")
-        lines.append(f"{key}.im = {fmt_float(value.imag)}")
-    else:
-        lines.append(f"{key} = {value}")
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _complex(key: str, z: complex) -> str:
+    return f"{key}.re = {z.real:.17g}\n{key}.im = {z.imag:.17g}"
 
 
 def _branch_lines(lines: list[str], pre: str, br: BranchResult) -> None:
-    eq = br.eq
-    for name in ("x10", "y10", "x20", "y20", "rho1", "rho2", "rho3"):
-        _emit(lines, f"{pre}equilibrium.{name}", getattr(eq, name))
+    lines += [f"{pre}equilibrium.{k} = {getattr(br.eq, k):.17g}" for k in _EQ_FIELDS]
     if br.error is not None:
-        _emit(lines, f"{pre}error", br.error)
+        lines.append(f"{pre}error = {br.error}")
     if br.cc is not None:
-        for name in ("b", "c", "d", "g", "h", "l1", "l2", "l3"):
-            _emit(lines, f"{pre}char.{name}", getattr(br.cc, name))
+        lines += [f"{pre}char.{k} = {getattr(br.cc, k):.17g}" for k in _CHAR_FIELDS]
     if br.rh_stable is not None:
-        _emit(lines, f"{pre}rh_stable", br.rh_stable)
-    _emit(lines, f"{pre}candidates.count", len(br.candidates))
+        lines.append(f"{pre}rh_stable = {_bool(br.rh_stable)}")
+    lines.append(f"{pre}candidates.count = {len(br.candidates)}")
     for i, (omega, taus) in enumerate(br.candidates):
-        _emit(lines, f"{pre}candidates.{i}.omega", omega)
-        _emit(lines, f"{pre}candidates.{i}.tau.count", len(taus))
-        for k, t in enumerate(taus):
-            _emit(lines, f"{pre}candidates.{i}.tau.{k}", t)
+        c = f"{pre}candidates.{i}."
+        lines += [f"{c}omega = {omega:.17g}", f"{c}tau.count = {len(taus)}"]
+        lines += [f"{c}tau.{k} = {t:.17g}" for k, t in enumerate(taus)]
     if br.hopf is not None:
-        hp = br.hopf
-        _emit(lines, f"{pre}hopf.omega_c", hp.omega_c)
-        _emit(lines, f"{pre}hopf.tau_c", hp.tau_c)
-        _emit(lines, f"{pre}hopf.dlambda_dtau", hp.dlambda_dtau)
-        _emit(lines, f"{pre}hopf.dlambda_dtau_closed", hp.dlambda_dtau_closed)
-        _emit(lines, f"{pre}hopf.L1", hp.L1)
-        _emit(lines, f"{pre}hopf.L2", hp.L2)
+        hp, h = br.hopf, f"{pre}hopf."
+        lines += [f"{h}omega_c = {hp.omega_c:.17g}", f"{h}tau_c = {hp.tau_c:.17g}",
+                  _complex(f"{h}dlambda_dtau", hp.dlambda_dtau),
+                  _complex(f"{h}dlambda_dtau_closed", hp.dlambda_dtau_closed),
+                  f"{h}L1 = {hp.L1:.17g}", f"{h}L2 = {hp.L2:.17g}"]
     if br.nf is not None:
-        nf = br.nf
-        for name in ("g20", "g11", "g02", "g21", "C1"):
-            _emit(lines, f"{pre}nf.{name}", getattr(nf, name))
-        for name in ("E1", "E2"):
-            for i, z in enumerate(getattr(nf, name)):
-                _emit(lines, f"{pre}nf.{name}.{i}", z)
-        for name in ("mu2", "beta2", "T2", "mu2_implicit", "T2_implicit"):
-            _emit(lines, f"{pre}nf.{name}", getattr(nf, name))
-        _emit(lines, f"{pre}nf.transversality_conflict", nf.transversality_conflict)
-        _emit(lines, f"{pre}nf.direction", nf.direction)
-        _emit(lines, f"{pre}nf.orbit_stability", nf.orbit_stability)
-        _emit(lines, f"{pre}nf.period_trend", nf.period_trend)
+        nf, f = br.nf, f"{pre}nf."
+        lines += [_complex(f"{f}{k}", getattr(nf, k)) for k in _NF_COMPLEX]
+        lines += [_complex(f"{f}E1.{i}", z) for i, z in enumerate(nf.E1)]
+        lines += [_complex(f"{f}E2.{i}", z) for i, z in enumerate(nf.E2)]
+        lines += [f"{f}{k} = {getattr(nf, k):.17g}" for k in _NF_REAL]
+        lines += [f"{f}transversality_conflict = {_bool(nf.transversality_conflict)}",
+                  f"{f}direction = {nf.direction}",
+                  f"{f}orbit_stability = {nf.orbit_stability}",
+                  f"{f}period_trend = {nf.period_trend}"]
     if br.tau_eval is not None:
-        _emit(lines, f"{pre}tau_eval", br.tau_eval)
+        lines.append(f"{pre}tau_eval = {br.tau_eval:.17g}")
     if br.classification is not None:
-        _emit(lines, f"{pre}classification", br.classification)
+        lines.append(f"{pre}classification = {br.classification}")
     if br.sim is not None:
-        s = br.sim
-        for name in ("tau", "t_end", "step", "perturbation",
-                     "period", "amp_variation", "y1_min", "y1_max"):
-            _emit(lines, f"{pre}sim.{name}", getattr(s, name))
-    _emit(lines, f"{pre}flags.count", len(br.flags))
-    for i, fl in enumerate(br.flags):
-        _emit(lines, f"{pre}flags.{i}", fl)
+        lines += [f"{pre}sim.{k} = {getattr(br.sim, k):.17g}" for k in _SIM_FIELDS]
+    lines.append(f"{pre}flags.count = {len(br.flags)}")
+    lines += [f"{pre}flags.{i} = {fl}" for i, fl in enumerate(br.flags)]
 
 
 def render_report(results: list[RunResult], cfg: AnalysisConfig) -> str:
-    lines: list[str] = ["format = 2"]
-    _emit(lines, "runs.count", len(results))
-    _emit(lines, "k_max", cfg.k_max)
+    lines = ["format = 2", f"runs.count = {len(results)}", f"k_max = {cfg.k_max}"]
     for j, run in enumerate(results):
         pre = f"run.{j}."
         if run.label:
-            _emit(lines, f"{pre}label", run.label)
-        for name in _MODEL_FIELDS:
-            _emit(lines, f"{pre}model.{name}", getattr(run.params, name))
+            lines.append(f"{pre}label = {run.label}")
+        p = run.params
+        lines += [f"{pre}model.{k} = {getattr(p, k):.17g}" for k in _MODEL_FIELDS]
+        lines.append(f"{pre}model.n = {p.n}")
         if run.error is not None:
-            _emit(lines, f"{pre}error", run.error)
-        _emit(lines, f"{pre}equilibria.count", len(run.branches))
+            lines.append(f"{pre}error = {run.error}")
+        lines.append(f"{pre}equilibria.count = {len(run.branches)}")
         for i, br in enumerate(run.branches):
             _branch_lines(lines, f"{pre}eq.{i}.", br)
     return "\n".join(lines) + "\n"

@@ -51,6 +51,9 @@ from .model import ModelParams
 _DEGENERATE_DENOM = 1e-12
 _UNIT_MODULUS_TOL = 1e-8
 _AT_BIFURCATION_TOL = 1e-9
+#: Newton steps before the frequency cubic's solve falls back to bisection;
+#: the sweep_n grid and random coefficients over 1e+-100 take at most 8
+_NEWTON_STEPS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,6 +125,11 @@ def routh_hurwitz_stable(cc: CharCoeffs) -> bool:
     return cc.rh_left > cc.rh_right
 
 
+def _cubic(z: float, l1: float, l2: float, l3: float) -> float:
+    """F(z) = z^3 + l1 z^2 + l2 z + l3 by Horner's rule."""
+    return ((z + l1) * z + l2) * z + l3
+
+
 # hopf_candidates, first_hopf and classify_stability ask in turn for the
 # crossings of one branch's cubic; the last solve serves all three
 @functools.lru_cache(maxsize=1)
@@ -129,18 +137,41 @@ def _cubic_positive_roots(l1: float, l2: float, l3: float) -> tuple[float, ...]:
     """The positive root of F(z) = z^3 + l1 z^2 + l2 z + l3, if any.
 
     char_coeffs gives l1 > 0 and l2 > 0, so F increases on z > 0 and has a
-    positive root iff l3 < 0. As F(z) >= z^3 + l3 and F(z) >= l2 z + l3 there,
-    the root lies below min((-l3)^(1/3), -l3/l2); F is bisected on twice
-    that bracket down to adjacent floats. Every term of F but l3 is
+    positive root iff l3 < 0. As F(z) >= z^3 + l3, F(z) >= l2 z + l3 and
+    F(z) >= l1 z^2 + l3 there, the root lies below min((-l3)^(1/3), -l3/l2,
+    (-l3/l1)^(1/2)), and above a third of it. Every term of F but l3 is
     non-negative, so a term that overflows reads +inf, which has the sign
     of F there, and no rescaling is needed.
+
+    The result is the first float z > 0 with F(z) >= 0, F by _cubic. With
+    l1, l2 >= 0 each rounded operation of Horner's rule is monotone in z,
+    so the float F is non-decreasing and that float is unique: any bracket
+    of it gives the same one. F is convex and increasing, so Newton steps
+    from the upper bound converge to the root from above; each evaluation
+    narrows a bracket (lo, hi) with F(lo) < 0 <= F(hi), and a step that
+    rounds to nothing moves one float toward the root instead. The shared
+    _bisect then finishes on the few-float bracket the steps leave, or on
+    what is left after _NEWTON_STEPS where Newton stalls (F' overflowing,
+    or F a subnormal staircase).
     """
     if not (l1 >= 0.0 and l2 >= 0.0):
         raise DomainError(f"frequency cubic needs l1, l2 >= 0, got {l1!r}, {l2!r}")
     if not l3 < 0.0:
         return ()
-    hi = min((-l3) ** (1.0 / 3.0), -l3 / l2 if l2 > 0.0 else math.inf)
-    return (_bisect(lambda z: ((z + l1) * z + l2) * z + l3 < 0.0, 0.0, 2.0 * hi),)
+    top = min((-l3) ** (1.0 / 3.0), -l3 / l2 if l2 > 0.0 else math.inf)
+    lo, hi = 0.0, 2.0 * top
+    z = min(top, math.sqrt(-l3 / l1)) if l1 > 0.0 else top
+    for _ in range(_NEWTON_STEPS):
+        if not lo < z < hi:
+            break
+        f = _cubic(z, l1, l2, l3)
+        if f < 0.0:
+            lo = z
+        else:
+            hi = z
+        z_next = z - f / ((3.0 * z + 2.0 * l1) * z + l2)
+        z = z_next if z_next != z else math.nextafter(z, hi if f < 0.0 else lo)
+    return (_bisect(lambda z: _cubic(z, l1, l2, l3) < 0.0, lo, hi),)
 
 
 def omega_candidates(cc: CharCoeffs) -> list[float]:

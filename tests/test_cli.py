@@ -242,6 +242,29 @@ def test_usage_error_exits_1(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_repeated_calls_build_one_parser(tmp_path, monkeypatch, capsys):
+    # the parser is built on the first call in a process and reused; a
+    # usage error on a later call still exits 1 with argparse's message
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        cfg = _write_cfg(tmp_path, FAST_CFG + "sim.enabled = false\n")
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["--paper-case", "n2", "--bogus"]) == 1
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    assert ("configuration error: unrecognized arguments: --bogus"
+            in capsys.readouterr().err)
+
+
 def test_bad_worker_count_exits_1(capsys):
     assert cli.main(["--paper-case", "n2", "--workers", "0"]) == 1
     assert "--workers" in capsys.readouterr().err

@@ -312,6 +312,24 @@ def test_load_whose_hill_product_underflows():
     assert eq.y10 == pytest.approx(_root_of_g_60_digits(p), rel=1e-13)
 
 
+def test_x20_when_the_hill_value_underflows():
+    # y10 is 1e-50, so f(y10) = 1e-350 underflows to 0, while x20 = f/b2 =
+    # 1e-150 and y20 = 1e50 are normal floats: x20 and y20 come from f as a
+    # mantissa and a binary exponent, or the y1 balance rejects the root
+    p = ModelParams(a1=1.0, a2=1e-200, a12=1.0, a21=0.0, b1=1.0, b2=1e-200,
+                    a=1e300, n=1)
+    eq = find_equilibria(p)[0]
+    assert eq.y10 == pytest.approx(_root_of_g_60_digits(p), rel=1e-13)
+    with mpmath.workdps(60):
+        y = mpmath.mpf(eq.y10)
+        x20 = y**p.n / (mpmath.mpf(p.a) + y**p.n) / mpmath.mpf(p.b2)
+        y20 = x20 / (mpmath.mpf(p.a2) + mpmath.mpf(p.a21) * y)
+    assert eq.x20 == pytest.approx(float(x20), rel=1e-13)
+    assert eq.y20 == pytest.approx(float(y20), rel=1e-13)
+    supply = (p.a1 + p.a12 * eq.y20) * eq.y10
+    assert abs(eq.x10 - supply) <= 1e-10 * (eq.x10 + supply)
+
+
 def test_equilibrium_component_overflow_raises():
     # decoupled, so y10 = 1/(a1 b1) is fine, but x20 = f(y10)/b2 overflows
     with pytest.raises(DomainError, match="outside the float range"):

@@ -135,6 +135,35 @@ def test_hill_derivatives_at_the_ends_of_the_float_range(x, n):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300), k
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hill_derivatives_where_x_to_the_n_over_a_underflows(n):
+    # below x^n/a = 2^-511 its square, and below 1e-308 the value itself,
+    # leave the normal range although the derivatives need not: f''' =
+    # 6/a^3 at n = 1 read 0 from x = 1e-154 down, and at n = 2, 3 every
+    # derivative read 0. Checked against a 60-digit evaluation of the
+    # symbolic derivatives (abs 1e-320 where the true value is subnormal).
+    p = dataclasses.replace(PRESETS["n4"], n=n)
+    t = sympy.Symbol("t")
+    f = t**n / (sympy.Rational(p.a) + t**n)
+    exact = [sympy.lambdify(t, sympy.diff(f, t, k), "mpmath") for k in (1, 2, 3)]
+    for e in range(-300, -149, 10):
+        for m in (1.0, 3.7):
+            x = m * 10.0**e
+            with mpmath.workdps(60):
+                want = [float(d(mpmath.mpf(x))) for d in exact]
+            for k, (got, w) in enumerate(zip(hill_derivs(x, p), want), start=1):
+                assert got == pytest.approx(w, rel=1e-13, abs=1e-320), (x, k)
+
+
+def test_hill_derivatives_beyond_the_float_range_read_inf():
+    # at n = 1 and x << a, f'' = -2/a^2 and f''' = 6/a^3 exceed the float
+    # range for a = 1e-200: they read -inf and inf, not OverflowError
+    p = dataclasses.replace(PRESETS["n4"], a=1e-200, n=1)
+    r1, r2, r3 = hill_derivs(1e-300, p)
+    assert r1 == pytest.approx(1e200, rel=1e-12)
+    assert (r2, r3) == (-math.inf, math.inf)
+
+
 def test_hill_derivatives_where_the_hill_value_rounds_to_one():
     # a1 = b1 = b2 = 1e-16 put y10 at 9.0e15, where x^n/a > 1e16 and
     # f(y10) rounds to 1.0; 1 - f = a/(a + x^n) must come from log space,

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hopf_dde import (AnalysisConfig, PRESETS, analyze_params, parse_report,
-                      render_report)
-from hopf_dde.config import SimSpec
+from hopf_dde import (AnalysisConfig, ModelParams, PRESETS, analyze_params,
+                      parse_report, render_report, run_analysis)
+from hopf_dde.config import SimSpec, SweepSpec
 from hopf_dde import csv_output
 from hopf_dde.csv_output import (_csv_rows, _format_values, write_phase_csv,
                                  write_trajectory_csv)
@@ -70,6 +70,123 @@ def test_report_values_round_trip(n2_result):
 def test_report_is_deterministic(n2_result):
     run, cfg = n2_result
     assert render_report([run], cfg) == render_report([run], cfg)
+
+
+def _emit(lines, key, value):
+    # the renderer before direct formatting: one type dispatch per value
+    if isinstance(value, bool):
+        lines.append(f"{key} = {'true' if value else 'false'}")
+    elif isinstance(value, int):
+        lines.append(f"{key} = {value}")
+    elif isinstance(value, float):
+        lines.append(f"{key} = {fmt_float(value)}")
+    elif isinstance(value, complex):
+        lines.append(f"{key}.re = {fmt_float(value.real)}")
+        lines.append(f"{key}.im = {fmt_float(value.imag)}")
+    else:
+        lines.append(f"{key} = {value}")
+
+
+def _reference_branch_lines(lines, pre, br):
+    for name in ("x10", "y10", "x20", "y20", "rho1", "rho2", "rho3"):
+        _emit(lines, f"{pre}equilibrium.{name}", getattr(br.eq, name))
+    if br.error is not None:
+        _emit(lines, f"{pre}error", br.error)
+    if br.cc is not None:
+        for name in ("b", "c", "d", "g", "h", "l1", "l2", "l3"):
+            _emit(lines, f"{pre}char.{name}", getattr(br.cc, name))
+    if br.rh_stable is not None:
+        _emit(lines, f"{pre}rh_stable", br.rh_stable)
+    _emit(lines, f"{pre}candidates.count", len(br.candidates))
+    for i, (omega, taus) in enumerate(br.candidates):
+        _emit(lines, f"{pre}candidates.{i}.omega", omega)
+        _emit(lines, f"{pre}candidates.{i}.tau.count", len(taus))
+        for k, t in enumerate(taus):
+            _emit(lines, f"{pre}candidates.{i}.tau.{k}", t)
+    if br.hopf is not None:
+        for name in ("omega_c", "tau_c", "dlambda_dtau", "dlambda_dtau_closed",
+                     "L1", "L2"):
+            _emit(lines, f"{pre}hopf.{name}", getattr(br.hopf, name))
+    if br.nf is not None:
+        nf = br.nf
+        for name in ("g20", "g11", "g02", "g21", "C1"):
+            _emit(lines, f"{pre}nf.{name}", getattr(nf, name))
+        for name in ("E1", "E2"):
+            for i, z in enumerate(getattr(nf, name)):
+                _emit(lines, f"{pre}nf.{name}.{i}", z)
+        for name in ("mu2", "beta2", "T2", "mu2_implicit", "T2_implicit",
+                     "transversality_conflict", "direction", "orbit_stability",
+                     "period_trend"):
+            _emit(lines, f"{pre}nf.{name}", getattr(nf, name))
+    if br.tau_eval is not None:
+        _emit(lines, f"{pre}tau_eval", br.tau_eval)
+    if br.classification is not None:
+        _emit(lines, f"{pre}classification", br.classification)
+    if br.sim is not None:
+        for name in ("tau", "t_end", "step", "perturbation",
+                     "period", "amp_variation", "y1_min", "y1_max"):
+            _emit(lines, f"{pre}sim.{name}", getattr(br.sim, name))
+    _emit(lines, f"{pre}flags.count", len(br.flags))
+    for i, fl in enumerate(br.flags):
+        _emit(lines, f"{pre}flags.{i}", fl)
+
+
+def _reference_render(results, cfg):
+    lines = ["format = 2"]
+    _emit(lines, "runs.count", len(results))
+    _emit(lines, "k_max", cfg.k_max)
+    for j, run in enumerate(results):
+        pre = f"run.{j}."
+        if run.label:
+            _emit(lines, f"{pre}label", run.label)
+        for name in ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n"):
+            _emit(lines, f"{pre}model.{name}", getattr(run.params, name))
+        if run.error is not None:
+            _emit(lines, f"{pre}error", run.error)
+        _emit(lines, f"{pre}equilibria.count", len(run.branches))
+        for i, br in enumerate(run.branches):
+            _reference_branch_lines(lines, f"{pre}eq.{i}.", br)
+    return "\n".join(lines) + "\n"
+
+
+_ANALYTIC = SimSpec(enabled=False)
+
+
+def _preset_runs():
+    cfg = AnalysisConfig(params=PRESETS["n2"], sim=_ANALYTIC)
+    return [analyze_params(p, cfg, label=name) for name, p in PRESETS.items()], cfg
+
+
+def _n_sweep():
+    cfg = AnalysisConfig(params=PRESETS["n4"], sim=_ANALYTIC,
+                         sweep=SweepSpec(param="n", start=2, stop=30, count=8))
+    return run_analysis(cfg), cfg
+
+
+def _branch_and_run_errors():
+    # a negative tau_eval fails the branch after its normal form; y10 above
+    # the float range fails the run before any branch
+    cfg = AnalysisConfig(params=PRESETS["n4"], tau=-1.0, sim=_ANALYTIC)
+    huge = ModelParams(a1=1e-300, a2=0.13, a12=0.02, a21=0.02, b1=1e-10,
+                       b2=0.01, a=4.0, n=4)
+    runs = [analyze_params(PRESETS["n4"], cfg), analyze_params(huge, cfg)]
+    assert runs[0].branches[0].error.startswith("DomainError: ")
+    assert runs[0].branches[0].nf is not None
+    assert runs[1].error is not None
+    return runs, cfg
+
+
+def _simulating_run():
+    cfg = AnalysisConfig(params=PRESETS["n2"], tau=10.0,
+                         sim=SimSpec(t_end=50.0, step=0.5))
+    return [analyze_params(PRESETS["n2"], cfg, label="n2")], cfg
+
+
+@pytest.mark.parametrize("make", [_preset_runs, _n_sweep, _branch_and_run_errors,
+                                  _simulating_run])
+def test_render_matches_the_type_dispatch_reference(make):
+    results, cfg = make()
+    assert render_report(results, cfg) == _reference_render(results, cfg)
 
 
 def test_parse_report_ignores_malformed_lines():

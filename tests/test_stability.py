@@ -1,6 +1,7 @@
 """Linearization, characteristic coefficients, crossings, transversality."""
 
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,10 @@ from hopf_dde import (AnalysisConfig, DomainError, ModelParams, PRESETS,
                       omega_candidates, routh_hurwitz_stable,
                       solve_E_vectors, transversality,
                       transversality_closed_form)
-from hopf_dde.config import SimSpec
+from hopf_dde import stability
+from hopf_dde.config import SimSpec, SweepSpec
+from hopf_dde.equilibrium import _bisect
+from hopf_dde.pipeline import sweep_values
 from hopf_dde.stability import CharCoeffs, _cubic_positive_roots
 
 from reference_model import characteristic_residual, linearize, rhs
@@ -167,6 +171,50 @@ def test_cubic_roots_with_huge_coefficients(l1, l2, l3, real_roots):
         residual = ((z + c1) * z + c2) * z + c3
         size = abs(z) ** 3 + abs(c1) * z * z + abs(c2 * z) + abs(c3)
         assert abs(residual) <= Fraction(1, 10**12) * size
+
+
+def _bisected_on_the_full_bracket(l1, l2, l3):
+    # the solve without Newton steps: F bisected on (0, 2 min((-l3)^(1/3),
+    # -l3/l2)] down to adjacent floats
+    hi = min((-l3) ** (1.0 / 3.0), -l3 / l2 if l2 > 0.0 else math.inf)
+    return _bisect(lambda z: ((z + l1) * z + l2) * z + l3 < 0.0, 0.0, 2.0 * hi)
+
+
+_DECADES = st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(l1=st.one_of(st.just(0.0), _DECADES), l2=st.one_of(st.just(0.0), _DECADES),
+       minus_l3=_DECADES)
+def test_cubic_newton_steps_give_the_bisected_float(l1, l2, minus_l3):
+    # Horner's F is non-decreasing in floats, so the first float with
+    # F >= 0 is unique, and the Newton-then-bisect solve finds the same one
+    # as bisection on the whole bracket, bit for bit
+    assert _cubic_positive_roots(l1, l2, -minus_l3) == (
+        _bisected_on_the_full_bracket(l1, l2, -minus_l3),)
+
+
+def _sweep_n_grid():
+    # perfbench's sweep_n: n = 2..158 in five sweeps of eight at the n4 rates
+    for first in range(2, 131, 32):
+        spec = SweepSpec(param="n", start=first, stop=first + 28, count=8)
+        for n in sweep_values(spec):
+            p = dataclasses.replace(PRESETS["n4"], n=n)
+            yield char_coeffs(p, find_equilibria(p)[0])
+
+
+def test_cubic_solve_evaluates_F_at_most_12_times_on_the_sweep_n_grid(monkeypatch):
+    calls = []
+    cubic = stability._cubic
+    monkeypatch.setattr(stability, "_cubic", lambda *a: calls.append(a) or cubic(*a))
+    grid = list(_sweep_n_grid())
+    assert len(grid) == 40
+    for cc in grid:
+        _cubic_positive_roots.cache_clear()
+        calls.clear()
+        roots = _cubic_positive_roots(cc.l1, cc.l2, cc.l3)
+        assert 1 <= len(calls) <= 12
+        assert roots == (_bisected_on_the_full_bracket(cc.l1, cc.l2, cc.l3),)
 
 
 def test_omega_candidates_empty_without_positive_roots():
