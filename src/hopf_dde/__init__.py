@@ -4,7 +4,7 @@ Library layout:
 
 - model: parameters, Hill nonlinearity
 - equilibrium: the positive steady state, bisected on its a-priori bracket
-- stability: characteristic coefficients, crossing frequencies, critical
+- stability: characteristic coefficients, the crossing frequency, critical
   delays, transversality
 - normal_form: first Lyapunov coefficient from the characteristic matrix,
   bifurcation classification
@@ -30,8 +30,8 @@ from .pipeline import BranchResult, RunResult, analyze_params, run_analysis
 from .report import parse_report, render_report
 from .stability import (CharCoeffs, HopfPoint, char_coeffs, classify_stability,
                         critical_delays, first_hopf, hopf_candidates,
-                        hopf_point, omega_candidates, routh_hurwitz_stable,
-                        transversality, transversality_closed_form)
+                        routh_hurwitz_stable, transversality,
+                        transversality_closed_form)
 
 __version__ = "0.1.0"
 

@@ -24,12 +24,12 @@ Unknown keys are rejected, so a misspelled or retired key fails the run.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .errors import ConfigError
 from .model import ModelParams
 
 _MODEL_KEYS = ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n")
-_SWEEPABLE = set(_MODEL_KEYS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,17 +114,12 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
         if s is not None:
             model_vals[name] = _as_int(f"model.{name}", s) if name == "n" \
                 else _as_float(f"model.{name}", s)
-    params = None
     if model_vals:
         missing = [k for k in _MODEL_KEYS if k not in model_vals]
         if missing:
             raise ConfigError(
                 "incomplete model block; missing "
                 + ", ".join(f"model.{k}" for k in missing))
-        try:
-            params = ModelParams(**model_vals)
-        except Exception as exc:
-            raise ConfigError(f"invalid model parameters: {exc}") from None
 
     tau_s = take("tau")
     tau = _as_float("tau", tau_s) if tau_s is not None else None
@@ -160,8 +155,8 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
             raise ConfigError("incomplete sweep block; missing "
                               + ", ".join(f"sweep.{k}" for k in missing))
         param = sweep_raw["param"]
-        if param not in _SWEEPABLE:
-            raise ConfigError(f"sweep.param must be one of {sorted(_SWEEPABLE)}, "
+        if param not in _MODEL_KEYS:
+            raise ConfigError(f"sweep.param must be one of {sorted(_MODEL_KEYS)}, "
                               f"got {param!r}")
         sweep = SweepSpec(
             param=param,
@@ -171,10 +166,21 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
         )
         if sweep.count < 1:
             raise ConfigError(f"sweep.count must be >= 1, got {sweep.count}")
-        if sweep.stop < sweep.start:
-            raise ConfigError("sweep.stop must be >= sweep.start")
-        if params is None:
+        if not -math.inf < sweep.start <= sweep.stop < math.inf:
+            raise ConfigError("sweep.stop must be >= sweep.start, both finite")
+        if not model_vals:
             raise ConfigError("sweep requires a model block for the base values")
+
+    params = None
+    if model_vals:
+        # valid ranges are intervals, so valid sweep ends make every point valid
+        try:
+            params = ModelParams(**model_vals)
+            for v in (sweep.start, sweep.stop) if sweep is not None else ():
+                v = round(v) if sweep.param == "n" else v
+                ModelParams(**{**model_vals, sweep.param: v})
+        except Exception as exc:
+            raise ConfigError(f"invalid model parameters: {exc}") from None
 
     unknown = sorted(set(raw) - known)
     if unknown:

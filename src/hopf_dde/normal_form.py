@@ -82,8 +82,6 @@ class NormalForm:
     # raised when the two routes disagree on the crossing direction
     mu2_implicit: float
     T2_implicit: float
-    dlambda_dtau: complex
-    dlambda_dtau_implicit: complex
     transversality_conflict: bool
     direction: str
     orbit_stability: str
@@ -258,8 +256,6 @@ def compute_normal_form(p: ModelParams, eq: Equilibrium, hp: HopfPoint,
         g20=g20, g11=g11, g02=g02, g21=g21, E1=E1, E2=E2, C1=C1,
         mu2=mu2, beta2=beta2, T2=T2,
         mu2_implicit=mu2_i, T2_implicit=T2_i,
-        dlambda_dtau=hp.dlambda_dtau_closed,
-        dlambda_dtau_implicit=hp.dlambda_dtau,
         transversality_conflict=conflict,
         direction="supercritical" if mu2 > 0.0 else "subcritical",
         orbit_stability="stable" if beta2 < 0.0 else "unstable",

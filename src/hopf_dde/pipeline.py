@@ -2,8 +2,8 @@
 
 One run analyzes a parameter set: find the positive equilibrium (it is
 unique; the report keeps a list of branches), then compute its
-characteristic coefficients, zero-delay verdict, crossing frequencies
-with their delay ladders, the first Hopf point with both delay
+characteristic coefficients, zero-delay verdict, the crossing frequency,
+if any, with its delay ladder, the first Hopf point with both delay
 derivatives, the normal form, a delay classification, and an optional
 direct simulation. Numerical failures, float overflow and division by
 zero included, are recorded as the run's or the branch's error so one
@@ -24,8 +24,9 @@ from .equilibrium import Equilibrium, find_equilibria
 from .errors import HopfDdeError, NumericalError
 from .model import IY1, ModelParams
 from .normal_form import NormalForm, compute_normal_form
-from .stability import (CharCoeffs, HopfPoint, char_coeffs, classify_stability,
-                        first_hopf, hopf_candidates, routh_hurwitz_stable)
+from .stability import (CharCoeffs, HopfPoint, _cubic_slope, char_coeffs,
+                        classify_stability, first_hopf, hopf_candidates,
+                        routh_hurwitz_stable)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -70,7 +71,7 @@ class BranchResult:
     eq: Equilibrium
     cc: CharCoeffs | None = None
     rh_stable: bool | None = None
-    candidates: list[tuple[float, list[float]]] = dataclasses.field(default_factory=list)
+    crossing: tuple[float, list[float]] | None = None
     hopf: HopfPoint | None = None
     nf: NormalForm | None = None
     classification: str | None = None
@@ -127,15 +128,14 @@ def analyze_branch(p: ModelParams, eq: Equilibrium, cfg: AnalysisConfig) -> Bran
                 "equilibrium is unstable already at zero delay; delay "
                 "crossings add further unstable root pairs, so the "
                 "bifurcating orbit is not the observed attractor")
-        br.candidates = hopf_candidates(br.cc, cfg.k_max)
+        br.crossing = hopf_candidates(br.cc, cfg.k_max)
         br.hopf = first_hopf(br.cc, cfg.k_max)
         if br.hopf is not None:
             br.nf = compute_normal_form(p, eq, br.hopf)
             if br.nf.transversality_conflict:
                 other = ("supercritical" if br.nf.mu2_implicit > 0.0
                          else "subcritical")
-                z = br.hopf.omega_c ** 2
-                slope = (3.0 * z + 2.0 * br.cc.l1) * z + br.cc.l2
+                slope = _cubic_slope(br.hopf.omega_c ** 2, br.cc.l1, br.cc.l2)
                 br.flags.append(
                     "closed-form and implicit delay derivatives disagree in "
                     "sign; direction classification follows the closed form, "

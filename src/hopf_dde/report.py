@@ -40,9 +40,9 @@ def _branch_lines(lines: list[str], pre: str, br: BranchResult) -> None:
         lines += [f"{pre}char.{k} = {getattr(br.cc, k):.17g}" for k in _CHAR_FIELDS]
     if br.rh_stable is not None:
         lines.append(f"{pre}rh_stable = {_bool(br.rh_stable)}")
-    lines.append(f"{pre}candidates.count = {len(br.candidates)}")
-    for i, (omega, taus) in enumerate(br.candidates):
-        c = f"{pre}candidates.{i}."
+    lines.append(f"{pre}candidates.count = {int(br.crossing is not None)}")
+    if br.crossing is not None:
+        (omega, taus), c = br.crossing, f"{pre}candidates.0."
         lines += [f"{c}omega = {omega:.17g}", f"{c}tau.count = {len(taus)}"]
         lines += [f"{c}tau.{k} = {t:.17g}" for k, t in enumerate(taus)]
     if br.hopf is not None:

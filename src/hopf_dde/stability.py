@@ -10,7 +10,7 @@ whose characteristic function factors as
 
 The delayed terms enter squared because both feedback legs carry the same
 delay. Purely imaginary roots lambda = i*omega of Delta satisfy the real
-cubic F(z) = z^3 + l1 z^2 + l2 z + l3 at z = omega^2, and each positive
+cubic F(z) = z^3 + l1 z^2 + l2 z + l3 at z = omega^2, and a positive
 simple root yields a ladder of critical delays tau_k.
 
 With al = a1 + a12*y20, be = a2 + a21*y10, k12 = a12*y10, k21 = a21*y20,
@@ -130,18 +130,23 @@ def _cubic(z: float, l1: float, l2: float, l3: float) -> float:
     return ((z + l1) * z + l2) * z + l3
 
 
+def _cubic_slope(z: float, l1: float, l2: float) -> float:
+    """F'(z) = 3 z^2 + 2 l1 z + l2, positive on z > 0 when l1, l2 >= 0."""
+    return (3.0 * z + 2.0 * l1) * z + l2
+
+
 # hopf_candidates, first_hopf and classify_stability ask in turn for the
-# crossings of one branch's cubic; the last solve serves all three
+# one crossing of a branch's cubic; the last solve serves all three
 @functools.lru_cache(maxsize=1)
-def _cubic_positive_roots(l1: float, l2: float, l3: float) -> tuple[float, ...]:
-    """The positive root of F(z) = z^3 + l1 z^2 + l2 z + l3, if any.
+def _cubic_positive_root(l1: float, l2: float, l3: float) -> float | None:
+    """The positive root of F(z) = z^3 + l1 z^2 + l2 z + l3, or None.
 
     char_coeffs gives l1 > 0 and l2 > 0, so F increases on z > 0 and has a
-    positive root iff l3 < 0. As F(z) >= z^3 + l3, F(z) >= l2 z + l3 and
-    F(z) >= l1 z^2 + l3 there, the root lies below min((-l3)^(1/3), -l3/l2,
-    (-l3/l1)^(1/2)), and above a third of it. Every term of F but l3 is
-    non-negative, so a term that overflows reads +inf, which has the sign
-    of F there, and no rescaling is needed.
+    positive root iff l3 < 0, a simple one. As F(z) >= z^3 + l3,
+    F(z) >= l2 z + l3 and F(z) >= l1 z^2 + l3 there, the root lies below
+    min((-l3)^(1/3), -l3/l2, (-l3/l1)^(1/2)), and above a third of it.
+    Every term of F but l3 is non-negative, so a term that overflows reads
+    +inf, which has the sign of F there, and no rescaling is needed.
 
     The result is the first float z > 0 with F(z) >= 0, F by _cubic. With
     l1, l2 >= 0 each rounded operation of Horner's rule is monotone in z,
@@ -157,7 +162,7 @@ def _cubic_positive_roots(l1: float, l2: float, l3: float) -> tuple[float, ...]:
     if not (l1 >= 0.0 and l2 >= 0.0):
         raise DomainError(f"frequency cubic needs l1, l2 >= 0, got {l1!r}, {l2!r}")
     if not l3 < 0.0:
-        return ()
+        return None
     top = min((-l3) ** (1.0 / 3.0), -l3 / l2 if l2 > 0.0 else math.inf)
     lo, hi = 0.0, 2.0 * top
     z = min(top, math.sqrt(-l3 / l1)) if l1 > 0.0 else top
@@ -169,17 +174,9 @@ def _cubic_positive_roots(l1: float, l2: float, l3: float) -> tuple[float, ...]:
             lo = z
         else:
             hi = z
-        z_next = z - f / ((3.0 * z + 2.0 * l1) * z + l2)
+        z_next = z - f / _cubic_slope(z, l1, l2)
         z = z_next if z_next != z else math.nextafter(z, hi if f < 0.0 else lo)
-    return (_bisect(lambda z: _cubic(z, l1, l2, l3) < 0.0, lo, hi),)
-
-
-def omega_candidates(cc: CharCoeffs) -> list[float]:
-    """Positive crossing frequencies omega with F(omega^2) = 0: at most one.
-
-    F' = 3 z^2 + 2 l1 z + l2 > 0 on z > 0, so the root is simple.
-    """
-    return [math.sqrt(z) for z in _cubic_positive_roots(cc.l1, cc.l2, cc.l3)]
+    return _bisect(lambda z: _cubic(z, l1, l2, l3) < 0.0, lo, hi)
 
 
 def _ladder_phase(omega: float, cc: CharCoeffs) -> float:
@@ -259,28 +256,26 @@ def transversality_closed_form(
     return complex(re, im), L1, L2
 
 
-def hopf_point(cc: CharCoeffs, omega: float, tau: float) -> HopfPoint:
-    """Bundle a crossing (omega, tau) with both delay derivatives."""
+def hopf_candidates(cc: CharCoeffs, k_max: int = 8) -> tuple[float, list[float]] | None:
+    """The crossing (omega, [tau_k]), or None: F has at most one positive
+    root. The name stays: perfbench traces pipeline.hopf_candidates."""
+    z = _cubic_positive_root(cc.l1, cc.l2, cc.l3)
+    if z is None:
+        return None
+    omega = math.sqrt(z)
+    return omega, critical_delays(omega, cc, k_max)
+
+
+def first_hopf(cc: CharCoeffs, k_max: int = 8) -> HopfPoint | None:
+    """The crossing at its first positive delay, with both derivatives."""
+    crossing = hopf_candidates(cc, k_max)
+    if crossing is None or not crossing[1]:
+        return None
+    omega, (tau, *_) = crossing
     dl = transversality(omega, tau, cc)
     dl_closed, L1, L2 = transversality_closed_form(omega, tau, cc)
     return HopfPoint(omega_c=omega, tau_c=tau, dlambda_dtau=dl,
                      dlambda_dtau_closed=dl_closed, L1=L1, L2=L2)
-
-
-def hopf_candidates(cc: CharCoeffs, k_max: int = 8) -> list[tuple[float, list[float]]]:
-    """All (omega, [tau_k]) ladders, omega ascending."""
-    return [(w, critical_delays(w, cc, k_max)) for w in omega_candidates(cc)]
-
-
-def first_hopf(cc: CharCoeffs, k_max: int = 8) -> HopfPoint | None:
-    """The crossing with the smallest positive delay, if any."""
-    best = None
-    for w, taus in hopf_candidates(cc, k_max):
-        if taus and (best is None or taus[0] < best[1]):
-            best = (w, taus[0])
-    if best is None:
-        return None
-    return hopf_point(cc, best[0], best[1])
 
 
 def classify_stability(cc: CharCoeffs, tau: float) -> str:
@@ -295,7 +290,9 @@ def classify_stability(cc: CharCoeffs, tau: float) -> str:
     """
     if not tau >= 0.0:
         raise DomainError(f"delay must be non-negative, got {tau!r}")
-    for w in omega_candidates(cc):
+    z = _cubic_positive_root(cc.l1, cc.l2, cc.l3)
+    if z is not None:
+        w = math.sqrt(z)
         arg = _ladder_phase(w, cc)
         # rounded to a float, so that an infinite tau cannot overflow
         k = max(0.0, round((2.0 * w * tau - arg) / (2.0 * math.pi), 0))

@@ -72,14 +72,14 @@ def test_criterion_2_characteristic_residuals():
     t0 = time.monotonic()
     for case in CASES:
         _, _, cc, _ = _analysis(case)
-        for omega, taus in hopf_candidates(cc, k_max=8):
-            lam = 1j * omega
-            ratio = -(cc.g * lam + cc.h) / (lam**3 + cc.b * lam**2
-                                            + cc.c * lam + cc.d)
-            assert abs(abs(ratio) - 1.0) < 1e-8, case
-            for tau in taus:
-                assert abs(characteristic_residual(lam, tau, cc)) < 1e-9, \
-                    (case, tau)
+        omega, taus = hopf_candidates(cc, k_max=8)
+        lam = 1j * omega
+        ratio = -(cc.g * lam + cc.h) / (lam**3 + cc.b * lam**2
+                                        + cc.c * lam + cc.d)
+        assert abs(abs(ratio) - 1.0) < 1e-8, case
+        for tau in taus:
+            assert abs(characteristic_residual(lam, tau, cc)) < 1e-9, \
+                (case, tau)
     assert time.monotonic() - t0 < 1.0
 
 
@@ -87,18 +87,15 @@ def test_criterion_3_crossing_points():
     t0 = time.monotonic()
     for case, (omega_t, tau_t) in CROSSINGS_TIGHT.items():
         _, _, cc, _ = _analysis(case)
-        cands = hopf_candidates(cc, k_max=8)
-        hit = any(
-            abs(omega - omega_t) <= 1e-3 * omega_t
-            and any(abs(tau - tau_t) <= 1e-3 * tau_t for tau in taus)
-            for omega, taus in cands)
-        assert hit, f"{case}: no branch matches ({omega_t}, {tau_t}): {cands}"
+        omega, taus = crossing = hopf_candidates(cc, k_max=8)
+        hit = (abs(omega - omega_t) <= 1e-3 * omega_t
+               and any(abs(tau - tau_t) <= 1e-3 * tau_t for tau in taus))
+        assert hit, f"{case}: no rung matches ({omega_t}, {tau_t}): {crossing}"
     for case, tau_t in CROSSINGS_LOOSE.items():
         _, _, cc, _ = _analysis(case)
-        cands = hopf_candidates(cc, k_max=8)
-        hit = any(any(abs(tau - tau_t) <= 1e-2 * tau_t for tau in taus)
-                  for _, taus in cands)
-        assert hit, f"{case}: no delay near {tau_t}: {cands}"
+        crossing = hopf_candidates(cc, k_max=8)
+        hit = any(abs(tau - tau_t) <= 1e-2 * tau_t for tau in crossing[1])
+        assert hit, f"{case}: no delay near {tau_t}: {crossing}"
     assert time.monotonic() - t0 < 1.0
 
 

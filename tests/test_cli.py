@@ -232,6 +232,23 @@ def test_retired_variants_key_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sweep, bad", [
+    ("sweep.param = a1\nsweep.start = 0.5\nsweep.stop = 1.5\n",
+     "a1 must lie in (0, 1], got 1.5"),
+    ("sweep.param = n\nsweep.start = 0\nsweep.stop = 4\n",
+     "n must be an integer >= 1, got 0"),
+], ids=["a1", "n"])
+def test_out_of_domain_sweep_endpoint_exits_1(tmp_path, capsys, sweep, bad):
+    # a configuration error, as the same value in the model block is, not
+    # a numerical failure part-way through the sweep
+    cfg = FAST_CFG + sweep + "sweep.count = 3\n"
+    assert cli.main(["--config", _write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: invalid model parameters: {bad}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_parameters_exit_1(capsys):
     assert cli.main([]) == 1
     assert "no model parameters" in capsys.readouterr().err

@@ -136,6 +136,43 @@ def test_sweep_validation():
         config_from_mapping(_with_sweep(**{"sweep.stop": "1"}))
 
 
+@pytest.mark.parametrize("param, start, stop, bad", [
+    ("a1", "0.5", "1.5", "a1 must lie in (0, 1], got 1.5"),
+    ("a12", "-0.01", "0.03", "a12 must lie in [0, 1], got -0.01"),
+    ("a", "0", "4", "a must be positive, got 0.0"),
+    # n sweeps the integers round(v): 0.4 rounds to 0
+    ("n", "0", "4", "n must be an integer >= 1, got 0"),
+    ("n", "0.4", "4", "n must be an integer >= 1, got 0"),
+], ids=["a1", "a12", "a", "n0", "n0.4"])
+def test_out_of_domain_sweep_endpoint(param, start, stop, bad):
+    raw = _with_sweep(**{"sweep.param": param, "sweep.start": start,
+                         "sweep.stop": stop})
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping(raw)
+    assert str(exc.value) == f"invalid model parameters: {bad}"
+
+
+@pytest.mark.parametrize("param, start, stop", [
+    ("a1", "0.5", "1.0"), ("a12", "0", "1"), ("b2", "1e-300", "1"),
+    # 0.6 rounds to n = 1, the smallest valid exponent
+    ("n", "0.6", "4"),
+])
+def test_sweep_endpoints_on_the_domain_boundary_are_valid(param, start, stop):
+    raw = _with_sweep(**{"sweep.param": param, "sweep.start": start,
+                         "sweep.stop": stop})
+    assert config_from_mapping(raw).sweep.param == param
+
+
+@pytest.mark.parametrize("start, stop", [("nan", "4"), ("2", "nan"),
+                                         ("2", "inf"), ("-inf", "4")])
+def test_sweep_endpoints_must_be_finite(start, stop):
+    # a sweep of a up to inf would run nan points
+    with pytest.raises(ConfigError, match="both finite"):
+        config_from_mapping(_with_sweep(**{"sweep.param": "a",
+                                           "sweep.start": start,
+                                           "sweep.stop": stop}))
+
+
 def test_sweep_requires_model_block():
     with pytest.raises(ConfigError, match="sweep requires a model block"):
         config_from_mapping({"sweep.param": "n", "sweep.start": "2",

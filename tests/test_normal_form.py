@@ -146,12 +146,13 @@ def test_internal_consistency_of_quantities(preset_data):
     p, eq, _, hp = preset_data["n4"]
     nf = compute_normal_form(p, eq, hp)
     assert nf.beta2 == pytest.approx(2.0 * nf.C1.real, rel=1e-14)
-    assert nf.mu2 == pytest.approx(-nf.C1.real / nf.dlambda_dtau.real,
+    assert nf.mu2 == pytest.approx(-nf.C1.real / hp.dlambda_dtau_closed.real,
                                    rel=1e-12)
     assert nf.T2 == pytest.approx(
-        -(nf.C1.imag + nf.mu2 * nf.dlambda_dtau.imag) / hp.omega_c, rel=1e-12)
+        -(nf.C1.imag + nf.mu2 * hp.dlambda_dtau_closed.imag) / hp.omega_c,
+        rel=1e-12)
     assert nf.mu2_implicit == pytest.approx(
-        -nf.C1.real / nf.dlambda_dtau_implicit.real, rel=1e-12)
+        -nf.C1.real / hp.dlambda_dtau.real, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", list(CASES))

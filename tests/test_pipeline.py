@@ -23,7 +23,7 @@ def test_preset_branch_is_complete(case):
     br = run.branches[0]
     assert br.error is None
     assert br.cc is not None
-    assert br.candidates is not None and len(br.candidates) == 1
+    assert br.crossing is not None
     assert br.hopf is not None
     assert br.nf is not None
     assert br.tau_eval == br.hopf.tau_c
@@ -44,7 +44,7 @@ def test_preset_with_rates_scaled_down(case):
                                        ("a1", "a2", "a12", "a21", "b1", "b2")})
         br = analyze_params(p, NO_SIM).branches[0]
         assert br.error is None, (e, br.error)
-        assert len(br.candidates) == 1
+        assert br.crossing is not None
         if case in ("n2", "n4"):
             assert (br.nf.direction, br.nf.orbit_stability, br.nf.period_trend,
                     br.classification) == (
@@ -78,7 +78,7 @@ def test_no_crossings_branch_still_classifies():
     cfg = dataclasses.replace(NO_SIM, tau=5.0)
     run = analyze_params(p, cfg)
     br = run.branches[0]
-    assert br.candidates == []
+    assert br.crossing is None
     assert br.hopf is None
     assert br.nf is None
     assert br.classification == "stable"

@@ -97,8 +97,9 @@ def _reference_branch_lines(lines, pre, br):
             _emit(lines, f"{pre}char.{name}", getattr(br.cc, name))
     if br.rh_stable is not None:
         _emit(lines, f"{pre}rh_stable", br.rh_stable)
-    _emit(lines, f"{pre}candidates.count", len(br.candidates))
-    for i, (omega, taus) in enumerate(br.candidates):
+    candidates = [] if br.crossing is None else [br.crossing]
+    _emit(lines, f"{pre}candidates.count", len(candidates))
+    for i, (omega, taus) in enumerate(candidates):
         _emit(lines, f"{pre}candidates.{i}.omega", omega)
         _emit(lines, f"{pre}candidates.{i}.tau.count", len(taus))
         for k, t in enumerate(taus):
@@ -182,11 +183,33 @@ def _simulating_run():
     return [analyze_params(PRESETS["n2"], cfg, label="n2")], cfg
 
 
+def _no_crossing_run():
+    # n2's rates with a12 = 0.001: l3 > 0, so the frequency cubic has no
+    # positive root, and the given delay is classified without a crossing
+    p = ModelParams(a1=0.13, a2=0.13, a12=0.001, a21=0.02, b1=0.8,
+                    b2=0.01, a=4.0, n=2)
+    cfg = AnalysisConfig(params=p, tau=10.0, sim=_ANALYTIC)
+    return [analyze_params(p, cfg)], cfg
+
+
 @pytest.mark.parametrize("make", [_preset_runs, _n_sweep, _branch_and_run_errors,
-                                  _simulating_run])
+                                  _simulating_run, _no_crossing_run])
 def test_render_matches_the_type_dispatch_reference(make):
     results, cfg = make()
     assert render_report(results, cfg) == _reference_render(results, cfg)
+
+
+def test_no_crossing_report():
+    results, cfg = _no_crossing_run()
+    kv = parse_report(render_report(results, cfg))
+    assert float(kv["run.0.eq.0.char.l3"]) == pytest.approx(6.7591440898401853e-07,
+                                                            rel=1e-12)
+    assert kv["run.0.eq.0.candidates.count"] == "0"
+    assert kv["run.0.eq.0.tau_eval"] == "10"
+    assert kv["run.0.eq.0.classification"] == "stable"
+    assert not [k for k in kv if k.startswith(("run.0.eq.0.candidates.0.",
+                                               "run.0.eq.0.hopf.",
+                                               "run.0.eq.0.nf."))]
 
 
 def test_parse_report_ignores_malformed_lines():

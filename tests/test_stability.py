@@ -18,14 +18,14 @@ from hopf_dde import (AnalysisConfig, DomainError, ModelParams, PRESETS,
                       char_coeffs, classify_stability,
                       compute_eigenpair, critical_delays, find_equilibria,
                       first_hopf, g_quadratic, hopf_candidates,
-                      omega_candidates, routh_hurwitz_stable,
+                      routh_hurwitz_stable,
                       solve_E_vectors, transversality,
                       transversality_closed_form)
 from hopf_dde import stability
 from hopf_dde.config import SimSpec, SweepSpec
 from hopf_dde.equilibrium import _bisect
 from hopf_dde.pipeline import sweep_values
-from hopf_dde.stability import CharCoeffs, _cubic_positive_roots
+from hopf_dde.stability import CharCoeffs, _cubic_positive_root
 
 from reference_model import characteristic_residual, linearize, rhs
 from reference_values import CASES
@@ -149,7 +149,7 @@ def test_omega_candidates_planted_cubic():
     cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=-3.25, l2=-3.25, l3=1.0,
                     rh_left=0, rh_right=0)
     with pytest.raises(DomainError, match="l1, l2 >= 0"):
-        omega_candidates(cc)
+        hopf_candidates(cc)
 
 
 @pytest.mark.parametrize("l1, l2, l3, real_roots", [
@@ -164,7 +164,8 @@ def test_omega_candidates_planted_cubic():
 def test_cubic_roots_with_huge_coefficients(l1, l2, l3, real_roots):
     # real_roots are the positive ones, and the residual is evaluated in
     # exact rationals, relative to the size of the cubic's terms
-    roots = _cubic_positive_roots(l1, l2, l3)
+    root = _cubic_positive_root(l1, l2, l3)
+    roots = [] if root is None else [root]
     assert roots == pytest.approx(real_roots, rel=1e-12)
     c1, c2, c3 = map(Fraction, (l1, l2, l3))
     for z in map(Fraction, roots):
@@ -190,8 +191,8 @@ def test_cubic_newton_steps_give_the_bisected_float(l1, l2, minus_l3):
     # Horner's F is non-decreasing in floats, so the first float with
     # F >= 0 is unique, and the Newton-then-bisect solve finds the same one
     # as bisection on the whole bracket, bit for bit
-    assert _cubic_positive_roots(l1, l2, -minus_l3) == (
-        _bisected_on_the_full_bracket(l1, l2, -minus_l3),)
+    assert _cubic_positive_root(l1, l2, -minus_l3) == (
+        _bisected_on_the_full_bracket(l1, l2, -minus_l3))
 
 
 def _sweep_n_grid():
@@ -210,18 +211,18 @@ def test_cubic_solve_evaluates_F_at_most_12_times_on_the_sweep_n_grid(monkeypatc
     grid = list(_sweep_n_grid())
     assert len(grid) == 40
     for cc in grid:
-        _cubic_positive_roots.cache_clear()
+        _cubic_positive_root.cache_clear()
         calls.clear()
-        roots = _cubic_positive_roots(cc.l1, cc.l2, cc.l3)
+        root = _cubic_positive_root(cc.l1, cc.l2, cc.l3)
         assert 1 <= len(calls) <= 12
-        assert roots == (_bisected_on_the_full_bracket(cc.l1, cc.l2, cc.l3),)
+        assert root == _bisected_on_the_full_bracket(cc.l1, cc.l2, cc.l3)
 
 
 def test_omega_candidates_empty_without_positive_roots():
     # all-positive coefficients force negative real roots only
     cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=3.0, l2=3.0, l3=1.0,
                     rh_left=0, rh_right=0)
-    assert omega_candidates(cc) == []
+    assert hopf_candidates(cc) is None
 
 
 @pytest.mark.parametrize("l1", [0.53, 1.3])
@@ -230,7 +231,7 @@ def test_omega_candidates_no_root_from_a_complex_pair(l1):
     # discriminant is below its own rounding
     cc = CharCoeffs(b=0, c=0, d=0, g=0, h=0, l1=l1, l2=0.0, l3=1e-20,
                     rh_left=0, rh_right=0)
-    assert omega_candidates(cc) == []
+    assert hopf_candidates(cc) is None
 
 
 def test_crossing_with_widely_scaled_cubic_is_found():
@@ -339,9 +340,9 @@ def test_frequency_cubic_structure_with_rates_down_to_1e_30(exps, a_exp, n):
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
     assert cc.l1 > 0.0 and cc.l2 >= 0.0
-    ladders = hopf_candidates(cc)
-    assert len(ladders) == (1 if cc.l3 < 0.0 else 0)
-    assert all(taus for _, taus in ladders)
+    crossing = hopf_candidates(cc)
+    assert (crossing is not None) == (cc.l3 < 0.0)
+    assert crossing is None or crossing[1]
     # d + h > 0, and the zero-delay verdict is the exact one
     dh, margin = _mp_routh_hurwitz(p, eq)
     assert dh > 0
@@ -369,10 +370,11 @@ def test_crossings_on_fixed_random_sample_against_mpmath():
     with mpmath.workdps(50):
         for p, eq, cc in _fixed_random_sample():
             assert cc.l1 > 0.0 and cc.l2 > 0.0 and cc.d + cc.h > 0.0
-            ladders = hopf_candidates(cc)
+            crossing = hopf_candidates(cc)
             l1, l2, l3 = _mp_char_cubic(p, eq)
-            assert len(ladders) == (1 if l3 < 0 else 0), p
-            for omega, taus in ladders:
+            assert (crossing is not None) == (l3 < 0), p
+            if crossing is not None:
+                omega, taus = crossing
                 crossings += 1
                 z = mpmath.mpf(omega) ** 2
                 root = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
@@ -440,9 +442,9 @@ def test_n163_critical_delay_against_mpmath(preset_data):
 @pytest.mark.parametrize("case", list(CASES))
 def test_preset_crossing_frequency_frozen(case):
     ref = CASES[case]
-    omegas = omega_candidates(_cc(case))
-    assert len(omegas) == 1
-    assert omegas[0] == pytest.approx(ref["omega"], rel=1e-10)
+    crossing = hopf_candidates(_cc(case))
+    assert crossing is not None
+    assert crossing[0] == pytest.approx(ref["omega"], rel=1e-10)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -595,9 +597,9 @@ def test_first_hopf_picks_smallest_delay(preset_data):
 
 
 def test_hopf_candidates_structure():
-    cands = hopf_candidates(_cc("n2"), k_max=8)
-    assert len(cands) == 1
-    omega, taus = cands[0]
+    crossing = hopf_candidates(_cc("n2"), k_max=8)
+    assert crossing is not None
+    omega, taus = crossing
     assert len(taus) == 9
     assert all(t2 > t1 for t1, t2 in zip(taus, taus[1:]))
 
@@ -640,7 +642,7 @@ def test_decoupled_loop_has_no_crossings():
                     b1=0.8, b2=0.01, a=4.0, n=2)
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
-    assert omega_candidates(cc) == []
+    assert hopf_candidates(cc) is None
     assert routh_hurwitz_stable(cc)
 
 
