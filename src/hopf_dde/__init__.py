@@ -15,6 +15,11 @@ Library layout:
 Only simulation and csv_output import numpy. The simulation names below
 load on first access, so importing the package, or running an analysis
 that does not simulate, does not import numpy.
+
+Records (parameters, configuration, results) are typing.NamedTuple, not
+dataclasses: the dataclasses import and its generated methods were half
+of the package's import time. ModelParams and History validate every
+construction, _replace included.
 """
 
 from .config import AnalysisConfig, SimSpec, SweepSpec, load_config

@@ -19,7 +19,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import logging
 import os
@@ -104,8 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config) if args.config else AnalysisConfig()
         if args.paper_case:
-            cfg = dataclasses.replace(cfg, params=PRESETS[args.paper_case],
-                                      sweep=None)
+            cfg = cfg._replace(params=PRESETS[args.paper_case], sweep=None)
         if cfg.params is None:
             raise ConfigError("no model parameters: pass --config with a "
                               "model block or --paper-case")

@@ -23,8 +23,8 @@ Unknown keys are rejected, so a misspelled or retired key fails the run.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .model import ModelParams
@@ -32,24 +32,21 @@ from .model import ModelParams
 _MODEL_KEYS = ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n")
 
 
-@dataclasses.dataclass(frozen=True)
-class SimSpec:
+class SimSpec(NamedTuple):
     enabled: bool = True
     t_end: float | None = None
     step: float | None = None
     perturbation: float = 0.01
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     param: str
     start: float
     stop: float
-    count: int
+    count: int  # shadows tuple.count
 
 
-@dataclasses.dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     params: ModelParams | None = None
     tau: float | None = None
     k_max: int = 8
@@ -123,8 +120,8 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
 
     tau_s = take("tau")
     tau = _as_float("tau", tau_s) if tau_s is not None else None
-    if tau is not None and tau < 0.0:
-        raise ConfigError(f"tau must be non-negative, got {tau}")
+    if tau is not None and not 0.0 <= tau < math.inf:
+        raise ConfigError(f"tau must be non-negative and finite, got {tau}")
 
     k_s = take("k_max")
     k_max = _as_int("k_max", k_s) if k_s is not None else 8
@@ -140,10 +137,12 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
         if s is not None:
             sim_kwargs[name] = _as_float(f"sim.{name}", s)
     sim = SimSpec(**sim_kwargs)
-    if sim.t_end is not None and sim.t_end <= 0.0:
-        raise ConfigError(f"sim.t_end must be positive, got {sim.t_end}")
-    if sim.step is not None and sim.step <= 0.0:
-        raise ConfigError(f"sim.step must be positive, got {sim.step}")
+    for name in ("t_end", "step"):
+        v = getattr(sim, name)
+        if v is not None and not 0.0 < v < math.inf:
+            raise ConfigError(f"sim.{name} must be positive and finite, got {v}")
+    if not math.isfinite(sim.perturbation):
+        raise ConfigError(f"sim.perturbation must be finite, got {sim.perturbation}")
 
     sweep_raw = {name: take(f"sweep.{name}")
                  for name in ("param", "start", "stop", "count")}

@@ -26,9 +26,9 @@ stability, on the bracket a few Newton steps leave.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
+from typing import NamedTuple
 
 from .errors import DomainError
 from .model import (ModelParams, _hill_log, _hill_scaled, _scaled_product,
@@ -42,8 +42,7 @@ _HUGE = sys.float_info.max
 _NORMAL = sys.float_info.min
 
 
-@dataclasses.dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     """One positive equilibrium and the Hill derivatives evaluated there.
 
     rho1..rho3 are f', f'', f''' at y10; they feed the linearization and

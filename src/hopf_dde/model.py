@@ -15,8 +15,8 @@ Only y1 and y2 enter with delay, and both with the same delay tau.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from typing import NamedTuple
 
 from .errors import DivergenceError, DomainError
 
@@ -29,17 +29,7 @@ _POW_SAFE_MIN, _POW_SAFE_MAX = 2.0**-330, 2.0**330
 _SIGMA_SCALED = 2.0**-511
 
 
-@dataclasses.dataclass(frozen=True)
-class ModelParams:
-    """Model rate constants and Hill parameters.
-
-    a1, a2: linear decay rates of the two proteins.
-    a12, a21: cross-repression strengths (zero allowed; decouples the loop).
-    b1, b2: mRNA decay rates.
-    a: Hill half-saturation constant (f(a^(1/n)) = 1/2).
-    n: Hill exponent, a positive integer.
-    """
-
+class _ModelParamsFields(NamedTuple):
     a1: float
     a2: float
     a12: float
@@ -49,7 +39,23 @@ class ModelParams:
     a: float
     n: int
 
-    def __post_init__(self):
+
+class ModelParams(_ModelParamsFields):
+    """Model rate constants and Hill parameters.
+
+    a1, a2: linear decay rates of the two proteins.
+    a12, a21: cross-repression strengths (zero allowed; decouples the loop).
+    b1, b2: mRNA decay rates.
+    a: Hill half-saturation constant (f(a^(1/n)) = 1/2).
+    n: Hill exponent, a positive integer.
+
+    Every construction is validated, _replace included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("a1", "a2", "b1", "b2"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
@@ -62,6 +68,12 @@ class ModelParams:
             raise DomainError(f"a must be positive, got {self.a!r}")
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
+        return self
+
+    # _replace builds through _make, which would skip __new__
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 #: standard parameter presets used throughout the docs and tests;

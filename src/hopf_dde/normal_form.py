@@ -32,8 +32,8 @@ the strict implicit-route values ride along for comparison.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
+from typing import NamedTuple
 
 from .equilibrium import Equilibrium
 from .errors import DomainError, SingularSystemError
@@ -49,8 +49,7 @@ _DEGENERATE_C1 = 1e-12
 Vec = tuple[complex, complex, complex, complex]
 
 
-@dataclasses.dataclass(frozen=True)
-class Eigenpair:
+class Eigenpair(NamedTuple):
     """Right/left critical eigenvectors and the pairs of Phi and its conjugate.
 
     w is already scaled so that <Psi, Phi> = 1; q = (v, v e^(-lambda1 tau))
@@ -64,8 +63,7 @@ class Eigenpair:
     qb: tuple[Vec, Vec]
 
 
-@dataclasses.dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Normal-form coefficients and the derived Hopf classification."""
 
     g20: complex

@@ -13,11 +13,10 @@ another, in sweep order.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import logging
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import AnalysisConfig
 from .equilibrium import Equilibrium, find_equilibria
@@ -50,8 +49,7 @@ integrate = deferred(".simulation", "integrate")
 oscillation_summary = deferred(".simulation", "oscillation_summary")
 
 
-@dataclasses.dataclass
-class SimResult:
+class SimResult(NamedTuple):
     tau: float
     t_end: float
     step: float
@@ -64,25 +62,23 @@ class SimResult:
     y1_max: float
 
 
-@dataclasses.dataclass
-class BranchResult:
+class BranchResult(NamedTuple):
     """Everything computed for one equilibrium."""
 
     eq: Equilibrium
-    cc: CharCoeffs | None = None
-    rh_stable: bool | None = None
-    crossing: tuple[float, list[float]] | None = None
-    hopf: HopfPoint | None = None
-    nf: NormalForm | None = None
-    classification: str | None = None
-    tau_eval: float | None = None
-    sim: SimResult | None = None
-    flags: list[str] = dataclasses.field(default_factory=list)
-    error: str | None = None
+    cc: CharCoeffs | None
+    rh_stable: bool | None
+    crossing: tuple[float, list[float]] | None
+    hopf: HopfPoint | None
+    nf: NormalForm | None
+    classification: str | None
+    tau_eval: float | None
+    sim: SimResult | None
+    flags: list[str]
+    error: str | None
 
 
-@dataclasses.dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """One parameter set: label, parameters, per-equilibrium branches."""
 
     label: str
@@ -119,45 +115,48 @@ def _simulate(p: ModelParams, eq: Equilibrium, tau: float,
 
 
 def analyze_branch(p: ModelParams, eq: Equilibrium, cfg: AnalysisConfig) -> BranchResult:
-    br = BranchResult(eq=eq)
+    cc = rh_stable = crossing = hopf = nf = classification = None
+    tau_eval = sim = error = None
+    flags = []
     try:
-        br.cc = char_coeffs(p, eq)
-        br.rh_stable = routh_hurwitz_stable(br.cc)
-        if not br.rh_stable:
-            br.flags.append(
+        cc = char_coeffs(p, eq)
+        rh_stable = routh_hurwitz_stable(cc)
+        if not rh_stable:
+            flags.append(
                 "equilibrium is unstable already at zero delay; delay "
                 "crossings add further unstable root pairs, so the "
                 "bifurcating orbit is not the observed attractor")
-        br.crossing = hopf_candidates(br.cc, cfg.k_max)
-        br.hopf = first_hopf(br.cc, cfg.k_max)
-        if br.hopf is not None:
-            br.nf = compute_normal_form(p, eq, br.hopf)
-            if br.nf.transversality_conflict:
-                other = ("supercritical" if br.nf.mu2_implicit > 0.0
+        crossing = hopf_candidates(cc, cfg.k_max)
+        hopf = first_hopf(cc, cfg.k_max)
+        if hopf is not None:
+            nf = compute_normal_form(p, eq, hopf)
+            if nf.transversality_conflict:
+                other = ("supercritical" if nf.mu2_implicit > 0.0
                          else "subcritical")
-                slope = _cubic_slope(br.hopf.omega_c ** 2, br.cc.l1, br.cc.l2)
-                br.flags.append(
+                slope = _cubic_slope(hopf.omega_c ** 2, cc.l1, cc.l2)
+                flags.append(
                     "closed-form and implicit delay derivatives disagree in "
                     "sign; direction classification follows the closed form, "
                     f"the implicit route gives {other}; F'(omega_c^2) = "
                     f"{slope:.6g} > 0, and the Cooke-van den Driessche sign "
                     "rule, sign Re dlambda/dtau = sign F'(omega_c^2), agrees "
                     "with the implicit route")
-            br.flags.append(
+            flags.append(
                 "period trend follows the sign rule (T2 > 0 means the period "
                 "grows along the branch); inverted phrasings of this rule "
                 "appear in circulation")
-        br.tau_eval = cfg.tau if cfg.tau is not None else (
-            br.hopf.tau_c if br.hopf is not None else None)
-        if br.tau_eval is not None:
-            br.classification = classify_stability(br.cc, br.tau_eval)
-        if cfg.sim.enabled and br.tau_eval is not None and br.tau_eval > 0.0:
-            br.sim = _simulate(p, eq, br.tau_eval, cfg, br.hopf)
+        tau_eval = cfg.tau if cfg.tau is not None else (
+            hopf.tau_c if hopf is not None else None)
+        if tau_eval is not None:
+            classification = classify_stability(cc, tau_eval)
+        if cfg.sim.enabled and tau_eval is not None and tau_eval > 0.0:
+            sim = _simulate(p, eq, tau_eval, cfg, hopf)
     except (NumericalError, ArithmeticError) as exc:
         # float ** and / raise OverflowError, ZeroDivisionError
-        br.error = f"{type(exc).__name__}: {exc}"
-        log.info("branch y10=%.6g failed: %s", eq.y10, br.error)
-    return br
+        error = f"{type(exc).__name__}: {exc}"
+        log.info("branch y10=%.6g failed: %s", eq.y10, error)
+    return BranchResult(eq, cc, rh_stable, crossing, hopf, nf, classification,
+                        tau_eval, sim, flags, error)
 
 
 def analyze_params(p: ModelParams, cfg: AnalysisConfig, label: str = "") -> RunResult:
@@ -211,15 +210,16 @@ def run_analysis(cfg: AnalysisConfig, workers: int = 1,
     if cfg.sweep is None:
         points = [(cfg.params, "")]
     else:
-        points = [(dataclasses.replace(cfg.params, **{cfg.sweep.param: v}),
+        points = [(cfg.params._replace(**{cfg.sweep.param: v}),
                    f"{cfg.sweep.param}={v:.10g}") for v in sweep_values(cfg.sweep)]
     results = []
     for p, label in points:
         run = analyze_params(p, cfg, label)
         if on_run is not None:
             on_run(run, len(points))
-            for br in run.branches:
-                if br.sim is not None:
-                    br.sim.trajectory = None
+            run = run._replace(branches=[
+                br if br.sim is None
+                else br._replace(sim=br.sim._replace(trajectory=None))
+                for br in run.branches])
         results.append(run)
     return results

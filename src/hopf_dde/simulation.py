@@ -47,8 +47,8 @@ functions retain O(step^4) accuracy.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,21 +121,34 @@ def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class History:
-    """Initial data on [-tau, 0]: uniform samples and derivative samples."""
-
+class _HistoryFields(NamedTuple):
     tau: float
     step: float
     states: np.ndarray
     derivs: np.ndarray
 
-    def __post_init__(self):
+
+class History(_HistoryFields):
+    """Initial data on [-tau, 0]: uniform samples and derivative samples.
+
+    Every construction is validated, _replace included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         m = len(self.states) - 1
         if m < 1 or abs(m * self.step - self.tau) > 1e-9 * max(self.tau, 1.0):
             raise DomainError("history grid step must divide tau exactly")
         if self.derivs.shape != self.states.shape:
             raise DomainError("history derivative block must match samples")
+        return self
+
+    # _replace builds through _make, which would skip __new__
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def constant(cls, state: np.ndarray, tau: float, segments: int = 64) -> "History":
@@ -197,15 +210,16 @@ class History:
         return np.where(s < 1e-13, self.states[j], out)
 
 
-@dataclasses.dataclass(frozen=True)
 class Trajectory:
     """Computed solution samples with dense-output data."""
 
-    t: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
-    tau: float
-    step: float
+    # a class, not a tuple: tuples cannot be weakly referenced
+    __slots__ = ("t", "states", "derivs", "tau", "step", "__weakref__")
+
+    def __init__(self, t: np.ndarray, states: np.ndarray, derivs: np.ndarray,
+                 tau: float, step: float):
+        self.t, self.states, self.derivs = t, states, derivs
+        self.tau, self.step = tau, step
 
     def component(self, idx: int) -> np.ndarray:
         return self.states[:, idx]
@@ -342,11 +356,12 @@ def integrate(p: ModelParams, tau: float, history: History,
     multiple of step; the last node then sits at t_end, and only that
     step's lookups fall off the grid. Raises DivergenceError when the
     history holds non-finite values, or when the state norm exceeds 1e12
-    or turns non-finite.
+    or turns non-finite; DomainError for a tau, step or t_end that is not
+    positive and finite.
     """
-    if tau <= 0.0:
-        raise DomainError(f"delay must be positive, got {tau!r}")
-    if step <= 0.0 or step > tau:
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"delay must be positive and finite, got {tau!r}")
+    if not 0.0 < step <= tau:
         raise DomainError(f"step must lie in (0, tau], got {step!r}")
     m = int(round(tau / step))
     if m < 1 or abs(m * step - tau) > 1e-9 * max(tau, 1.0):
@@ -354,8 +369,8 @@ def integrate(p: ModelParams, tau: float, history: History,
     step = tau / m
     if history.tau < tau - 1e-9 * max(tau, 1.0):
         raise DomainError("history does not cover [-tau, 0]")
-    if t_end <= 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end!r}")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
     n_full = int(t_end / step + 1e-9)
     rem = t_end - n_full * step
     if rem < 1e-12 * max(t_end, 1.0):

@@ -38,9 +38,9 @@ n163.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
+from typing import NamedTuple
 
 from .equilibrium import Equilibrium, _bisect
 from .errors import DomainError, SingularSystemError
@@ -56,8 +56,7 @@ _AT_BIFURCATION_TOL = 1e-9
 _NEWTON_STEPS = 16
 
 
-@dataclasses.dataclass(frozen=True)
-class CharCoeffs:
+class CharCoeffs(NamedTuple):
     """Coefficients of Delta and of the frequency cubic F, and the two
     sides of the zero-delay stability condition (routh_hurwitz_stable)."""
 
@@ -73,8 +72,7 @@ class CharCoeffs:
     rh_right: float
 
 
-@dataclasses.dataclass(frozen=True)
-class HopfPoint:
+class HopfPoint(NamedTuple):
     """A candidate Hopf crossing: frequency, delay, and delay derivatives.
 
     dlambda_dtau is the implicit-differentiation value; the _closed fields

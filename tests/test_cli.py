@@ -249,6 +249,18 @@ def test_out_of_domain_sweep_endpoint_exits_1(tmp_path, capsys, sweep, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", ["tau = inf", "sim.t_end = nan", "sim.t_end = inf",
+                                  "sim.step = nan", "sim.perturbation = nan"])
+def test_non_finite_value_exits_1(tmp_path, capsys, line):
+    # configuration errors, not a traceback or a branch error
+    cfg = _write_cfg(tmp_path, line + "\n")
+    assert cli.main(["--paper-case", "n4", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(f"configuration error: {key} must be")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_parameters_exit_1(capsys):
     assert cli.main([]) == 1
     assert "no model parameters" in capsys.readouterr().err
@@ -364,8 +376,12 @@ def test_analytic_run_needs_no_numpy(tmp_path, sweep):
 
 
 def test_cli_import_leaves_numpy_out():
-    proc = _python("import sys, hopf_dde.cli; print('numpy' in sys.modules); "
+    # dataclasses, and the inspect it imports, were most of the import time
+    proc = _python("import sys, hopf_dde.cli; "
+                   "print(*(m in sys.modules for m in "
+                   "('dataclasses', 'inspect', 'numpy'))); "
                    "from hopf_dde import integrate, History; "
-                   "print(integrate.__module__, History.__module__)")
+                   "print('dataclasses' in sys.modules, "
+                   "integrate.__module__, History.__module__)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] + ["hopf_dde.simulation"] * 2
+    assert proc.stdout.split() == ["False"] * 4 + ["hopf_dde.simulation"] * 2

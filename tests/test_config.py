@@ -1,5 +1,7 @@
 """Configuration parsing and validation."""
 
+import re
+
 import pytest
 
 from hopf_dde import AnalysisConfig, ConfigError, load_config
@@ -106,6 +108,13 @@ def test_range_validation():
         config_from_mapping({"sim.t_end": "0"})
     with pytest.raises(ConfigError, match="sim.step must be positive"):
         config_from_mapping({"sim.step": "-0.5"})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["tau", "sim.t_end", "sim.step", "sim.perturbation"])
+def test_non_finite_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be")):
+        config_from_mapping({key: value})
 
 
 def _with_sweep(**over):

@@ -1,6 +1,5 @@
 """Equilibrium polynomial and root-finding tests."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -162,7 +161,7 @@ def _steps(y, k):
 
 def test_solver_matches_per_interval_reference():
     rng = np.random.default_rng(11)
-    sets = [dataclasses.replace(PRESETS["n2"], n=n)
+    sets = [PRESETS["n2"]._replace(n=n)
             for n in (1, 2, 3, 4, 5, 7, 10, 16, 27, 45, 80, 120, 163, 164, 169)]
     for _ in range(24):
         sets.append(ModelParams(
@@ -226,8 +225,8 @@ def test_root_count_stable_under_small_perturbation():
     rng = np.random.default_rng(7)
     for _ in range(5):
         wiggle = 1.0 + 1e-12 * rng.standard_normal(len(names))
-        q = dataclasses.replace(p, **{k: getattr(p, k) * w
-                                      for k, w in zip(names, wiggle)})
+        q = p._replace(**{k: getattr(p, k) * w
+                          for k, w in zip(names, wiggle)})
         eqs = find_equilibria(q)
         assert len(eqs) == len(base)
         assert eqs[0].y10 == pytest.approx(base[0].y10, rel=1e-10)

@@ -1,6 +1,5 @@
 """Hill function, parameter validation, and right-hand-side tests."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -32,6 +31,12 @@ def test_params_validation():
         ModelParams(a1=0.13, a2=0.13, a12=0.02, a21=0.02, b1=0.8, b2=0.01, a=4.0, n=0)
     # couplings may be exactly zero (decoupled loop)
     ModelParams(a1=0.13, a2=0.13, a12=0.0, a21=0.0, b1=0.8, b2=0.01, a=4.0, n=2)
+    # _replace, the path sweep points take, validates too
+    assert PRESETS["n2"]._replace(n=3).n == 3
+    with pytest.raises(DomainError, match="b1 must lie in"):
+        PRESETS["n2"]._replace(b1=1.5)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        PRESETS["n2"]._replace(n=0)
 
 
 def test_hill_simple_values():
@@ -126,7 +131,7 @@ def test_hill_derivatives_at_the_ends_of_the_float_range(x, n):
     # x**3 overflows at 1e305 and rounds to 0 at 1e-108; the derivatives
     # must stay finite and match a 40-digit symbolic evaluation (at 1e305
     # the true values underflow to 0)
-    p = dataclasses.replace(PRESETS["n2"], n=n)
+    p = PRESETS["n2"]._replace(n=n)
     t = sympy.Symbol("t")
     f = t**n / (sympy.Float(p.a, 40) + t**n)
     for k, got in enumerate(hill_derivs(x, p), start=1):
@@ -142,7 +147,7 @@ def test_hill_derivatives_where_x_to_the_n_over_a_underflows(n):
     # 6/a^3 at n = 1 read 0 from x = 1e-154 down, and at n = 2, 3 every
     # derivative read 0. Checked against a 60-digit evaluation of the
     # symbolic derivatives (abs 1e-320 where the true value is subnormal).
-    p = dataclasses.replace(PRESETS["n4"], n=n)
+    p = PRESETS["n4"]._replace(n=n)
     t = sympy.Symbol("t")
     f = t**n / (sympy.Rational(p.a) + t**n)
     exact = [sympy.lambdify(t, sympy.diff(f, t, k), "mpmath") for k in (1, 2, 3)]
@@ -158,7 +163,7 @@ def test_hill_derivatives_where_x_to_the_n_over_a_underflows(n):
 def test_hill_derivatives_beyond_the_float_range_read_inf():
     # at n = 1 and x << a, f'' = -2/a^2 and f''' = 6/a^3 exceed the float
     # range for a = 1e-200: they read -inf and inf, not OverflowError
-    p = dataclasses.replace(PRESETS["n4"], a=1e-200, n=1)
+    p = PRESETS["n4"]._replace(a=1e-200, n=1)
     r1, r2, r3 = hill_derivs(1e-300, p)
     assert r1 == pytest.approx(1e200, rel=1e-12)
     assert (r2, r3) == (-math.inf, math.inf)

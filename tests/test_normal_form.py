@@ -1,6 +1,5 @@
 """Normal form: eigenpairs, projections, E-vectors, Hopf quantities."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -171,7 +170,7 @@ def test_E1_imaginary_parts_are_exactly_zero(n):
     # n = 18 and n = 6 of the n4 rates (perfbench sweep_n points; n = 6
     # printed residue of about 1e-17 while E1 was solved in complex
     # arithmetic)
-    p = dataclasses.replace(PRESETS["n4"], n=n)
+    p = PRESETS["n4"]._replace(n=n)
     eq = find_equilibria(p)[0]
     nf = compute_normal_form(p, eq, first_hopf(char_coeffs(p, eq)))
     for z in nf.E1:
@@ -352,8 +351,8 @@ def test_conjugation_symmetry_of_reduction(preset_data):
     p, eq, _, hp = preset_data["n4"]
 
     def chain(omega):
-        nf = compute_normal_form(p, eq, dataclasses.replace(
-            hp, omega_c=omega, dlambda_dtau=1.0 + 0.0j,
+        nf = compute_normal_form(p, eq, hp._replace(
+            omega_c=omega, dlambda_dtau=1.0 + 0.0j,
             dlambda_dtau_closed=1.0 + 0.0j))
         return nf.C1, nf.mu2, nf.beta2
 
@@ -375,7 +374,7 @@ def test_hopf_quantities_degenerate_inputs_raise():
 def test_quadratic_blocks_vanish_without_coupling_or_curvature():
     p = ModelParams(a1=0.13, a2=0.13, a12=0.0, a21=0.0,
                     b1=0.8, b2=0.01, a=4.0, n=2)
-    eq = dataclasses.replace(find_equilibria(p)[0], rho2=0.0)
+    eq = find_equilibria(p)[0]._replace(rho2=0.0)
     v = np.array([0.1 + 0.2j, 0.3, 1.0, -0.4j])
     q = (v, v * np.exp(-0.3j * 2.0))
     qb = (np.conj(q[0]), np.conj(q[1]))
@@ -388,7 +387,7 @@ def test_E_vectors_raise_at_1_2_resonance(case, preset_data):
     # at half the crossing frequency, 2 i omega is the crossing root
     # i omega_c itself at tau_c, so Delta(2 i omega) is singular
     p, eq, cc, hp = preset_data[case]
-    half = dataclasses.replace(hp, omega_c=hp.omega_c / 2.0)
+    half = hp._replace(omega_c=hp.omega_c / 2.0)
     assert abs(characteristic_residual(1j * hp.omega_c, hp.tau_c, cc)) < 1e-15
     with pytest.raises(SingularSystemError, match="resonant"):
         compute_normal_form(p, eq, half)
@@ -399,8 +398,7 @@ def test_E_vectors_raise_at_zero_root(case, preset_data):
     # rho1 = b2 a21 y20 - d / (a12 y10) makes h = -d, so 0 is a root of
     # Delta(lambda, tau) and Delta(0) = -(A + B) is singular
     p, eq, cc, hp = preset_data[case]
-    bad = dataclasses.replace(
-        eq, rho1=p.b2 * p.a21 * eq.y20 - cc.d / (p.a12 * eq.y10))
+    bad = eq._replace(rho1=p.b2 * p.a21 * eq.y20 - cc.d / (p.a12 * eq.y10))
     bad_cc = char_coeffs(p, bad)
     assert abs(bad_cc.d + bad_cc.h) <= 1e-15 * abs(bad_cc.d)
     with pytest.raises(SingularSystemError, match="resonant"):

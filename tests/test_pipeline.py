@@ -1,14 +1,12 @@
 """Orchestration: per-branch analysis, sweeps, worker fan-out."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_dde import (AnalysisConfig, ModelParams, NumericalError, PRESETS,
-                      analyze_params, render_report, run_analysis)
+from hopf_dde import (AnalysisConfig, DomainError, ModelParams, NumericalError,
+                      PRESETS, analyze_params, render_report, run_analysis)
 from hopf_dde import pipeline
 from hopf_dde.config import SimSpec, SweepSpec
 
@@ -40,8 +38,8 @@ def test_preset_with_rates_scaled_down(case):
     p0 = PRESETS[case]
     ref = analyze_params(p0, NO_SIM).branches[0]
     for e in range(1, 13):
-        p = dataclasses.replace(p0, **{k: getattr(p0, k) * 10.0 ** -e for k in
-                                       ("a1", "a2", "a12", "a21", "b1", "b2")})
+        p = p0._replace(**{k: getattr(p0, k) * 10.0 ** -e for k in
+                           ("a1", "a2", "a12", "a21", "b1", "b2")})
         br = analyze_params(p, NO_SIM).branches[0]
         assert br.error is None, (e, br.error)
         assert br.crossing is not None
@@ -75,7 +73,7 @@ def test_conflict_flag_wording():
 def test_no_crossings_branch_still_classifies():
     p = ModelParams(a1=0.13, a2=0.13, a12=0.0, a21=0.0,
                     b1=0.8, b2=0.01, a=4.0, n=2)
-    cfg = dataclasses.replace(NO_SIM, tau=5.0)
+    cfg = NO_SIM._replace(tau=5.0)
     run = analyze_params(p, cfg)
     br = run.branches[0]
     assert br.crossing is None
@@ -89,7 +87,7 @@ def test_no_crossings_branch_still_classifies():
 
 
 def test_explicit_tau_overrides_critical_delay():
-    cfg = dataclasses.replace(NO_SIM, tau=5.0)
+    cfg = NO_SIM._replace(tau=5.0)
     br = analyze_params(PRESETS["n2"], cfg).branches[0]
     assert br.tau_eval == 5.0
     assert br.classification == "stable"
@@ -153,7 +151,7 @@ def test_sweep_values_are_np_linspace(start, width, count):
 
 
 def test_sweep_runs_ordered_and_workers_equivalent():
-    base = dataclasses.replace(PRESETS["n2"])
+    base = PRESETS["n2"]._replace()
     cfg = AnalysisConfig(params=base, sim=SimSpec(enabled=False),
                          sweep=SweepSpec("n", 2, 4, 3))
     serial = run_analysis(cfg, workers=1)
@@ -180,6 +178,14 @@ def test_on_run_sees_each_run_before_its_arrays_are_released():
     kept = run_analysis(cfg)
     assert all(len(r.branches[0].sim.trajectory.t) == 101 for r in kept)
     assert render_report(kept, cfg) == render_report(results, cfg)
+
+
+def test_in_code_sweep_outside_the_domain_raises():
+    # no config file checks the ends here; each point is validated
+    cfg = AnalysisConfig(params=PRESETS["n2"], sim=SimSpec(enabled=False),
+                         sweep=SweepSpec("a1", 0.5, 1.5, 3))
+    with pytest.raises(DomainError, match="a1 must lie in"):
+        run_analysis(cfg)
 
 
 def test_run_analysis_requires_params():

@@ -1,6 +1,5 @@
 """Method-of-steps integrator, histories, diagnostics."""
 
-import dataclasses
 import gc
 import math
 import warnings
@@ -34,6 +33,8 @@ def test_history_rejects_inconsistent_grid():
         History(tau=5.0, step=0.7, states=states, derivs=np.zeros((11, 4)))
     with pytest.raises(DomainError):
         History(tau=5.0, step=0.5, states=states, derivs=np.zeros((3, 4)))
+    with pytest.raises(DomainError, match="must divide tau"):
+        History.constant(np.ones(4), tau=5.0, segments=10)._replace(step=0.7)
 
 
 def test_history_from_function_needs_enough_segments():
@@ -78,6 +79,16 @@ def test_integrate_validation_errors():
         integrate(p, 2.0, h, -5.0, 0.1)
     with pytest.raises(DomainError):
         integrate(p, 4.0, h, 10.0, 0.1)
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("tau", math.nan), ("tau", math.inf), ("step", math.nan),
+    ("t_end", math.nan), ("t_end", math.inf)])
+def test_integrate_rejects_non_finite_arguments(arg, value):
+    kw = {"tau": 2.0, "step": 0.1, "t_end": 10.0, arg: value}
+    h = History.constant(np.ones(4), tau=2.0)
+    with pytest.raises(DomainError):
+        integrate(PRESETS["n2"], kw["tau"], h, kw["t_end"], kw["step"])
 
 
 def test_first_component_matches_closed_form():
@@ -213,7 +224,7 @@ def test_integrate_matches_reference_bit_for_bit(case):
         step, t_end = tau, 60.0
     elif case == "odd_n_negative_y1":
         # a negative delayed y1 takes the odd branch of the Hill continuation
-        p = dataclasses.replace(p, n=3)
+        p = p._replace(n=3)
         history = History.constant(np.array([1.0, -0.5, 3.0, 20.0]), tau)
     elif case == "partial_final_step":
         t_end = 5.3
@@ -291,7 +302,7 @@ def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
     tau, t_end, step = 2.0, 30.0, 2.0 / 64
     history = History.from_function(_smooth, tau, segments=16)
     if case == "odd_n_negative_y1":
-        p = dataclasses.replace(p, n=3)
+        p = p._replace(n=3)
         history = History.constant(np.array([1.0, -0.5, 3.0, 20.0]), tau)
     elif case == "partial_final_step":
         t_end = 5.3  # 169.6 steps: 41 full ones in the last interval

@@ -1,7 +1,6 @@
 """Linearization, characteristic coefficients, crossings, transversality."""
 
 import cmath
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -200,7 +199,7 @@ def _sweep_n_grid():
     for first in range(2, 131, 32):
         spec = SweepSpec(param="n", start=first, stop=first + 28, count=8)
         for n in sweep_values(spec):
-            p = dataclasses.replace(PRESETS["n4"], n=n)
+            p = PRESETS["n4"]._replace(n=n)
             yield char_coeffs(p, find_equilibria(p)[0])
 
 
