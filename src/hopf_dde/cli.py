@@ -12,25 +12,23 @@ calls main more than once (a script, a benchmark loop) builds the
 argument parser on the first call and reuses it.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 I/O failure. Set HOPF_DDE_LOG=info or =debug for progress logging on
-stderr.
+3 I/O failure. With HOPF_DDE_LOG=info or =debug (any case) each stage
+writes an `INFO hopf_dde: <message>` line to stderr; unset or any other
+value writes nothing. There is no `hopf_dde` logger.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import os
 import sys
 
 from .config import AnalysisConfig, load_config
 from .errors import ConfigError, NumericalError
 from .model import PRESETS
-from .pipeline import RunResult, deferred, run_analysis
+from .pipeline import RunResult, deferred, progress, run_analysis
 from .report import render_report
-
-log = logging.getLogger("hopf_dde")
 
 # main calls these module names, which a tracer can wrap
 write_trajectory_csv = deferred(".csv_output", "write_trajectory_csv")
@@ -62,18 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ps
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("HOPF_DDE_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO,
-              "debug": logging.DEBUG}
-    if level_name not in levels:
-        level_name = "error"
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    log.handlers[:] = [handler]
-    log.setLevel(levels[level_name])
-
-
 def _label_slug(label: str) -> str:
     return "".join(ch if (ch.isalnum() or ch in "._-") else "_" for ch in label)
 
@@ -91,11 +77,10 @@ def _write_csvs(out: str, run: RunResult, runs: int) -> None:
         # phase.csv's y1, y2 text is formatted once, for both files
         write_trajectory_csv(tpath, traj,
                              lambda chunks: write_phase_csv(ppath, traj, chunks))
-        log.info("wrote %s, %s", tpath, ppath)
+        progress("wrote %s, %s", tpath, ppath)
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -113,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         report_path = os.path.join(args.out, "report.txt")
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_report(results, cfg))
-        log.info("wrote %s", report_path)
+        progress("wrote %s", report_path)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

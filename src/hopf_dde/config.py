@@ -30,6 +30,8 @@ from .errors import ConfigError
 from .model import ModelParams
 
 _MODEL_KEYS = ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n")
+#: report.txt prints k_max + 1 critical delays per crossing
+_K_MAX_LIMIT = 10000
 
 
 class SimSpec(NamedTuple):
@@ -108,9 +110,13 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
     model_vals = {}
     for name in _MODEL_KEYS:
         s = take(f"model.{name}")
-        if s is not None:
-            model_vals[name] = _as_int(f"model.{name}", s) if name == "n" \
-                else _as_float(f"model.{name}", s)
+        if s is None:
+            continue
+        v = _as_int(f"model.{name}", s) if name == "n" \
+            else _as_float(f"model.{name}", s)
+        if not math.isfinite(v):
+            raise ConfigError(f"model.{name} must be finite, got {v}")
+        model_vals[name] = v
     if model_vals:
         missing = [k for k in _MODEL_KEYS if k not in model_vals]
         if missing:
@@ -125,8 +131,9 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
 
     k_s = take("k_max")
     k_max = _as_int("k_max", k_s) if k_s is not None else 8
-    if k_max < 0:
-        raise ConfigError(f"k_max must be non-negative, got {k_max}")
+    if not 0 <= k_max <= _K_MAX_LIMIT:
+        raise ConfigError(f"k_max must be non-negative and at most "
+                          f"{_K_MAX_LIMIT}, got {k_max}")
 
     sim_kwargs = {}
     s = take("sim.enabled")

@@ -64,8 +64,8 @@ class ModelParams(_ModelParamsFields):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-        if not self.a > 0.0:
-            raise DomainError(f"a must be positive, got {self.a!r}")
+        if not 0.0 < self.a < math.inf:
+            raise DomainError(f"a must be positive and finite, got {self.a!r}")
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
         return self

@@ -14,8 +14,9 @@ another, in sweep order.
 from __future__ import annotations
 
 import importlib
-import logging
 import math
+import os
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import AnalysisConfig
@@ -32,7 +33,12 @@ if TYPE_CHECKING:
 
     from .simulation import Trajectory
 
-log = logging.getLogger("hopf_dde")
+
+def progress(fmt: str, *args) -> None:
+    """Write `INFO hopf_dde: fmt % args` to stderr when HOPF_DDE_LOG is info
+    or debug (any case); otherwise return before formatting anything."""
+    if os.environ.get("HOPF_DDE_LOG", "").lower() in ("info", "debug"):
+        print("INFO hopf_dde: " + fmt % args, file=sys.stderr)
 
 
 def deferred(module: str, name: str):
@@ -105,7 +111,7 @@ def _simulate(p: ModelParams, eq: Equilibrium, tau: float,
     step = tau / m
     pert = sim.perturbation
     history = History.constant([c * (1.0 + pert) for c in eq.state()], tau)
-    log.info("simulating tau=%.6g t_end=%.6g step=%.6g", tau, t_end, step)
+    progress("simulating tau=%.6g t_end=%.6g step=%.6g", tau, t_end, step)
     traj = integrate(p, tau, history, t_end, step)
     osc = oscillation_summary(traj.t, traj.component(IY1))
     return SimResult(tau=tau, t_end=t_end, step=step, perturbation=pert,
@@ -154,13 +160,13 @@ def analyze_branch(p: ModelParams, eq: Equilibrium, cfg: AnalysisConfig) -> Bran
     except (NumericalError, ArithmeticError) as exc:
         # float ** and / raise OverflowError, ZeroDivisionError
         error = f"{type(exc).__name__}: {exc}"
-        log.info("branch y10=%.6g failed: %s", eq.y10, error)
+        progress("branch y10=%.6g failed: %s", eq.y10, error)
     return BranchResult(eq, cc, rh_stable, crossing, hopf, nf, classification,
                         tau_eval, sim, flags, error)
 
 
 def analyze_params(p: ModelParams, cfg: AnalysisConfig, label: str = "") -> RunResult:
-    log.info("analyzing %s", label or "parameter set")
+    progress("analyzing %s", label or "parameter set")
     try:
         eqs = find_equilibria(p)
     except (NumericalError, ArithmeticError) as exc:

@@ -261,6 +261,23 @@ def test_non_finite_value_exits_1(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+def test_infinite_hill_constant_exits_1(tmp_path, capsys):
+    # was a run error (OverflowError) in a report that exited 0
+    cfg = _write_cfg(tmp_path, FAST_CFG.replace("model.a = 4", "model.a = inf"))
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "configuration error: model.a must be finite, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_k_max_above_its_bound_exits_1(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "k_max = 100000\n")
+    assert cli.main(["--paper-case", "n4", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("configuration error: k_max must be "
+                                       "non-negative and at most 10000, got 100000\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_parameters_exit_1(capsys):
     assert cli.main([]) == 1
     assert "no model parameters" in capsys.readouterr().err
@@ -333,6 +350,37 @@ def test_debug_logging_goes_to_stderr(tmp_path, monkeypatch, capsys):
     assert "report.txt" in capsys.readouterr().err
 
 
+_SWEEP_2 = "sweep.param = a12\nsweep.start = 0.01\nsweep.stop = 0.03\nsweep.count = 2\n"
+
+
+@pytest.mark.parametrize("level, loud", [("info", True), ("DEBUG", True),
+                                         ("warning", False), ("verbose", False)])
+def test_progress_lines(tmp_path, monkeypatch, capsys, level, loud):
+    monkeypatch.setenv("HOPF_DDE_LOG", level)
+    out = tmp_path / "out"
+    rc = cli.main(["--config", _write_cfg(tmp_path, FAST_CFG + _SWEEP_2),
+                   "--out", str(out)])
+    assert rc == 0
+    expected = []
+    for label, slug in (("a12=0.01", "a12_0.01"), ("a12=0.03", "a12_0.03")):
+        expected += [f"analyzing {label}", "simulating tau=10 t_end=50 step=0.5",
+                     f"wrote {out / f'trajectory_{slug}.csv'}, "
+                     f"{out / f'phase_{slug}.csv'}"]
+    expected.append(f"wrote {out / 'report.txt'}")
+    err = capsys.readouterr().err
+    assert err == ("".join(f"INFO hopf_dde: {line}\n" for line in expected)
+                   if loud else "")
+
+
+def test_progress_formats_nothing_when_quiet(monkeypatch, capsys):
+    monkeypatch.delenv("HOPF_DDE_LOG", raising=False)
+    pipeline.progress("%d", "not a number")  # would raise if formatted
+    monkeypatch.setenv("HOPF_DDE_LOG", "info")
+    with pytest.raises(TypeError):
+        pipeline.progress("%d", "not a number")
+    assert capsys.readouterr().err == ""
+
+
 def test_quiet_by_default(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("HOPF_DDE_LOG", raising=False)
     cfg = FAST_CFG + "sim.enabled = false\n"
@@ -375,13 +423,19 @@ def test_analytic_run_needs_no_numpy(tmp_path, sweep):
     assert report.count(b"nf.C1.re") == (3 if sweep else 1)
 
 
-def test_cli_import_leaves_numpy_out():
-    # dataclasses, and the inspect it imports, were most of the import time
-    proc = _python("import sys, hopf_dde.cli; "
-                   "print(*(m in sys.modules for m in "
-                   "('dataclasses', 'inspect', 'numpy'))); "
+def test_cli_import_leaves_numpy_out(tmp_path):
+    # dataclasses, and the inspect it imports, were most of the import time;
+    # logging, with the traceback it imports, was most of the rest
+    cfg = _write_cfg(tmp_path, FAST_CFG + "sim.enabled = false\n")
+    heavy = "('dataclasses', 'inspect', 'numpy', 'logging', 'traceback')"
+    proc = _python("import os, sys, hopf_dde.cli; "
+                   f"print(*(m in sys.modules for m in {heavy})); "
+                   "os.environ.pop('HOPF_DDE_LOG', None); "
+                   "assert hopf_dde.cli.main(sys.argv[1:]) == 0; "
+                   f"print(*(m in sys.modules for m in {heavy})); "
                    "from hopf_dde import integrate, History; "
                    "print('dataclasses' in sys.modules, "
-                   "integrate.__module__, History.__module__)")
+                   "integrate.__module__, History.__module__)",
+                   "--config", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] * 4 + ["hopf_dde.simulation"] * 2
+    assert proc.stdout.split() == ["False"] * 11 + ["hopf_dde.simulation"] * 2

@@ -104,6 +104,10 @@ def test_range_validation():
         config_from_mapping({"tau": "-1"})
     with pytest.raises(ConfigError, match="k_max must be non-negative"):
         config_from_mapping({"k_max": "-2"})
+    with pytest.raises(ConfigError,
+                       match="k_max must be non-negative and at most 10000, got 10001"):
+        config_from_mapping({"k_max": "10001"})
+    assert config_from_mapping({"k_max": "10000"}).k_max == 10000
     with pytest.raises(ConfigError, match="sim.t_end must be positive"):
         config_from_mapping({"sim.t_end": "0"})
     with pytest.raises(ConfigError, match="sim.step must be positive"):
@@ -111,7 +115,8 @@ def test_range_validation():
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("key", ["tau", "sim.t_end", "sim.step", "sim.perturbation"])
+@pytest.mark.parametrize("key", ["tau", "sim.t_end", "sim.step", "sim.perturbation",
+                                 "model.a"])
 def test_non_finite_values_rejected(key, value):
     with pytest.raises(ConfigError, match=re.escape(f"{key} must be")):
         config_from_mapping({key: value})
@@ -148,7 +153,7 @@ def test_sweep_validation():
 @pytest.mark.parametrize("param, start, stop, bad", [
     ("a1", "0.5", "1.5", "a1 must lie in (0, 1], got 1.5"),
     ("a12", "-0.01", "0.03", "a12 must lie in [0, 1], got -0.01"),
-    ("a", "0", "4", "a must be positive, got 0.0"),
+    ("a", "0", "4", "a must be positive and finite, got 0.0"),
     # n sweeps the integers round(v): 0.4 rounds to 0
     ("n", "0", "4", "n must be an integer >= 1, got 0"),
     ("n", "0.4", "4", "n must be an integer >= 1, got 0"),

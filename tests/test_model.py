@@ -27,6 +27,9 @@ def test_params_validation():
         ModelParams(a1=0.13, a2=0.13, a12=-0.1, a21=0.02, b1=0.8, b2=0.01, a=4.0, n=2)
     with pytest.raises(DomainError):
         ModelParams(a1=0.13, a2=0.13, a12=0.02, a21=0.02, b1=0.8, b2=0.01, a=0.0, n=2)
+    with pytest.raises(DomainError, match="a must be positive and finite"):
+        ModelParams(a1=0.13, a2=0.13, a12=0.02, a21=0.02, b1=0.8, b2=0.01,
+                    a=math.inf, n=2)
     with pytest.raises(DomainError):
         ModelParams(a1=0.13, a2=0.13, a12=0.02, a21=0.02, b1=0.8, b2=0.01, a=4.0, n=0)
     # couplings may be exactly zero (decoupled loop)
