@@ -126,14 +126,8 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
 
     tau_s = take("tau")
     tau = _as_float("tau", tau_s) if tau_s is not None else None
-    if tau is not None and not 0.0 <= tau < math.inf:
-        raise ConfigError(f"tau must be non-negative and finite, got {tau}")
-
     k_s = take("k_max")
     k_max = _as_int("k_max", k_s) if k_s is not None else 8
-    if not 0 <= k_max <= _K_MAX_LIMIT:
-        raise ConfigError(f"k_max must be non-negative and at most "
-                          f"{_K_MAX_LIMIT}, got {k_max}")
 
     sim_kwargs = {}
     s = take("sim.enabled")
@@ -144,12 +138,6 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
         if s is not None:
             sim_kwargs[name] = _as_float(f"sim.{name}", s)
     sim = SimSpec(**sim_kwargs)
-    for name in ("t_end", "step"):
-        v = getattr(sim, name)
-        if v is not None and not 0.0 < v < math.inf:
-            raise ConfigError(f"sim.{name} must be positive and finite, got {v}")
-    if not math.isfinite(sim.perturbation):
-        raise ConfigError(f"sim.perturbation must be finite, got {sim.perturbation}")
 
     sweep_raw = {name: take(f"sweep.{name}")
                  for name in ("param", "start", "stop", "count")}
@@ -160,28 +148,21 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
         if missing:
             raise ConfigError("incomplete sweep block; missing "
                               + ", ".join(f"sweep.{k}" for k in missing))
-        param = sweep_raw["param"]
-        if param not in _MODEL_KEYS:
-            raise ConfigError(f"sweep.param must be one of {sorted(_MODEL_KEYS)}, "
-                              f"got {param!r}")
         sweep = SweepSpec(
-            param=param,
+            param=sweep_raw["param"],
             start=_as_float("sweep.start", sweep_raw["start"]),
             stop=_as_float("sweep.stop", sweep_raw["stop"]),
             count=_as_int("sweep.count", sweep_raw["count"]),
         )
-        if sweep.count < 1:
-            raise ConfigError(f"sweep.count must be >= 1, got {sweep.count}")
-        if not -math.inf < sweep.start <= sweep.stop < math.inf:
-            raise ConfigError("sweep.stop must be >= sweep.start, both finite")
-        if not model_vals:
-            raise ConfigError("sweep requires a model block for the base values")
+    cfg = AnalysisConfig(tau=tau, k_max=k_max, sim=sim, sweep=sweep)
+    check_ranges(cfg)
+    if sweep is not None and not model_vals:
+        raise ConfigError("sweep requires a model block for the base values")
 
-    params = None
     if model_vals:
         # valid ranges are intervals, so valid sweep ends make every point valid
         try:
-            params = ModelParams(**model_vals)
+            cfg = cfg._replace(params=ModelParams(**model_vals))
             for v in (sweep.start, sweep.stop) if sweep is not None else ():
                 v = round(v) if sweep.param == "n" else v
                 ModelParams(**{**model_vals, sweep.param: v})
@@ -191,8 +172,37 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
-    return AnalysisConfig(params=params, tau=tau, k_max=k_max,
-                          sim=sim, sweep=sweep)
+    return cfg
+
+
+def check_ranges(cfg: AnalysisConfig) -> None:
+    """Raise ConfigError, naming the key, for a setting out of its range.
+
+    config_from_mapping and run_analysis both call this, so a
+    configuration built in code is held to a config file's ranges. The
+    model parameters check themselves when they are built.
+    """
+    if cfg.tau is not None and not 0.0 <= cfg.tau < math.inf:
+        raise ConfigError(f"tau must be non-negative and finite, got {cfg.tau}")
+    if not 0 <= cfg.k_max <= _K_MAX_LIMIT:
+        raise ConfigError(f"k_max must be non-negative and at most "
+                          f"{_K_MAX_LIMIT}, got {cfg.k_max}")
+    for name in ("t_end", "step"):
+        v = getattr(cfg.sim, name)
+        if v is not None and not 0.0 < v < math.inf:
+            raise ConfigError(f"sim.{name} must be positive and finite, got {v}")
+    if not math.isfinite(cfg.sim.perturbation):
+        raise ConfigError(
+            f"sim.perturbation must be finite, got {cfg.sim.perturbation}")
+    sweep = cfg.sweep
+    if sweep is not None:
+        if sweep.param not in _MODEL_KEYS:
+            raise ConfigError(f"sweep.param must be one of {sorted(_MODEL_KEYS)}, "
+                              f"got {sweep.param!r}")
+        if sweep.count < 1:
+            raise ConfigError(f"sweep.count must be >= 1, got {sweep.count}")
+        if not -math.inf < sweep.start <= sweep.stop < math.inf:
+            raise ConfigError("sweep.stop must be >= sweep.start, both finite")
 
 
 def load_config(path: str) -> AnalysisConfig:

@@ -19,7 +19,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import AnalysisConfig
+from .config import AnalysisConfig, check_ranges
 from .equilibrium import Equilibrium, find_equilibria
 from .errors import HopfDdeError, NumericalError
 from .model import IY1, ModelParams
@@ -207,12 +207,16 @@ def run_analysis(cfg: AnalysisConfig, workers: int = 1,
     soon as the run is analysed; the run's trajectories are released
     after that call, so a sweep holds one member's arrays at a time.
 
+    Raises ConfigError for a setting out of the range a config file
+    allows (config.check_ranges), however cfg was built.
+
     workers is accepted for compatibility and has no effect: the
     integrator runs in Python and holds the interpreter lock, so a thread
     pool measured no speed-up.
     """
     if cfg.params is None:
         raise HopfDdeError("configuration has no model parameters")
+    check_ranges(cfg)
     if cfg.sweep is None:
         points = [(cfg.params, "")]
     else:

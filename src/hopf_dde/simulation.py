@@ -2,9 +2,9 @@
 
 Fixed-step classical RK4 by the method of steps: the step divides the
 delay exactly, so every delayed lookup falls on the already-computed part
-of the grid (or in the prescribed history) and is evaluated by cubic
-Hermite interpolation from stored states and derivatives, keeping the
-overall order four. Delayed values for the two internal stages share the
+of the grid, where it is evaluated by cubic Hermite interpolation from
+stored states and derivatives, keeping the overall order four, or in the
+prescribed history. Delayed values for the two internal stages share the
 midpoint lookup.
 
 A lookup enters a step only through three numbers: the delayed
@@ -40,14 +40,15 @@ keep that reference); the interval path regroups them, and agrees with
 it to rounding (the tests pin states to 1e-12 and derivatives to 1e-10
 of each component's largest magnitude).
 
-The history on [-tau, 0] is stored as uniform samples plus derivative
-samples and interpolated the same way, so histories built from smooth
-functions retain O(step^4) accuracy.
+The history on [-tau, 0] is a function of time: integrate evaluates it
+once, at the first interval's nodes and midpoints and at 0, and both
+paths read that array; no history is sampled or interpolated.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -71,17 +72,6 @@ _PASS_MIN_STEPS = 36
 def _hermite_weights(s: float, h: float) -> tuple[float, float, float, float]:
     """Cubic Hermite basis at s in [0, 1]; the derivative weights carry h."""
     return ((1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2 * h,
-            s * s * (3.0 - 2.0 * s), s * s * (s - 1.0) * h)
-
-
-def _hermite_weights_many(s: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
-    """_hermite_weights elementwise, to the bit.
-
-    float_power calls the C library's pow, as a Python float's ** does;
-    an ndarray's ** 2 multiplies, which differs in the last bit.
-    """
-    r = np.float_power(1.0 - s, 2.0)
-    return ((1.0 + 2.0 * s) * r, s * r * h,
             s * s * (3.0 - 2.0 * s), s * s * (s - 1.0) * h)
 
 
@@ -123,13 +113,12 @@ def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray:
 
 class _HistoryFields(NamedTuple):
     tau: float
-    step: float
-    states: np.ndarray
-    derivs: np.ndarray
+    fn: Callable[[np.ndarray], np.ndarray]
 
 
 class History(_HistoryFields):
-    """Initial data on [-tau, 0]: uniform samples and derivative samples.
+    """Initial data on [-tau, 0]: fn maps an array of times there to the
+    (len, 4) array of states at them.
 
     Every construction is validated, _replace included.
     """
@@ -138,11 +127,9 @@ class History(_HistoryFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        m = len(self.states) - 1
-        if m < 1 or abs(m * self.step - self.tau) > 1e-9 * max(self.tau, 1.0):
-            raise DomainError("history grid step must divide tau exactly")
-        if self.derivs.shape != self.states.shape:
-            raise DomainError("history derivative block must match samples")
+        if not 0.0 < self.tau < math.inf:
+            raise DomainError(
+                f"history delay must be positive and finite, got {self.tau!r}")
         return self
 
     # _replace builds through _make, which would skip __new__
@@ -151,63 +138,27 @@ class History(_HistoryFields):
         return cls(*iterable)
 
     @classmethod
-    def constant(cls, state: np.ndarray, tau: float, segments: int = 64) -> "History":
-        state = np.asarray(state, dtype=float)
-        m = max(1, int(segments))
-        reps = np.tile(state, (m + 1, 1))
-        return cls(tau=float(tau), step=float(tau) / m,
-                   states=reps, derivs=np.zeros_like(reps))
+    def constant(cls, state, tau: float) -> "History":
+        row = np.array(state, dtype=float)
+        return cls(float(tau), lambda ts: np.tile(row, (len(ts), 1)))
 
     @classmethod
-    def from_function(cls, fn, tau: float, segments: int = 64) -> "History":
-        """Sample a vector function of t on [-tau, 0].
+    def from_function(cls, fn, tau: float) -> "History":
+        """fn(t), a state for one time t, called at each time looked up."""
+        return cls(float(tau), lambda ts: np.array(
+            [np.asarray(fn(t), dtype=float) for t in ts.tolist()]))
 
-        Node derivatives come from fourth-order finite differences, so the
-        Hermite representation keeps O(step^4) interpolation error for
-        smooth fn. Needs at least 4 segments.
-        """
-        m = int(segments)
-        if m < 4:
-            raise DomainError("from_function needs at least 4 segments")
-        h = float(tau) / m
-        ts = -float(tau) + h * np.arange(m + 1)
-        st = np.array([np.asarray(fn(t), dtype=float) for t in ts])
-        d = np.empty_like(st)
-        # five-point stencils: centered inside, one-sided at the edges
-        d[2:-2] = (st[:-4] - 8.0 * st[1:-3] + 8.0 * st[3:-1] - st[4:]) / (12.0 * h)
-        d[0] = (-25.0 * st[0] + 48.0 * st[1] - 36.0 * st[2]
-                + 16.0 * st[3] - 3.0 * st[4]) / (12.0 * h)
-        d[1] = (-3.0 * st[0] - 10.0 * st[1] + 18.0 * st[2]
-                - 6.0 * st[3] + st[4]) / (12.0 * h)
-        d[-2] = (3.0 * st[-1] + 10.0 * st[-2] - 18.0 * st[-3]
-                 + 6.0 * st[-4] - st[-5]) / (12.0 * h)
-        d[-1] = (25.0 * st[-1] - 48.0 * st[-2] + 36.0 * st[-3]
-                 - 16.0 * st[-4] + 3.0 * st[-5]) / (12.0 * h)
-        return cls(tau=float(tau), step=h, states=st, derivs=d)
-
-    def value(self, t: float) -> np.ndarray:
-        """Hermite-interpolated state at t in [-tau, 0]."""
-        if t < -self.tau - 1e-9 or t > 1e-9:
-            raise DomainError(f"history queried outside [-tau, 0]: t={t!r}")
-        x = (min(0.0, max(t, -self.tau)) + self.tau) / self.step
-        j = min(int(x), len(self.states) - 2)
-        s = x - j
-        if s < 1e-13:
-            return self.states[j]
-        return _hermite(_hermite_weights(s, self.step), self.states[j],
-                        self.states[j + 1], self.derivs[j], self.derivs[j + 1])
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """value at each of the times ts, as a (len(ts), 4) array."""
+    def values(self, ts) -> np.ndarray:
+        """The states at the times ts, as a (len(ts), 4) array."""
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < -self.tau - 1e-9) or np.any(ts > 1e-9):
             raise DomainError("history queried outside [-tau, 0]")
-        x = (np.minimum(0.0, np.maximum(ts, -self.tau)) + self.tau) / self.step
-        j = np.minimum(x.astype(np.intp), len(self.states) - 2)
-        s = (x - j)[:, None]
-        out = _hermite(_hermite_weights_many(s, self.step), self.states[j],
-                       self.states[j + 1], self.derivs[j], self.derivs[j + 1])
-        return np.where(s < 1e-13, self.states[j], out)
+        out = np.asarray(self.fn(np.minimum(0.0, np.maximum(ts, -self.tau))),
+                         dtype=float)
+        if out.shape != (len(ts), 4):
+            raise DomainError(f"history function gave shape {out.shape}, "
+                              f"not ({len(ts)}, 4)")
+        return out
 
 
 class Trajectory:
@@ -265,9 +216,9 @@ class _IntervalSolver:
     nodes and odd ones the midpoints between them.
     """
 
-    def __init__(self, p: ModelParams, tau: float, history: History,
+    def __init__(self, p: ModelParams, first: np.ndarray,
                  states: np.ndarray, derivs: np.ndarray, m: int, step: float):
-        self.tau, self.history, self.n, self.log_a = tau, history, p.n, math.log(p.a)
+        self.first, self.n, self.log_a = first, p.n, math.log(p.a)
         self.states, self.derivs, self.m, self.step = states, derivs, m, step
         self.base = np.array([[p.a1], [p.a2]])
         self.cross = np.array([[p.a12], [p.a21]])
@@ -284,21 +235,20 @@ class _IntervalSolver:
     def solve(self, i0: int, i1: int) -> bool:
         """Full steps i0..i1-1, within one delay interval.
 
-        Step i reads its delayed y1, y2 from node i - m (from
-        history.values on the first interval), so every input is known
-        before the first step. Writes nodes i0+1..i1 and their
-        derivatives and returns True. Returns False when a decay product
-        leaves [1e-250, 1e250] or a state breaks the blow-up bound; the
-        caller then takes these steps one by one, which rewrites every
-        node it reaches.
+        Step i reads its delayed y1, y2 from node i - m (on the first
+        interval, from first: the history at the half-grid times less
+        tau), so every input is known before the first step. Writes
+        nodes i0+1..i1 and their derivatives and returns True. Returns
+        False when a decay product leaves [1e-250, 1e250] or a state breaks
+        the blow-up bound; the caller then takes these steps one by one,
+        which rewrites every node it reaches.
         """
         if not self.x_ok:
             return False
         states, derivs, m, step = self.states, self.derivs, self.m, self.step
         L = i1 - i0
         if i0 < m:
-            w = self.history.values(np.arange(2 * L + 1) * (0.5 * step)
-                                    - self.tau)[:, IY1::2].T
+            w = self.first[:, 2 * i0:2 * i1 + 1]
         else:
             yn = states[i0 - m:i1 - m + 1, IY1::2].T
             dn = derivs[i0 - m:i1 - m + 1, IY1::2].T
@@ -352,12 +302,13 @@ def integrate(p: ModelParams, tau: float, history: History,
     step must divide tau (to 1e-9 relative); it is then taken as tau/m
     exactly, so every full step's delayed lookups fall on the grid's
     nodes and midpoints (on the first interval, the history at those
-    times less tau). A final shorter step is taken when t_end is not a
+    times less tau, looked up in one history.values call with the states
+    at 0 and -tau). A final shorter step is taken when t_end is not a
     multiple of step; the last node then sits at t_end, and only that
-    step's lookups fall off the grid. Raises DivergenceError when the
-    history holds non-finite values, or when the state norm exceeds 1e12
-    or turns non-finite; DomainError for a tau, step or t_end that is not
-    positive and finite.
+    step's lookups fall off the grid. Raises DivergenceError when those
+    history values are not all finite, or when the state norm exceeds
+    1e12 or turns non-finite; DomainError for a tau, step or t_end that
+    is not positive and finite.
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"delay must be positive and finite, got {tau!r}")
@@ -378,9 +329,14 @@ def integrate(p: ModelParams, tau: float, history: History,
     N = n_full + (1 if rem > 0.0 else 0)
     if N > _MAX_STEPS:
         raise DomainError(f"{N} steps exceed the {_MAX_STEPS} budget")
-    if not (np.all(np.isfinite(history.states))
-            and np.all(np.isfinite(history.derivs))):
+    # the history at the first interval's nodes and midpoints, which
+    # start at -tau, and at 0
+    k = min(m, n_full)
+    hv = history.values(np.append(np.arange(2 * k + 1) * (0.5 * step) - tau, 0.0))
+    if not np.all(np.isfinite(hv)):
         raise DivergenceError("history holds non-finite values")
+    # the delayed y1, y2 at those times, one row per time
+    first = hv[:-1, IY1::2]
 
     # zeros, not empty: every lookup reads nodes that are already written
     # (full step i reads nodes i - m and i - m + 1, the partial step at most
@@ -388,7 +344,7 @@ def integrate(p: ModelParams, tau: float, history: History,
     # whatever the allocator left there
     states = np.zeros((N + 1, 4))
     derivs = np.zeros((N + 1, 4))
-    states[0] = history.value(0.0)
+    states[0] = hv[-1]
     # flat views: indexing them reads and writes Python floats directly
     sv = memoryview(states).cast("B").cast("d")
     dv = memoryview(derivs).cast("B").cast("d")
@@ -401,7 +357,7 @@ def integrate(p: ModelParams, tau: float, history: History,
         the history, a stored node within 1e-13 of tq, or the Hermite
         interpolant of the stored nodes around tq."""
         if tq <= 0.0:
-            v = history.value(tq)
+            v = history.values([tq])[0]
             return float(v[IY1]), float(v[IY2])
         x = tq / step
         j = int(x)
@@ -426,8 +382,7 @@ def integrate(p: ModelParams, tau: float, history: History,
         if i0 < m:
             # the first interval's lookups, midpoints and ends in turn, at
             # the same times as _IntervalSolver.solve's
-            hv = history.values(np.arange(2 * i0 + 1, 2 * min(i1, m, n_full) + 1)
-                                * (0.5 * step) - tau)[:, IY1::2].ravel().tolist()
+            hf = first[2 * i0 + 1:2 * min(i1, m, n_full) + 1].ravel().tolist()
         w0, w1, w2, w3 = _hermite_weights(0.5, step)
         h, hh, h6 = step, 0.5 * step, step / 6.0
         for i in range(i0, i1):
@@ -446,7 +401,7 @@ def integrate(p: ModelParams, tau: float, history: History,
                 ed2 = gd2
             elif i < n_full:
                 k = 4 * (i - i0)
-                d1, d2, g1, g2 = hv[k], hv[k + 1], hv[k + 2], hv[k + 3]
+                d1, d2, g1, g2 = hf[k], hf[k + 1], hf[k + 2], hf[k + 3]
             else:
                 h, hh, h6 = rem, 0.5 * rem, rem / 6.0
                 t = i * step
@@ -504,14 +459,13 @@ def integrate(p: ModelParams, tau: float, history: History,
             dv[k + 3] = k1d
 
     x1, y1, x2, y2 = sv[0], sv[1], sv[2], sv[3]
-    v = history.value(-tau)
-    y1d, y2d = float(v[IY1]), float(v[IY2])
+    y1d, y2d = first[0].tolist()
     dv[0], dv[1], dv[2], dv[3] = (1.0 - b1 * x1, x1 - (a1 + a12 * y2d) * y1,
                                   _hill_log(y1d, n, log_a) - b2 * x2,
                                   x2 - (a2 + a21 * y1d) * y2)
     i = 0
     if m >= _PASS_MIN_STEPS:
-        solver = _IntervalSolver(p, tau, history, states, derivs, m, step)
+        solver = _IntervalSolver(p, first.T, states, derivs, m, step)
         while n_full - i >= _PASS_MIN_STEPS:
             i1 = min(i + m, n_full)
             if not solver.solve(i, i1):

@@ -219,7 +219,7 @@ def test_criterion_8_dynamics_on_both_sides():
     state = np.asarray(eq.state())
     hist = History.constant(state * 1.01, tau)
     traj = integrate(p, tau, hist, t_end=t_end, step=step)
-    dev0 = np.linalg.norm(hist.value(0.0) - state)
+    dev0 = np.linalg.norm(hist.values([0.0])[0] - state)
     dev1 = np.linalg.norm(traj.states[-1] - state)
     ratio = dev1 / dev0
     print(f"n2 at tau = 0.5 tau_c: deviation ratio {ratio:.6f}")

@@ -1,12 +1,15 @@
 """Orchestration: per-branch analysis, sweeps, worker fan-out."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_dde import (AnalysisConfig, DomainError, ModelParams, NumericalError,
-                      PRESETS, analyze_params, render_report, run_analysis)
+from hopf_dde import (AnalysisConfig, ConfigError, DomainError, ModelParams,
+                      NumericalError, PRESETS, analyze_params, render_report,
+                      run_analysis)
 from hopf_dde import pipeline
 from hopf_dde.config import SimSpec, SweepSpec
 
@@ -186,6 +189,24 @@ def test_in_code_sweep_outside_the_domain_raises():
                          sweep=SweepSpec("a1", 0.5, 1.5, 3))
     with pytest.raises(DomainError, match="a1 must lie in"):
         run_analysis(cfg)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"k_max": -1}, "k_max must be non-negative and at most 10000, got -1"),
+    ({"k_max": 10001}, "k_max must be non-negative and at most 10000, got 10001"),
+    ({"sim": SimSpec(step=-1.0)}, "sim.step must be positive and finite, got -1.0"),
+    ({"sim": SimSpec(t_end=math.nan)}, "sim.t_end must be positive and finite, got nan"),
+    ({"tau": -1.0}, "tau must be non-negative and finite, got -1.0"),
+], ids=["k_max_negative", "k_max_above_bound", "sim_step_negative",
+        "sim_t_end_nan", "tau_negative"])
+def test_run_analysis_checks_ranges_of_a_config_built_in_code(over, message):
+    # the ranges a config file is held to; k_max = -1 had returned the
+    # crossing with no delays and no Hopf point, and sim.step = -1 had run
+    # at step = tau
+    cfg = AnalysisConfig(params=PRESETS["n4"], sim=SimSpec(enabled=False))
+    with pytest.raises(ConfigError) as exc:
+        run_analysis(cfg._replace(**over))
+    assert str(exc.value) == message
 
 
 def test_run_analysis_requires_params():

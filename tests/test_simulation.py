@@ -24,44 +24,55 @@ def test_constant_history_values():
     state = np.array([1.0, 2.0, 3.0, 4.0])
     h = History.constant(state, tau=5.0)
     for t in (-5.0, -2.7, -0.001, 0.0):
-        np.testing.assert_array_equal(h.value(t), state)
+        np.testing.assert_array_equal(h.values([t])[0], state)
 
 
-def test_history_rejects_inconsistent_grid():
-    states = np.zeros((11, 4))
-    with pytest.raises(DomainError):
-        History(tau=5.0, step=0.7, states=states, derivs=np.zeros((11, 4)))
-    with pytest.raises(DomainError):
-        History(tau=5.0, step=0.5, states=states, derivs=np.zeros((3, 4)))
-    with pytest.raises(DomainError, match="must divide tau"):
-        History.constant(np.ones(4), tau=5.0, segments=10)._replace(step=0.7)
+def test_constant_history_is_exact_on_the_first_interval(preset_data):
+    # the times integrate looks up on n2's first interval at step tau/256,
+    # with the analysis's perturbed equilibrium: every one reads back the
+    # state to the bit
+    _, eq, _, hp = preset_data["n2"]
+    tau, m = hp.tau_c, 256
+    state = [c * 1.01 for c in eq.state()]
+    ts = np.append(np.arange(2 * m + 1) * (0.5 * tau / m) - tau, 0.0)
+    got = History.constant(state, tau).values(ts)
+    assert np.array_equal(got, np.tile(state, (len(ts), 1)))
 
 
-def test_history_from_function_needs_enough_segments():
-    with pytest.raises(DomainError):
-        History.from_function(_smooth, tau=2.0, segments=3)
+def test_from_function_calls_fn_at_each_time():
+    ts = [-2.0, -1.25, -0.3, 0.0]
+    got = History.from_function(_smooth, tau=2.0).values(ts)
+    assert np.array_equal(got, np.array([_smooth(t) for t in ts]))
+
+
+def test_history_rejects_non_positive_or_infinite_tau():
+    for tau in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="history delay must be positive"):
+            History.constant(np.ones(4), tau)
+        with pytest.raises(DomainError, match="history delay must be positive"):
+            History.from_function(_smooth, tau)
+    with pytest.raises(DomainError, match="history delay must be positive"):
+        History.constant(np.ones(4), 5.0)._replace(tau=-1.0)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda ts: np.ones(len(ts)), lambda ts: np.ones((len(ts) + 1, 4))],
+    ids=["flat", "one_row_too_many"])
+def test_history_function_of_the_wrong_shape_is_rejected(fn):
+    for history in (History(2.0, fn), History.constant(np.ones(3), 2.0),
+                    History.from_function(lambda t: np.ones(5), 2.0)):
+        with pytest.raises(DomainError, match="history function gave shape"):
+            history.values([-1.0, 0.0])
+        with pytest.raises(DomainError, match="history function gave shape"):
+            integrate(PRESETS["n2"], 2.0, history, 10.0, 0.1)
 
 
 def test_history_value_range_check():
     h = History.constant(np.ones(4), tau=1.0)
     with pytest.raises(DomainError):
-        h.value(-1.5)
+        h.values([-1.5])
     with pytest.raises(DomainError):
-        h.value(0.5)
-
-
-def test_history_interpolation_fourth_order():
-    # halving the sampling step must shrink the interpolation error by
-    # about 2^4
-    tau = 2.0
-    probes = np.linspace(-tau, 0.0, 101)
-
-    def max_err(segments):
-        h = History.from_function(_smooth, tau, segments=segments)
-        return max(np.max(np.abs(h.value(t) - _smooth(t))) for t in probes)
-
-    ratio = max_err(8) / max_err(16)
-    assert 10.0 < ratio < 26.0
+        h.values([-0.5, 0.5])
 
 
 def test_integrate_validation_errors():
@@ -169,7 +180,7 @@ def _reference_integrate(p, tau, history, t_end, step):
         rem = 0.0
     N = n_full + (1 if rem > 0.0 else 0)
     states, derivs = np.empty((N + 1, 4)), np.empty((N + 1, 4))
-    states[0] = history.value(0.0)
+    states[0] = history.values([0.0])[0]
 
     def hermite(j, s):
         return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * states[j]
@@ -181,14 +192,14 @@ def _reference_integrate(p, tau, history, t_end, step):
         if frac and h != step:
             tq = i * step + frac * h - tau
             if tq <= 0.0:
-                return history.value(tq)
+                return history.values([tq])[0]
             x = tq / step
             j = int(x)
             s = x - j
             return states[j] if s < 1e-13 else hermite(j, s)
         k = 2 * (i - m) + int(2 * frac)
         if k <= 0:
-            return history.value((2 * i + int(2 * frac)) * (0.5 * step) - tau)
+            return history.values([(2 * i + int(2 * frac)) * (0.5 * step) - tau])[0]
         return hermite(k // 2, 0.5) if k % 2 else states[k // 2]
 
     for i in range(N):
@@ -219,7 +230,7 @@ def _assert_same_map(traj, states, derivs):
 def test_integrate_matches_reference_bit_for_bit(case):
     p = PRESETS["n2"]
     tau, t_end, step = 2.0, 30.0, 0.125
-    history = History.from_function(_smooth, tau, segments=16)
+    history = History.from_function(_smooth, tau)
     if case == "step_equals_tau":
         step, t_end = tau, 60.0
     elif case == "odd_n_negative_y1":
@@ -300,7 +311,7 @@ def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
     # numpy path, which agrees with the per-step reference to rounding
     p = PRESETS["n2"]
     tau, t_end, step = 2.0, 30.0, 2.0 / 64
-    history = History.from_function(_smooth, tau, segments=16)
+    history = History.from_function(_smooth, tau)
     if case == "odd_n_negative_y1":
         p = p._replace(n=3)
         history = History.constant(np.array([1.0, -0.5, 3.0, 20.0]), tau)
@@ -458,19 +469,6 @@ def test_integrate_leaves_no_reference_cycles(m):
         gc.enable()
 
 
-def test_history_values_match_value_bit_for_bit():
-    tau = 2.0
-    for hist in (History.from_function(_smooth, tau, segments=16),
-                 History.constant(np.array([1.0, 2.0, 3.0, 4.0]), tau, segments=7)):
-        ts = np.concatenate((np.linspace(-tau, 0.0, 203), -tau + hist.step * np.arange(5),
-                             [-tau - 1e-10, 1e-10, -1e-14]))
-        got = hist.values(ts)
-        for t, row in zip(ts, got):
-            assert np.array_equal(row, hist.value(float(t)))
-    with pytest.raises(DomainError):
-        hist.values(np.array([-1.0, 0.5]))
-
-
 @pytest.mark.parametrize("step", [0.5, 2.0])
 def test_final_node_derivative_after_partial_step(step):
     # the last node sits at t_end, so its derivative needs the delayed
@@ -509,8 +507,11 @@ def test_lookup_at_the_front_ignores_unwritten_memory(monkeypatch):
 def test_non_finite_history_is_divergence(bad):
     p = PRESETS["n2"]
     y0 = np.array([2.0, 0.7, 11.0, bad])
-    with pytest.raises(DivergenceError):
-        integrate(p, 1.0, History.constant(y0, 1.0), t_end=1.0, step=0.1)
+    # non-finite throughout, and only at one of the looked-up times
+    for history in (History.constant(y0, 1.0),
+                    History.from_function(lambda t: y0 if t == -0.5 else np.ones(4), 1.0)):
+        with pytest.raises(DivergenceError, match="history holds non-finite values"):
+            integrate(p, 1.0, history, t_end=1.0, step=0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
