@@ -3,7 +3,8 @@
 Library layout:
 
 - model: parameters, Hill nonlinearity
-- equilibrium: the positive steady state, bisected on its a-priori bracket
+- equilibrium: the positive steady state, by Newton steps on its a-priori
+  bracket
 - stability: characteristic coefficients, the crossing frequency, critical
   delays, transversality
 - normal_form: first Lyapunov coefficient from the characteristic matrix,

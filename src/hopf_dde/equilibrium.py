@@ -15,13 +15,15 @@ lower end of
 
 so the equilibrium lies in that bracket.
 
-find_equilibria bisects g on that bracket down to adjacent floats, with
-f in log space so n in the hundreds cannot overflow. build_equilibrium
-checks the y1 balance at the assembled equilibrium; the other three
-steady-state equations hold by construction. Where f(y10) or a12*f(y)
-underflows, the load, x20 and y20 carry f's binary exponent apart. The
-same bisection, _bisect, finishes the crossing-frequency solve in
-stability, on the bracket a few Newton steps leave.
+find_equilibria takes Newton steps on g inside that bracket, from where
+the Hill term switches on, down to adjacent floats, with f in log space
+so n in the hundreds cannot overflow; where rounding makes the Newton
+result untrustworthy it bisects the whole bracket instead.
+build_equilibrium checks the y1 balance at the assembled equilibrium; the
+other three steady-state equations hold by construction. Where f(y10) or
+a12*f(y) underflows, the load, x20 and y20 carry f's binary exponent
+apart. The same loop, _newton_bisect, solves the crossing-frequency cubic
+in stability.
 """
 
 from __future__ import annotations
@@ -36,10 +38,17 @@ from .model import (ModelParams, _hill_log, _hill_scaled, _scaled_product,
 
 # y1-balance threshold, relative to the sum of the balance's two sides
 _ACCEPT_TOL = 1e-10
-# the positive float range the bisection searches
+# the positive float range the root finders search
 _TINY = math.ulp(0.0)
 _HUGE = sys.float_info.max
 _NORMAL = sys.float_info.min
+#: Newton steps before _newton_bisect falls back to bisection; the
+#: frequency cubic takes at most 8 on the sweep_n grid and on random
+#: coefficients over 1e+-100, the equilibrium at most 9 on the sweep_n grid
+_NEWTON_STEPS = 16
+#: the widest rounding band of the y1-balance test, relative to y10, at
+#: which the equilibrium keeps its Newton root rather than bisecting
+_BAND = 2.0**-40
 
 
 class Equilibrium(NamedTuple):
@@ -61,6 +70,13 @@ class Equilibrium(NamedTuple):
         return (self.x10, self.y10, self.x20, self.y20)
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """_bisect's midpoint: geometric while the bracket spans more than a
+    factor 4, then arithmetic."""
+    return (math.sqrt(max(lo, _TINY)) * math.sqrt(hi) if hi > 4.0 * lo
+            else lo + 0.5 * (hi - lo))
+
+
 def _bisect(below, lo: float, hi: float) -> float:
     """Where a monotone test, true at lo (or lo = 0) and false at hi, turns
     false: the upper end of a bracket of adjacent floats. The midpoint is
@@ -68,8 +84,7 @@ def _bisect(below, lo: float, hi: float) -> float:
     so a bracket over hundreds of decades takes a few dozen extra steps.
     """
     while True:
-        mid = (math.sqrt(max(lo, _TINY)) * math.sqrt(hi) if hi > 4.0 * lo
-               else lo + 0.5 * (hi - lo))
+        mid = _midpoint(lo, hi)
         if not lo < mid < hi:
             return hi
         if below(mid):
@@ -78,16 +93,62 @@ def _bisect(below, lo: float, hi: float) -> float:
             hi = mid
 
 
-def _solve_y10(p: ModelParams) -> float:
-    """The one positive root of g, bisected to adjacent floats.
+def _newton_bisect(value_slope, z: float, lo: float, hi: float) -> float:
+    """Where the test v < 0 turns false, as _bisect, by Newton steps from z.
 
-    g(y) < 0 is tested as a1*y + load < 1/b1, so no step divides by a
-    product that can underflow or subtracts infinities; a load that
-    overflows reads as g > 0, which it is. Where a12*f(y) underflows, the
-    load carries f's binary exponent apart. The test is not monotone in
-    floats where the Hill term rounds (at a1 = b1 = b2 = 1e-16, a band
-    10 % wide around y10 holds several sign changes), so it keeps
-    _bisect's midpoints rather than Newton steps.
+    value_slope(z) gives (v, dv): v has the test's sign, dv the slope of
+    the increasing function that v rounds. The test is true at lo (or
+    lo = 0) and false at hi, and every evaluation narrows (lo, hi). A step
+    that leaves the bracket takes _bisect's midpoint instead, and a step
+    that rounds to nothing moves one float toward the root. _bisect
+    finishes on the few floats the steps leave, or on what is left after
+    _NEWTON_STEPS where Newton stalls. The result is the upper end of a
+    bracket of adjacent floats, _bisect's float wherever the test is
+    monotone in floats.
+    """
+    for _ in range(_NEWTON_STEPS):
+        if not lo < z < hi:
+            z = _midpoint(lo, hi)
+            if not lo < z < hi:
+                return hi
+        v, dv = value_slope(z)
+        if v < 0.0:
+            lo = z
+        else:
+            hi = z
+        # a slope that is 0 (underflow) or nan steps out of the bracket
+        z_next = z - v / dv if dv > 0.0 else lo
+        z = z_next if z_next != z else math.nextafter(z, hi if v < 0.0 else lo)
+    return _bisect(lambda z: value_slope(z)[0] < 0.0, lo, hi)
+
+
+def _solve_y10(p: ModelParams) -> float:
+    """The one positive root of g: a float y where the test
+    a1*y + load < 1/b1 holds at the float below y and fails at y.
+
+    The test is g(y) < 0 without a division by a product that can
+    underflow or a difference of infinities; a load that overflows reads
+    as g > 0, which it is. Where a12*f(y) underflows, the load carries f's
+    binary exponent apart. _newton_bisect steps from f = 1/2, where the
+    Hill term switches on, if that lies in the bracket, on the value
+    (a1*y + load) - 1/b1, whose sign is the test's, and
+    g' = a1 + (load/y)(n (1 - f) + a2/(a2 + a21 y)), as y f' = n f (1 - f).
+    On perfbench's sweep_n grid that takes at most 10 Hill evaluations,
+    against 58 for bisecting the bracket.
+
+    The test is not monotone in floats where the Hill term rounds (at
+    a1 = b1 = b2 = 1e-16, a band 10 % wide around y10 holds several sign
+    changes), and a narrowed bracket can end at another flip there. So the
+    whole bracket is bisected where the rounding band at the Newton root
+    spans more than _BAND of it, and where a12*f underflows (the slope is
+    then nan). The band is the sum's error, about
+    x10 (|ln a| + 2 n |ln y| + 16) 2^-53 from rounding t = ln a - n ln y
+    (f = 1/(1 + e^t)) and a few ulps per operation, over g'. On 5000
+    draws of the ROADMAP sampler (rates log-uniform on [1e-3, 1], a on
+    [1e-2, 1e2], n in {1, 2, 3, 4, 6, 8, 12, 20}) 71 roots differ from
+    the whole bracket's bisection, by at most 37 ulps, each a flip of the
+    test that passes build_equilibrium's balance check; at the preset
+    rates for n = 1..169 and on perfbench's a12 grids they are its float.
     """
     x10 = 1.0 / p.b1
     if x10 == math.inf:
@@ -96,30 +157,48 @@ def _solve_y10(p: ModelParams) -> float:
     log_a = math.log(p.a)
     mb2, jb2 = math.frexp(b2)
 
-    def below(y: float) -> bool:
-        q = a12 * _hill_log(y, n, log_a)
+    def value_slope(y: float) -> tuple[float, float]:
+        # a1*y + load < x10 exactly where (a1*y + load) - x10 < 0
+        f = _hill_log(y, n, log_a)
+        q = a12 * f
+        be = a2 + a21 * y
         if q < _NORMAL and a12:
             # q lost digits to underflow, though the load can be a normal
-            # float: carry f's binary exponent apart
-            f, e = _hill_scaled(y, p)
-            mbe, jbe = math.frexp(a2 + a21 * y)
-            load = _scaled_product((a12, f, y, 1.0 / mbe, 1.0 / mb2),
+            # float: carry f's binary exponent apart; a nan slope bisects
+            fs, e = _hill_scaled(y, p)
+            mbe, jbe = math.frexp(be)
+            load = _scaled_product((a12, fs, y, 1.0 / mbe, 1.0 / mb2),
                                    e - jbe - jb2)
-            return a1 * y + load < x10
-        load = q * (y / (a2 + a21 * y)) / b2 if q else 0.0
-        return a1 * y + load < x10
+            return (a1 * y + load) - x10, math.nan
+        load = q * (y / be) / b2 if q else 0.0
+        return (a1 * y + load) - x10, a1 + load / y * (n * (1.0 - f) + a2 / be)
+
+    def below(y: float) -> bool:
+        return value_slope(y)[0] < 0.0
 
     # the a-priori bracket [x10/(a1 + a12/(a2 b2)), x10/a1], widened by
     # a factor 2 on each side so its rounding cannot exclude the root
     lo = max(0.5 * x10 / (a1 + a12 / a2 / b2), _TINY)
     hi = min(2.0 * x10 / a1, _HUGE)
-    if not below(lo):
-        raise DomainError("equilibrium protein level y10 is below the "
-                          "smallest positive float")
-    if below(hi):
+    # f = 1/2 at y = a^(1/n)
+    start = math.exp(log_a / n)
+    if not lo < start < hi:
+        start = _midpoint(lo, hi)
+    y = _newton_bisect(value_slope, start, lo, hi)
+    # the steps take the test as true at lo and false at hi; where either
+    # is not, they end next to it
+    if y == hi and below(hi):
         raise DomainError("equilibrium protein level y10 is above the "
                           "largest float")
-    return _bisect(below, lo, hi)
+    if math.nextafter(y, 0.0) == lo and not below(lo):
+        raise DomainError("equilibrium protein level y10 is below the "
+                          "smallest positive float")
+    _, slope = value_slope(y)
+    err = x10 * (abs(log_a) + 2.0 * n * abs(math.log(y)) + 16.0) * 2.0**-53
+    # not <=, so that a nan slope bisects
+    if not err <= _BAND * y * slope:
+        return _bisect(below, lo, hi)
+    return y
 
 
 def build_equilibrium(p: ModelParams, y10: float) -> Equilibrium:

@@ -133,7 +133,7 @@ def analyze_branch(p: ModelParams, eq: Equilibrium, cfg: AnalysisConfig) -> Bran
                 "crossings add further unstable root pairs, so the "
                 "bifurcating orbit is not the observed attractor")
         crossing = hopf_candidates(cc, cfg.k_max)
-        hopf = first_hopf(cc, cfg.k_max)
+        hopf = first_hopf(cc, crossing)
         if hopf is not None:
             nf = compute_normal_form(p, eq, hopf)
             if nf.transversality_conflict:

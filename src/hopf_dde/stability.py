@@ -42,7 +42,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .equilibrium import Equilibrium, _bisect
+from .equilibrium import Equilibrium, _newton_bisect
 from .errors import DomainError, SingularSystemError
 from .model import ModelParams
 
@@ -51,9 +51,6 @@ from .model import ModelParams
 _DEGENERATE_DENOM = 1e-12
 _UNIT_MODULUS_TOL = 1e-8
 _AT_BIFURCATION_TOL = 1e-9
-#: Newton steps before the frequency cubic's solve falls back to bisection;
-#: the sweep_n grid and random coefficients over 1e+-100 take at most 8
-_NEWTON_STEPS = 16
 
 
 class CharCoeffs(NamedTuple):
@@ -150,31 +147,19 @@ def _cubic_positive_root(l1: float, l2: float, l3: float) -> float | None:
     l1, l2 >= 0 each rounded operation of Horner's rule is monotone in z,
     so the float F is non-decreasing and that float is unique: any bracket
     of it gives the same one. F is convex and increasing, so Newton steps
-    from the upper bound converge to the root from above; each evaluation
-    narrows a bracket (lo, hi) with F(lo) < 0 <= F(hi), and a step that
-    rounds to nothing moves one float toward the root instead. The shared
-    _bisect then finishes on the few-float bracket the steps leave, or on
-    what is left after _NEWTON_STEPS where Newton stalls (F' overflowing,
-    or F a subnormal staircase).
+    from the upper bound converge to the root from above. They run in
+    _newton_bisect, the equilibrium's loop too, which keeps a bracket
+    (lo, hi) with F(lo) < 0 <= F(hi) and bisects it where Newton stalls
+    (F' overflowing, or F a subnormal staircase).
     """
     if not (l1 >= 0.0 and l2 >= 0.0):
         raise DomainError(f"frequency cubic needs l1, l2 >= 0, got {l1!r}, {l2!r}")
     if not l3 < 0.0:
         return None
     top = min((-l3) ** (1.0 / 3.0), -l3 / l2 if l2 > 0.0 else math.inf)
-    lo, hi = 0.0, 2.0 * top
     z = min(top, math.sqrt(-l3 / l1)) if l1 > 0.0 else top
-    for _ in range(_NEWTON_STEPS):
-        if not lo < z < hi:
-            break
-        f = _cubic(z, l1, l2, l3)
-        if f < 0.0:
-            lo = z
-        else:
-            hi = z
-        z_next = z - f / _cubic_slope(z, l1, l2)
-        z = z_next if z_next != z else math.nextafter(z, hi if f < 0.0 else lo)
-    return _bisect(lambda z: _cubic(z, l1, l2, l3) < 0.0, lo, hi)
+    return _newton_bisect(
+        lambda z: (_cubic(z, l1, l2, l3), _cubic_slope(z, l1, l2)), z, 0.0, 2.0 * top)
 
 
 def _ladder_phase(omega: float, cc: CharCoeffs) -> float:
@@ -264,9 +249,10 @@ def hopf_candidates(cc: CharCoeffs, k_max: int = 8) -> tuple[float, list[float]]
     return omega, critical_delays(omega, cc, k_max)
 
 
-def first_hopf(cc: CharCoeffs, k_max: int = 8) -> HopfPoint | None:
-    """The crossing at its first positive delay, with both derivatives."""
-    crossing = hopf_candidates(cc, k_max)
+def first_hopf(cc: CharCoeffs,
+               crossing: tuple[float, list[float]] | None) -> HopfPoint | None:
+    """The crossing hopf_candidates(cc, k_max) gave, at its first positive
+    delay, with both derivatives; None without a crossing or a delay."""
     if crossing is None or not crossing[1]:
         return None
     omega, (tau, *_) = crossing

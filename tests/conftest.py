@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hopf_dde import PRESETS, char_coeffs, find_equilibria, first_hopf
+from hopf_dde import (PRESETS, char_coeffs, find_equilibria, first_hopf,
+                      hopf_candidates)
 
 
 @pytest.fixture(scope="session")
@@ -15,5 +16,5 @@ def preset_data():
     for name, p in PRESETS.items():
         eq = find_equilibria(p)[0]
         cc = char_coeffs(p, eq)
-        out[name] = (p, eq, cc, first_hopf(cc))
+        out[name] = (p, eq, cc, first_hopf(cc, hopf_candidates(cc)))
     return out

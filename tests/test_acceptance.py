@@ -54,7 +54,7 @@ def _analysis(case):
     p = PRESETS[case]
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
-    return p, eq, cc, first_hopf(cc)
+    return p, eq, cc, first_hopf(cc, hopf_candidates(cc))
 
 
 def test_criterion_1_equilibrium_quadruples():

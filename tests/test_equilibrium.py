@@ -1,6 +1,8 @@
 """Equilibrium polynomial and root-finding tests."""
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +13,11 @@ from hypothesis import strategies as st
 
 from hopf_dde import (DomainError, ModelParams, PRESETS, build_equilibrium,
                       find_equilibria, hill_eval)
+from hopf_dde import equilibrium
+from hopf_dde.config import SweepSpec
+from hopf_dde.equilibrium import _bisect, _solve_y10
+from hopf_dde.model import _hill_log
+from hopf_dde.pipeline import sweep_values
 
 from reference_model import rhs
 from reference_values import CASES
@@ -262,11 +269,13 @@ def test_root_lies_in_a_priori_bracket(case):
 @pytest.mark.parametrize("message, model", [
     # y10 near 1/(a1 b1) = 1e310
     ("above", dict(a1=1e-300, b1=1e-10)),
+    # a12 = 0: y10 = 1/(a1 b1) = 1e310 is also the bracket's lower end
+    ("above", dict(a1=1e-300, b1=1e-10, a12=0.0)),
     # a21 = 0 and n = 1: y10^2 = a a2 b2 / a12 = 1e-900
     ("below", dict(a2=1e-300, b2=1e-300, a21=0.0, a=1e-300, a12=1.0, n=1)),
     # x10 = 1/b1 itself
     ("1/b1 overflows", dict(b1=1e-320)),
-], ids=["above", "below", "x10"])
+], ids=["above", "lower end above", "below", "x10"])
 def test_root_outside_float_range_raises(message, model):
     with pytest.raises(DomainError, match=message):
         find_equilibria(_params(**model))
@@ -356,3 +365,82 @@ def test_random_params_yield_valid_equilibria(a1, a2, a12, a21, b1, b2, a, n):
         st8 = eq.state()
         resid = rhs(st8, st8, p)
         assert np.max(np.abs(resid)) < 1e-9 * max(1.0, float(np.max(np.abs(st8))))
+
+
+def _balance_test(p):
+    # _solve_y10's sign test a1 y + load < 1/b1, where a12 f(y) is normal
+    x10, log_a = 1.0 / p.b1, math.log(p.a)
+
+    def below(y):
+        q = p.a12 * _hill_log(y, p.n, log_a)
+        assert q >= sys.float_info.min
+        return p.a1 * y + q * (y / (p.a2 + p.a21 * y)) / p.b2 < x10
+    return below
+
+
+def _bisected_y10(p):
+    # the solve without Newton steps: the test bisected on the whole
+    # widened a-priori bracket
+    x10 = 1.0 / p.b1
+    lo = 0.5 * x10 / (p.a1 + p.a12 / p.a2 / p.b2)
+    return _bisect(_balance_test(p), lo, 2.0 * x10 / p.a1)
+
+
+def _sampler(count):
+    # the ROADMAP's random sets: rates log-uniform on [1e-3, 1], a on
+    # [1e-2, 1e2]
+    rng = random.Random(1)
+    for _ in range(count):
+        rates = [10.0 ** rng.uniform(-3.0, 0.0) for _ in range(6)]
+        yield ModelParams(*rates, a=10.0 ** rng.uniform(-2.0, 2.0),
+                          n=rng.choice((1, 2, 3, 4, 6, 8, 12, 20)))
+
+
+def test_newton_root_is_a_flip_of_the_balance_test():
+    # where the rounded test is not monotone in floats the Newton root can
+    # be another flip than the whole bracket's bisection; it is a flip, and
+    # it passes the y1 balance
+    for p in _sampler(500):
+        below = _balance_test(p)
+        y10 = _solve_y10(p)
+        assert below(math.nextafter(y10, 0.0)) and not below(y10), p
+        build_equilibrium(p, y10)
+
+
+def test_newton_root_is_the_bisected_float_on_the_frozen_inputs():
+    # perfbench's frozen outputs: n = 1..169 at the preset rates, and the
+    # seed-0 a12 sweep at n = 4
+    sets = [PRESETS["n4"]._replace(n=n) for n in range(1, 170)]
+    grid = SweepSpec(param="a12", start=0.01, stop=0.01 + 0.03, count=8)
+    sets += [PRESETS["n4"]._replace(a12=v) for v in sweep_values(grid)]
+    for p in sets:
+        assert _solve_y10(p) == _bisected_y10(p), p
+
+
+def test_newton_solve_evaluates_the_hill_term_at_most_12_times(monkeypatch):
+    # perfbench's sweep_n grid, n = 2..158; bisecting the bracket takes 58
+    calls = []
+    hill = equilibrium._hill_log
+    monkeypatch.setattr(equilibrium, "_hill_log",
+                        lambda *a: calls.append(a) or hill(*a))
+    ns = [n for first in range(2, 131, 32) for n in sweep_values(
+        SweepSpec(param="n", start=first, stop=first + 28, count=8))]
+    assert len(ns) == 40
+    for n in ns:
+        calls.clear()
+        _solve_y10(PRESETS["n4"]._replace(n=n))
+        assert 1 <= len(calls) <= 12, n
+
+
+def test_wide_rounding_band_bisects_the_whole_bracket(monkeypatch):
+    # at a1 = b1 = b2 = 1e-16 the test flips several times within 10 % of
+    # y10 = 9.03e15; Newton's flip is not the whole bracket's, and the
+    # band's width sends the solve to the whole bracket
+    p = ModelParams(a1=1e-16, a2=1.0, a12=1.0, a21=1.0, b1=1e-16, b2=1e-16,
+                    a=1.0, n=1)
+    bisected = _bisected_y10(p)
+    assert _solve_y10(p) == bisected
+    monkeypatch.setattr(equilibrium, "_BAND", math.inf)
+    newton = _solve_y10(p)
+    assert newton != bisected
+    assert newton == pytest.approx(bisected, rel=0.1)

@@ -9,7 +9,8 @@ import sympy
 from hopf_dde import (PRESETS, DomainError, ModelParams, SingularSystemError,
                       char_coeffs, compute_eigenpair,
                       compute_normal_form, find_equilibria, first_hopf,
-                      g_quadratic, hopf_quantities, solve_E_vectors)
+                      g_quadratic, hopf_candidates, hopf_quantities,
+                      solve_E_vectors)
 from hopf_dde.normal_form import _B2, left_eigenvector_raw, right_eigenvector
 
 from reference_model import characteristic_residual, linearize
@@ -172,7 +173,8 @@ def test_E1_imaginary_parts_are_exactly_zero(n):
     # arithmetic)
     p = PRESETS["n4"]._replace(n=n)
     eq = find_equilibria(p)[0]
-    nf = compute_normal_form(p, eq, first_hopf(char_coeffs(p, eq)))
+    cc = char_coeffs(p, eq)
+    nf = compute_normal_form(p, eq, first_hopf(cc, hopf_candidates(cc)))
     for z in nf.E1:
         assert z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0
 
@@ -329,7 +331,8 @@ def test_reduction_matches_taylor_expansion(case, preset_data):
     if case == "asymmetric":
         p = ASYMMETRIC
         eq = find_equilibria(p)[0]
-        hp = first_hopf(char_coeffs(p, eq))
+        cc = char_coeffs(p, eq)
+        hp = first_hopf(cc, hopf_candidates(cc))
     else:
         p, eq, _, hp = preset_data[case]
     ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hopf_dde import (AnalysisConfig, ConfigError, DomainError, ModelParams,
                       NumericalError, PRESETS, analyze_params, render_report,
                       run_analysis)
-from hopf_dde import pipeline
+from hopf_dde import pipeline, stability
 from hopf_dde.config import SimSpec, SweepSpec
 
 NO_SIM = AnalysisConfig(sim=SimSpec(enabled=False))
@@ -87,6 +87,21 @@ def test_no_crossings_branch_still_classifies():
     text = render_report([run], cfg)
     assert "hopf" not in text.splitlines()[0]
     assert "candidates.count = 0" in text
+
+
+def test_branch_builds_the_delay_ladder_once(monkeypatch):
+    # first_hopf takes the crossing hopf_candidates found; only
+    # classify_stability takes the ladder's phase again
+    ladders, phases = [], []
+    ladder, phase = stability.critical_delays, stability._ladder_phase
+    monkeypatch.setattr(stability, "critical_delays",
+                        lambda *a: ladders.append(a) or ladder(*a))
+    monkeypatch.setattr(stability, "_ladder_phase",
+                        lambda *a: phases.append(a) or phase(*a))
+    br = analyze_params(PRESETS["n4"], NO_SIM).branches[0]
+    assert br.hopf.tau_c == br.crossing[1][0]
+    assert br.hopf.omega_c == br.crossing[0]
+    assert (len(ladders), len(phases)) == (1, 2)
 
 
 def test_explicit_tau_overrides_critical_delay():

@@ -242,7 +242,7 @@ def test_crossing_with_widely_scaled_cubic_is_found():
                     a=0.05768647988444206, n=20)
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
-    hp = first_hopf(cc)
+    hp = first_hopf(cc, hopf_candidates(cc))
     assert hp is not None
     assert hp.omega_c == pytest.approx(0.0118082238, rel=1e-8)
     assert hp.tau_c == pytest.approx(37.71734, rel=1e-6)
@@ -315,7 +315,7 @@ def test_crossing_with_rates_down_to_1e_94_is_found():
                     a=0.011636971153806437, n=54)
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
-    hp = first_hopf(cc)
+    hp = first_hopf(cc, hopf_candidates(cc))
     assert hp is not None
     with mpmath.workdps(50):
         l1, l2, l3 = _mp_char_cubic(p, eq)
@@ -403,7 +403,7 @@ def test_E_vectors_on_fixed_random_sample_against_mpmath():
     crossings = 0
     with mpmath.workdps(30):
         for p, eq, cc in _fixed_random_sample():
-            hp = first_hopf(cc)
+            hp = first_hopf(cc, hopf_candidates(cc))
             if hp is None:
                 continue
             crossings += 1
@@ -529,7 +529,7 @@ def test_crossing_guards_are_scale_free():
     # denominators fall far below absolute thresholds such as 1e-12, 1e-24
     # and 1e-300, but not below the sums of their terms' moduli
     cc = _cc("n2")
-    hp = first_hopf(cc)
+    hp = first_hopf(cc, hopf_candidates(cc))
     k = 2.0**-170
     ck = _scaled(cc, k)
     assert transversality(k * hp.omega_c, hp.tau_c / k, ck) == k * k * hp.dlambda_dtau
@@ -547,7 +547,7 @@ def test_transversality_with_rates_down_to_1e_65():
                     b1=2.63e-10, b2=1.58e-32, a=441.3, n=55)
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
-    hp = first_hopf(cc)
+    hp = first_hopf(cc, hopf_candidates(cc))
     # the sign rule: sign Re dlambda/dtau = sign F'(omega^2) > 0
     assert hp.dlambda_dtau.real == pytest.approx(2.218e-81, rel=1e-3)
     assert classify_stability(cc, 2.0 * hp.tau_c) == "unstable"
