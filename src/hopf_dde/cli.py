@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    analyze --config FILE [--out DIR] [--workers N] [--paper-case NAME]
+    analyze --config FILE [--out DIR] [--paper-case NAME]
 
 Runs the full analysis described by the configuration (or one of the
 named parameter presets) and writes `report.txt` plus, when a simulation
@@ -11,10 +11,11 @@ run. Output bytes are deterministic for a given input. A process that
 calls main more than once (a script, a benchmark loop) builds the
 argument parser on the first call and reuses it.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 I/O failure. With HOPF_DDE_LOG=info or =debug (any case) each stage
-writes an `INFO hopf_dde: <message>` line to stderr; unset or any other
-value writes nothing. There is no `hopf_dde` logger.
+Exit codes: 0 success, 1 configuration error (an unknown option
+included), 2 numerical failure, 3 I/O failure. With HOPF_DDE_LOG=info or
+=debug (any case) each stage writes an `INFO hopf_dde: <message>` line
+to stderr; unset or any other value writes nothing. There is no
+`hopf_dde` logger.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "P53-MDM2 feedback model")
     ps.add_argument("--config", help="path to a key = value configuration file")
     ps.add_argument("--out", default=".", help="output directory (default: .)")
-    ps.add_argument("--workers", type=int, default=1,
-                    help="accepted for compatibility, must be >= 1; has no "
-                         "effect (sweep points run serially)")
     ps.add_argument("--paper-case", choices=sorted(PRESETS),
                     help="named parameter preset; overrides the model block")
     return ps
@@ -84,8 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config) if args.config else AnalysisConfig()
         if args.paper_case:
             cfg = cfg._replace(params=PRESETS[args.paper_case], sweep=None)
@@ -93,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("no model parameters: pass --config with a "
                               "model block or --paper-case")
         os.makedirs(args.out, exist_ok=True)
-        results = run_analysis(cfg, workers=args.workers,
-                               on_run=functools.partial(_write_csvs, args.out))
+        results = run_analysis(cfg, on_run=functools.partial(_write_csvs, args.out))
         report_path = os.path.join(args.out, "report.txt")
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_report(results, cfg))

@@ -24,6 +24,7 @@ Unknown keys are rejected, so a misspelled or retired key fails the run.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -114,7 +115,8 @@ def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
             continue
         v = _as_int(f"model.{name}", s) if name == "n" \
             else _as_float(f"model.{name}", s)
-        if not math.isfinite(v):
+        # an int beyond the float range fails too; isfinite would raise
+        if not abs(v) <= sys.float_info.max:
             raise ConfigError(f"model.{name} must be finite, got {v}")
         model_vals[name] = v
     if model_vals:
@@ -199,8 +201,9 @@ def check_ranges(cfg: AnalysisConfig) -> None:
         if sweep.param not in _MODEL_KEYS:
             raise ConfigError(f"sweep.param must be one of {sorted(_MODEL_KEYS)}, "
                               f"got {sweep.param!r}")
-        if sweep.count < 1:
-            raise ConfigError(f"sweep.count must be >= 1, got {sweep.count}")
+        if not 1 <= sweep.count <= sys.float_info.max:
+            raise ConfigError(f"sweep.count must be >= 1 and within the "
+                              f"float range, got {sweep.count}")
         if not -math.inf < sweep.start <= sweep.stop < math.inf:
             raise ConfigError("sweep.stop must be >= sweep.start, both finite")
 

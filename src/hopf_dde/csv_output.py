@@ -189,17 +189,6 @@ def _csv_chunks(fh, header: str, columns: tuple):
         yield buf, mask_row, v
 
 
-def _write_csv(path: str, header: str, columns: tuple, consume=None) -> None:
-    """Write `columns` to `path` as CSV; `consume`, if given, is called
-    with the `_csv_chunks` iterator, each chunk written as it is read."""
-    with open(path, "wb") as fh:
-        chunks = _csv_chunks(fh, header, columns)
-        if consume is not None:
-            consume(chunks)
-        for _ in chunks:  # whatever consume left unread
-            pass
-
-
 #: y1 and y2 among trajectory.csv's columns t, x1, y1, x2, y2: y1 is
 #: followed by a comma and y2, the last column, by a line end, as in
 #: phase.csv
@@ -215,20 +204,21 @@ def write_trajectory_csv(path: str, traj: Trajectory, phase=None) -> None:
     again.
     """
     st = traj.states
-    _write_csv(path, "t,x1,y1,x2,y2",
-               (traj.t, st[:, IX1], st[:, IY1], st[:, IX2], st[:, IY2]), phase)
+    with open(path, "wb") as fh:
+        chunks = _csv_chunks(fh, "t,x1,y1,x2,y2", (traj.t, st[:, IX1], st[:, IY1],
+                                                   st[:, IX2], st[:, IY2]))
+        if phase is not None:
+            phase(chunks)
+        for _ in chunks:  # whatever phase left unread
+            pass
 
 
-def write_phase_csv(path: str, traj: Trajectory, chunks=None) -> None:
+def write_phase_csv(path: str, traj: Trajectory, chunks) -> None:
     """Protein phase-plane samples; header exactly `y1,y2`.
 
     `chunks` is the iterator that `write_trajectory_csv` passes to its
-    `phase` callback for the same trajectory; without it the values are
-    formatted here.
+    `phase` callback for the same trajectory.
     """
-    if chunks is None:
-        _write_csv(path, "y1,y2", (traj.states[:, IY1], traj.states[:, IY2]))
-        return
     with open(path, "wb") as fh:
         fh.write(b"y1,y2\n")
         for rows, mask_row, v in chunks:

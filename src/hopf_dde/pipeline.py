@@ -5,10 +5,11 @@ unique; the report keeps a list of branches), then compute its
 characteristic coefficients, zero-delay verdict, the crossing frequency,
 if any, with its delay ladder, the first Hopf point with both delay
 derivatives, the normal form, a delay classification, and an optional
-direct simulation. Numerical failures, float overflow and division by
-zero included, are recorded as the run's or the branch's error so one
-degenerate point cannot sink the report. Sweep points run one after
-another, in sweep order.
+direct simulation. The frequency cubic is solved once per branch: the
+Hopf point and the classification take the crossing found. Numerical
+failures, float overflow and division by zero included, are recorded as
+the run's or the branch's error so one degenerate point cannot sink the
+report. Sweep points run one after another, in sweep order.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def analyze_branch(p: ModelParams, eq: Equilibrium, cfg: AnalysisConfig) -> Bran
         tau_eval = cfg.tau if cfg.tau is not None else (
             hopf.tau_c if hopf is not None else None)
         if tau_eval is not None:
-            classification = classify_stability(cc, tau_eval)
+            classification = classify_stability(cc, tau_eval, crossing)
         if cfg.sim.enabled and tau_eval is not None and tau_eval > 0.0:
             sim = _simulate(p, eq, tau_eval, cfg, hopf)
     except (NumericalError, ArithmeticError) as exc:
@@ -189,16 +190,11 @@ def sweep_values(spec) -> list[float | int]:
         vals = [(i * step if step else i / div * delta) + spec.start
                 for i in range(div)] + [spec.stop]
     if spec.param == "n":
-        seen: list[int] = []
-        for v in vals:
-            iv = int(round(v))
-            if iv not in seen:
-                seen.append(iv)
-        return seen
+        return list(dict.fromkeys(int(round(v)) for v in vals))
     return [float(v) for v in vals]
 
 
-def run_analysis(cfg: AnalysisConfig, workers: int = 1,
+def run_analysis(cfg: AnalysisConfig,
                  on_run: Callable[[RunResult, int], None] | None = None
                  ) -> list[RunResult]:
     """All runs for a configuration: single set or each sweep point in order.
@@ -209,10 +205,6 @@ def run_analysis(cfg: AnalysisConfig, workers: int = 1,
 
     Raises ConfigError for a setting out of the range a config file
     allows (config.check_ranges), however cfg was built.
-
-    workers is accepted for compatibility and has no effect: the
-    integrator runs in Python and holds the interpreter lock, so a thread
-    pool measured no speed-up.
     """
     if cfg.params is None:
         raise HopfDdeError("configuration has no model parameters")

@@ -75,11 +75,6 @@ def _hermite_weights(s: float, h: float) -> tuple[float, float, float, float]:
             s * s * (3.0 - 2.0 * s), s * s * (s - 1.0) * h)
 
 
-def _hermite(w, y0, y1, f0, f1):
-    w0, w1, w2, w3 = w
-    return w0 * y0 + w1 * f0 + w2 * y1 + w3 * f1
-
-
 def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray:
     """_hill_log elementwise, with numpy's log and exp.
 
@@ -162,29 +157,16 @@ class History(_HistoryFields):
 
 
 class Trajectory:
-    """Computed solution samples with dense-output data."""
+    """Computed solution samples: times, states and their derivatives."""
 
     # a class, not a tuple: tuples cannot be weakly referenced
-    __slots__ = ("t", "states", "derivs", "tau", "step", "__weakref__")
+    __slots__ = ("t", "states", "derivs", "__weakref__")
 
-    def __init__(self, t: np.ndarray, states: np.ndarray, derivs: np.ndarray,
-                 tau: float, step: float):
+    def __init__(self, t: np.ndarray, states: np.ndarray, derivs: np.ndarray):
         self.t, self.states, self.derivs = t, states, derivs
-        self.tau, self.step = tau, step
 
     def component(self, idx: int) -> np.ndarray:
         return self.states[:, idx]
-
-    def value(self, time: float) -> np.ndarray:
-        """Dense Hermite evaluation between stored samples."""
-        if time < self.t[0] - 1e-9 or time > self.t[-1] + 1e-9:
-            raise DomainError(f"time {time!r} outside the computed range")
-        x = min(max(time, self.t[0]), self.t[-1]) / self.step
-        j = min(int(x), len(self.t) - 2)
-        h = self.t[j + 1] - self.t[j]
-        s = (time - self.t[j]) / h
-        return _hermite(_hermite_weights(s, h), self.states[j],
-                        self.states[j + 1], self.derivs[j], self.derivs[j + 1])
 
 
 def _rk4_affine(h: float, c1, cm, c4, q1, q2, q3, q4):
@@ -477,7 +459,7 @@ def integrate(p: ModelParams, tau: float, history: History,
     ts[:n_full + 1] = np.arange(n_full + 1) * step
     if rem > 0.0:
         ts[N] = t_end
-    return Trajectory(t=ts, states=states, derivs=derivs, tau=tau, step=step)
+    return Trajectory(t=ts, states=states, derivs=derivs)
 
 
 def upward_crossings(ts: np.ndarray, vals: np.ndarray, level: float = 0.0) -> np.ndarray:

@@ -38,7 +38,6 @@ n163.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import NamedTuple
 
@@ -130,9 +129,6 @@ def _cubic_slope(z: float, l1: float, l2: float) -> float:
     return (3.0 * z + 2.0 * l1) * z + l2
 
 
-# hopf_candidates, first_hopf and classify_stability ask in turn for the
-# one crossing of a branch's cubic; the last solve serves all three
-@functools.lru_cache(maxsize=1)
 def _cubic_positive_root(l1: float, l2: float, l3: float) -> float | None:
     """The positive root of F(z) = z^3 + l1 z^2 + l2 z + l3, or None.
 
@@ -262,9 +258,12 @@ def first_hopf(cc: CharCoeffs,
                      dlambda_dtau_closed=dl_closed, L1=L1, L2=L2)
 
 
-def classify_stability(cc: CharCoeffs, tau: float) -> str:
+def classify_stability(cc: CharCoeffs, tau: float,
+                       crossing: tuple[float, list[float]] | None) -> str:
     """Verdict at a given delay: 'stable', 'unstable' or 'at-bifurcation'.
 
+    crossing is what hopf_candidates(cc, k_max) returned; only its
+    frequency is read, so the cubic is solved once per branch.
     'at-bifurcation' within 1e-9 of any critical delay: the rung nearest
     tau is found in closed form from the ladder's own expression. Otherwise
     the verdict combines zero-delay stability with the position of tau
@@ -274,9 +273,9 @@ def classify_stability(cc: CharCoeffs, tau: float) -> str:
     """
     if not tau >= 0.0:
         raise DomainError(f"delay must be non-negative, got {tau!r}")
-    z = _cubic_positive_root(cc.l1, cc.l2, cc.l3)
-    if z is not None:
-        w = math.sqrt(z)
+    if crossing is not None:
+        w = crossing[0]
+        # the phase again, one complex division, not a field of the crossing
         arg = _ladder_phase(w, cc)
         # rounded to a float, so that an infinite tau cannot overflow
         k = max(0.0, round((2.0 * w * tau - arg) / (2.0 * math.pi), 0))

@@ -232,9 +232,10 @@ def test_criterion_8_dynamics_on_both_sides():
     # delay and lose stability first at tau_c
     assert routh_hurwitz_stable(cc), \
         "oscillation preset is unstable at zero delay"
-    assert classify_stability(cc, 0.5 * hp.tau_c) == "stable", \
+    crossing = hopf_candidates(cc)
+    assert classify_stability(cc, 0.5 * hp.tau_c, crossing) == "stable", \
         "oscillation preset is not stable below tau_c"
-    assert classify_stability(cc, 1.05 * hp.tau_c) == "unstable", \
+    assert classify_stability(cc, 1.05 * hp.tau_c, crossing) == "unstable", \
         "oscillation preset is not unstable past tau_c"
     target = 2.0 * math.pi / hp.omega_c
     tau = 1.05 * hp.tau_c

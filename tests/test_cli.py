@@ -76,8 +76,7 @@ def test_paper_case_runs_at_critical_delay(tmp_path):
 def test_sweep_writes_labeled_outputs(tmp_path):
     cfg = FAST_CFG + "sweep.param = n\nsweep.start = 2\nsweep.stop = 4\nsweep.count = 3\n"
     out = tmp_path / "out"
-    rc = cli.main(["--config", _write_cfg(tmp_path, cfg), "--out", str(out),
-                   "--workers", "2"])
+    rc = cli.main(["--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
     assert rc == 0
     kv = parse_report((out / "report.txt").read_text())
     assert kv["runs.count"] == "3"
@@ -249,8 +248,11 @@ def test_out_of_domain_sweep_endpoint_exits_1(tmp_path, capsys, sweep, bad):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("line", ["tau = inf", "sim.t_end = nan", "sim.t_end = inf",
-                                  "sim.step = nan", "sim.perturbation = nan"])
+@pytest.mark.parametrize("line", [
+    "tau = inf", "sim.t_end = nan", "sim.t_end = inf", "sim.step = nan",
+    "sim.perturbation = nan",
+    # no float holds it: math.isfinite raised OverflowError
+    pytest.param("model.n = 1" + "0" * 400, id="model.n = 1e400")])
 def test_non_finite_value_exits_1(tmp_path, capsys, line):
     # configuration errors, not a traceback or a branch error
     cfg = _write_cfg(tmp_path, line + "\n")
@@ -312,8 +314,10 @@ def test_repeated_calls_build_one_parser(tmp_path, monkeypatch, capsys):
 
 
 def test_bad_worker_count_exits_1(capsys):
+    # --workers is gone; passing it is a usage error like any unknown option
     assert cli.main(["--paper-case", "n2", "--workers", "0"]) == 1
-    assert "--workers" in capsys.readouterr().err
+    assert ("configuration error: unrecognized arguments: --workers 0"
+            in capsys.readouterr().err)
 
 
 def test_missing_config_file_exits_3(tmp_path, capsys):
@@ -323,7 +327,7 @@ def test_missing_config_file_exits_3(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_2(tmp_path, monkeypatch, capsys):
-    def boom(cfg, workers=1, on_run=None):
+    def boom(cfg, on_run=None):
         raise NumericalError("synthetic failure")
 
     monkeypatch.setattr(cli, "run_analysis", boom)

@@ -150,6 +150,15 @@ def test_sweep_validation():
         config_from_mapping(_with_sweep(**{"sweep.stop": "1"}))
 
 
+@pytest.mark.parametrize("key", ["model.n", "sweep.count"])
+def test_integer_beyond_the_float_range_rejected(key):
+    # no float holds it: math.isfinite (model.n) and the sweep's value
+    # arithmetic (sweep.count) raised OverflowError
+    big = "1" + "0" * 400
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be .*, got {big}$"):
+        config_from_mapping(_with_sweep(**{key: big}))
+
+
 @pytest.mark.parametrize("param, start, stop, bad", [
     ("a1", "0.5", "1.5", "a1 must lie in (0, 1], got 1.5"),
     ("a12", "-0.01", "0.03", "a12 must lie in [0, 1], got -0.01"),

@@ -90,10 +90,14 @@ def test_no_crossings_branch_still_classifies():
 
 
 def test_branch_builds_the_delay_ladder_once(monkeypatch):
-    # first_hopf takes the crossing hopf_candidates found; only
-    # classify_stability takes the ladder's phase again
-    ladders, phases = [], []
+    # first_hopf and classify_stability take the crossing hopf_candidates
+    # found: the cubic is solved once, and only classify_stability takes
+    # the ladder's phase again
+    roots, ladders, phases = [], [], []
+    root = stability._cubic_positive_root
     ladder, phase = stability.critical_delays, stability._ladder_phase
+    monkeypatch.setattr(stability, "_cubic_positive_root",
+                        lambda *a: roots.append(a) or root(*a))
     monkeypatch.setattr(stability, "critical_delays",
                         lambda *a: ladders.append(a) or ladder(*a))
     monkeypatch.setattr(stability, "_ladder_phase",
@@ -101,7 +105,8 @@ def test_branch_builds_the_delay_ladder_once(monkeypatch):
     br = analyze_params(PRESETS["n4"], NO_SIM).branches[0]
     assert br.hopf.tau_c == br.crossing[1][0]
     assert br.hopf.omega_c == br.crossing[0]
-    assert (len(ladders), len(phases)) == (1, 2)
+    assert br.classification == "at-bifurcation"
+    assert (len(roots), len(ladders), len(phases)) == (1, 1, 2)
 
 
 def test_explicit_tau_overrides_critical_delay():
@@ -139,6 +144,17 @@ def test_sweep_values_dedupe_integer_exponent():
     assert pipeline.sweep_values(SweepSpec("b1", 0.5, 0.9, 1)) == [0.5]
 
 
+def test_sweep_values_keep_each_integer_at_its_first_occurrence():
+    # steps of 0.25 round each integer 3 to 5 times in a row (half to even)
+    got = pipeline.sweep_values(SweepSpec("n", 2, 9, 29))
+    assert got == [2, 3, 4, 5, 6, 7, 8, 9]
+    assert all(type(v) is int for v in got)
+    grid = [round(2 + 0.25 * i) for i in range(29)]
+    assert got == [v for i, v in enumerate(grid) if v not in grid[:i]]
+    # a wide grid keeps every integer once, in order
+    assert pipeline.sweep_values(SweepSpec("n", 1, 2000, 8000)) == list(range(1, 2001))
+
+
 def _linspace_bits(start, stop, count):
     return [float(v).hex() for v in np.linspace(start, stop, count)]
 
@@ -168,14 +184,10 @@ def test_sweep_values_are_np_linspace(start, width, count):
     assert [v.hex() for v in got] == _linspace_bits(start, stop, count)
 
 
-def test_sweep_runs_ordered_and_workers_equivalent():
-    base = PRESETS["n2"]._replace()
-    cfg = AnalysisConfig(params=base, sim=SimSpec(enabled=False),
+def test_sweep_runs_in_order():
+    cfg = AnalysisConfig(params=PRESETS["n2"], sim=SimSpec(enabled=False),
                          sweep=SweepSpec("n", 2, 4, 3))
-    serial = run_analysis(cfg, workers=1)
-    threaded = run_analysis(cfg, workers=3)
-    assert [r.label for r in serial] == ["n=2", "n=3", "n=4"]
-    assert render_report(serial, cfg) == render_report(threaded, cfg)
+    assert [r.label for r in run_analysis(cfg)] == ["n=2", "n=3", "n=4"]
 
 
 def test_on_run_sees_each_run_before_its_arrays_are_released():

@@ -224,6 +224,13 @@ def short_traj():
     return integrate(p, 2.0, History.constant(y0, 2.0), t_end=1.0, step=0.25)
 
 
+def _write_both(tpath, ppath, traj):
+    """Both CSVs, phase.csv from the trajectory writer's chunks, as cli
+    writes them."""
+    write_trajectory_csv(str(tpath), traj,
+                         lambda chunks: write_phase_csv(str(ppath), traj, chunks))
+
+
 def test_trajectory_csv(tmp_path, short_traj):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(str(path), short_traj)
@@ -241,7 +248,7 @@ def test_trajectory_csv(tmp_path, short_traj):
 
 def test_phase_csv(tmp_path, short_traj):
     path = tmp_path / "phase.csv"
-    write_phase_csv(str(path), short_traj)
+    _write_both(tmp_path / "traj.csv", path, short_traj)
     lines = path.read_text().splitlines()
     assert lines[0] == "y1,y2"
     assert len(lines) == 1 + len(short_traj.t)
@@ -261,8 +268,7 @@ def _special_waveform():
     ])
     t = np.concatenate([[0.0, 1e-300, 0.30000000000000004],
                         0.3 + 0.001 * np.arange(2500)])
-    traj = Trajectory(t=t, states=states, derivs=np.zeros_like(states),
-                      tau=1.0, step=0.5)
+    traj = Trajectory(t=t, states=states, derivs=np.zeros_like(states))
     want_traj = "t,x1,y1,x2,y2\n" + "".join(
         ",".join(fmt_float(x) for x in (t, *row)) + "\n"
         for t, row in zip(traj.t, states))
@@ -273,23 +279,22 @@ def _special_waveform():
 
 def test_csv_writers_match_fmt_float_bytes(tmp_path):
     traj, want_traj, want_phase = _special_waveform()
-    write_trajectory_csv(str(tmp_path / "traj.csv"), traj)
-    write_phase_csv(str(tmp_path / "phase.csv"), traj)
+    write_trajectory_csv(str(tmp_path / "alone.csv"), traj)
+    _write_both(tmp_path / "traj.csv", tmp_path / "phase.csv", traj)
+    assert (tmp_path / "alone.csv").read_bytes() == want_traj
     assert (tmp_path / "traj.csv").read_bytes() == want_traj
     assert (tmp_path / "phase.csv").read_bytes() == want_phase
 
 
 def test_phase_csv_reuses_the_trajectory_text(tmp_path, monkeypatch):
-    # written from the trajectory writer's chunks, phase.csv has the same
-    # bytes as on its own, and its y1, y2 are not formatted a second time
+    # written from the trajectory writer's chunks, phase.csv has
+    # fmt_float's bytes, and its y1, y2 are not formatted a second time
     traj, want_traj, want_phase = _special_waveform()
     formatted = []
     real = csv_output._format_rows
     monkeypatch.setattr(csv_output, "_format_rows",
                         lambda v, rows: formatted.append(len(v)) or real(v, rows))
-    ppath = str(tmp_path / "phase.csv")
-    write_trajectory_csv(str(tmp_path / "traj.csv"), traj,
-                         lambda chunks: write_phase_csv(ppath, traj, chunks))
+    _write_both(tmp_path / "traj.csv", tmp_path / "phase.csv", traj)
     assert (tmp_path / "traj.csv").read_bytes() == want_traj
     assert (tmp_path / "phase.csv").read_bytes() == want_phase
     assert sum(formatted) == 5 * len(traj.t)
@@ -372,8 +377,7 @@ def test_format_values_falls_back_rarely(monkeypatch):
 def _traced_peak(path, rows):
     rng = np.random.default_rng(7)
     states = rng.standard_normal((rows, 4)) * 10.0 + 50.0
-    traj = Trajectory(t=0.005 * np.arange(rows), states=states,
-                      derivs=states, tau=1.0, step=0.005)
+    traj = Trajectory(t=0.005 * np.arange(rows), states=states, derivs=states)
     tracemalloc.start()
     try:
         write_trajectory_csv(path, traj)

@@ -210,7 +210,6 @@ def test_cubic_solve_evaluates_F_at_most_12_times_on_the_sweep_n_grid(monkeypatc
     grid = list(_sweep_n_grid())
     assert len(grid) == 40
     for cc in grid:
-        _cubic_positive_root.cache_clear()
         calls.clear()
         root = _cubic_positive_root(cc.l1, cc.l2, cc.l3)
         assert 1 <= len(calls) <= 12
@@ -242,12 +241,13 @@ def test_crossing_with_widely_scaled_cubic_is_found():
                     a=0.05768647988444206, n=20)
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
-    hp = first_hopf(cc, hopf_candidates(cc))
+    crossing = hopf_candidates(cc)
+    hp = first_hopf(cc, crossing)
     assert hp is not None
     assert hp.omega_c == pytest.approx(0.0118082238, rel=1e-8)
     assert hp.tau_c == pytest.approx(37.71734, rel=1e-6)
     assert hp.dlambda_dtau.real > 0.0
-    assert classify_stability(cc, 2.0 * hp.tau_c) == "unstable"
+    assert classify_stability(cc, 2.0 * hp.tau_c, crossing) == "unstable"
 
 
 def _mp_char_cubic(p, eq):
@@ -289,7 +289,7 @@ def test_routh_hurwitz_verdict_without_cancellation():
     assert float(dh) == pytest.approx(3.118e-16, rel=1e-3, abs=0.0)
     assert float(margin) == pytest.approx(2.63e16, rel=1e-2)
     assert routh_hurwitz_stable(cc)
-    assert classify_stability(cc, 0.0) == "stable"
+    assert classify_stability(cc, 0.0, hopf_candidates(cc)) == "stable"
 
 
 def _mp_positive_root(l1, l2, l3, lo, hi):
@@ -315,14 +315,15 @@ def test_crossing_with_rates_down_to_1e_94_is_found():
                     a=0.011636971153806437, n=54)
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
-    hp = first_hopf(cc, hopf_candidates(cc))
+    crossing = hopf_candidates(cc)
+    hp = first_hopf(cc, crossing)
     assert hp is not None
     with mpmath.workdps(50):
         l1, l2, l3 = _mp_char_cubic(p, eq)
         z = mpmath.mpf(hp.omega_c) ** 2
         root = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
         assert abs(hp.omega_c - root) <= 1e-14 * root
-    assert classify_stability(cc, 2.0 * hp.tau_c) == "unstable"
+    assert classify_stability(cc, 2.0 * hp.tau_c, crossing) == "unstable"
 
 
 _RATES = ("a1", "a2", "a12", "a21", "b1", "b2")
@@ -547,10 +548,11 @@ def test_transversality_with_rates_down_to_1e_65():
                     b1=2.63e-10, b2=1.58e-32, a=441.3, n=55)
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
-    hp = first_hopf(cc, hopf_candidates(cc))
+    crossing = hopf_candidates(cc)
+    hp = first_hopf(cc, crossing)
     # the sign rule: sign Re dlambda/dtau = sign F'(omega^2) > 0
     assert hp.dlambda_dtau.real == pytest.approx(2.218e-81, rel=1e-3)
-    assert classify_stability(cc, 2.0 * hp.tau_c) == "unstable"
+    assert classify_stability(cc, 2.0 * hp.tau_c, crossing) == "unstable"
     run = analyze_params(p, AnalysisConfig(sim=SimSpec(enabled=False)))
     assert run.branches[0].error is None
 
@@ -605,34 +607,37 @@ def test_hopf_candidates_structure():
 
 def test_classify_stability_verdicts():
     cc = _cc("n2")
+    crossing = hopf_candidates(cc)
     tau_c = CASES["n2"]["taus"][0]
-    assert classify_stability(cc, 0.0) == "stable"
-    assert classify_stability(cc, 0.5 * tau_c) == "stable"
-    assert classify_stability(cc, tau_c) == "at-bifurcation"
-    assert classify_stability(cc, tau_c + 1e-10) == "at-bifurcation"
-    assert classify_stability(cc, tau_c + 1.0) == "unstable"
+    assert classify_stability(cc, 0.0, crossing) == "stable"
+    assert classify_stability(cc, 0.5 * tau_c, crossing) == "stable"
+    assert classify_stability(cc, tau_c, crossing) == "at-bifurcation"
+    assert classify_stability(cc, tau_c + 1e-10, crossing) == "at-bifurcation"
+    assert classify_stability(cc, tau_c + 1.0, crossing) == "unstable"
     for bad in (-1.0, math.nan):
         with pytest.raises(DomainError):
-            classify_stability(cc, bad)
+            classify_stability(cc, bad, crossing)
 
 
 def test_classify_stability_at_every_rung():
     # rungs beyond the k_max = 8 of hopf_candidates are critical delays too
     cc = _cc("n2")
+    crossing = hopf_candidates(cc)
     taus = critical_delays(CASES["n2"]["omega"], cc, k_max=12)
     assert taus[9] == pytest.approx(2498.6763671445965, rel=1e-12)
     assert taus[12] == pytest.approx(3301.496598934181, rel=1e-12)
     for tau in (taus[9], taus[12]):
-        assert classify_stability(cc, tau) == "at-bifurcation"
-        assert classify_stability(cc, tau + 1e-10) == "at-bifurcation"
-        assert classify_stability(cc, tau + 1.0) == "unstable"
-    assert classify_stability(cc, math.inf) == "unstable"
+        assert classify_stability(cc, tau, crossing) == "at-bifurcation"
+        assert classify_stability(cc, tau + 1e-10, crossing) == "at-bifurcation"
+        assert classify_stability(cc, tau + 1.0, crossing) == "unstable"
+    assert classify_stability(cc, math.inf, crossing) == "unstable"
 
 
 def test_classify_stability_zero_delay_unstable_case():
     cc = _cc("n164")
-    assert classify_stability(cc, 0.0) == "unstable"
-    assert classify_stability(cc, 1.0) == "unstable"
+    crossing = hopf_candidates(cc)
+    assert classify_stability(cc, 0.0, crossing) == "unstable"
+    assert classify_stability(cc, 1.0, crossing) == "unstable"
 
 
 def test_decoupled_loop_has_no_crossings():
