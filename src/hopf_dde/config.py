@@ -33,6 +33,9 @@ from .model import ModelParams
 _MODEL_KEYS = ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n")
 #: report.txt prints k_max + 1 critical delays per crossing
 _K_MAX_LIMIT = 10000
+#: a sweep holds every point's values and results in memory, and
+#: report.txt prints every point
+_SWEEP_COUNT_LIMIT = 10000
 
 
 class SimSpec(NamedTuple):
@@ -201,9 +204,9 @@ def check_ranges(cfg: AnalysisConfig) -> None:
         if sweep.param not in _MODEL_KEYS:
             raise ConfigError(f"sweep.param must be one of {sorted(_MODEL_KEYS)}, "
                               f"got {sweep.param!r}")
-        if not 1 <= sweep.count <= sys.float_info.max:
-            raise ConfigError(f"sweep.count must be >= 1 and within the "
-                              f"float range, got {sweep.count}")
+        if not 1 <= sweep.count <= _SWEEP_COUNT_LIMIT:
+            raise ConfigError(f"sweep.count must be >= 1 and at most "
+                              f"{_SWEEP_COUNT_LIMIT}, got {sweep.count}")
         if not -math.inf < sweep.start <= sweep.stop < math.inf:
             raise ConfigError("sweep.stop must be >= sweep.start, both finite")
 

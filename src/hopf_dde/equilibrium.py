@@ -99,13 +99,18 @@ def _newton_bisect(value_slope, z: float, lo: float, hi: float) -> float:
     value_slope(z) gives (v, dv): v has the test's sign, dv the slope of
     the increasing function that v rounds. The test is true at lo (or
     lo = 0) and false at hi, and every evaluation narrows (lo, hi). A step
-    that leaves the bracket takes _bisect's midpoint instead, and a step
-    that rounds to nothing moves one float toward the root. _bisect
-    finishes on the few floats the steps leave, or on what is left after
+    that leaves the bracket takes _bisect's midpoint instead. Where a step
+    lands on the side of the last one and is more than half as long,
+    Newton creeps (up a saturating Hill term, or down its steep flank) and
+    twice the step is taken. Once a step rounds to nothing, the test turns
+    within a few floats of z, or over a run of floats where the rounded
+    value is 0: probes 1, 2, 4, ... floats toward it bracket the turn, and
+    _bisect finishes on those floats, or on what is left after
     _NEWTON_STEPS where Newton stalls. The result is the upper end of a
     bracket of adjacent floats, _bisect's float wherever the test is
     monotone in floats.
     """
+    last = math.inf
     for _ in range(_NEWTON_STEPS):
         if not lo < z < hi:
             z = _midpoint(lo, hi)
@@ -116,9 +121,25 @@ def _newton_bisect(value_slope, z: float, lo: float, hi: float) -> float:
             lo = z
         else:
             hi = z
-        # a slope that is 0 (underflow) or nan steps out of the bracket
-        z_next = z - v / dv if dv > 0.0 else lo
-        z = z_next if z_next != z else math.nextafter(z, hi if v < 0.0 else lo)
+        # a slope that is 0 (underflow) or nan takes the midpoint
+        step = v / dv if dv > 0.0 else math.nan
+        z_next = z - step
+        if z_next == z:
+            # probes 1, 2, 4, ... floats from z toward the turn
+            up, gap = v < 0.0, math.ulp(z)
+            while lo < (probe := z + gap if up else z - gap) < hi:
+                if value_slope(probe)[0] < 0.0:
+                    lo = probe
+                else:
+                    hi = probe
+                if (lo == probe) != up:
+                    break
+                gap *= 2.0
+            break
+        # a step goes the last one's way, and creeps, where v keeps its
+        # sign; over half as long, it is doubled
+        z = z_next - step if step / last > 0.5 else z_next
+        last = step
     return _bisect(lambda z: value_slope(z)[0] < 0.0, lo, hi)
 
 
@@ -145,8 +166,8 @@ def _solve_y10(p: ModelParams) -> float:
     x10 (|ln a| + 2 n |ln y| + 16) 2^-53 from rounding t = ln a - n ln y
     (f = 1/(1 + e^t)) and a few ulps per operation, over g'. On 5000
     draws of the ROADMAP sampler (rates log-uniform on [1e-3, 1], a on
-    [1e-2, 1e2], n in {1, 2, 3, 4, 6, 8, 12, 20}) 71 roots differ from
-    the whole bracket's bisection, by at most 37 ulps, each a flip of the
+    [1e-2, 1e2], n in {1, 2, 3, 4, 6, 8, 12, 20}) 66 roots differ from
+    the whole bracket's bisection, by at most 18 ulps, each a flip of the
     test that passes build_equilibrium's balance check; at the preset
     rates for n = 1..169 and on perfbench's a12 grids they are its float.
     """

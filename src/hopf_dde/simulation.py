@@ -21,17 +21,20 @@ term f(y1(t - tau)). integrate takes the steps by one of two paths:
   z = P (z0 + cumsum(sigma / P)) with P = cumprod(rho). This path takes
   every interval of at least _PASS_MIN_STEPS steps (the measured
   crossover), including a trailing one cut short by t_end.
-- per step: a float loop with one Hill term per lookup. Full step i
-  reads node i - m + 1 for its end lookup, which is also node i + 1's
-  derivative lookup, and the Hermite midpoint of nodes i - m and
-  i - m + 1; node i - m is the previous step's end lookup, kept in
-  locals, so a step reads four stored values. On the first interval
-  both lookups come from the history, at the times the interval path
-  uses. Only a partial final step looks up by time, off the grid. This
-  path takes intervals shorter than the crossover, the partial final
-  step, and any interval whose decay product P leaves [1e-250, 1e250]
-  or whose states break the 1e12 blow-up bound; such an interval is
-  re-run step by step, so a divergence is reported at its step.
+- per step: a float loop with one Hill term per lookup, evaluated in
+  place as 1/(1 + e^t), t = ln a - n ln x, where x > 0 and |t| <= 700
+  (_hill_log's operations there, so its bits), and by a _hill_log call
+  otherwise. Full step i reads node i - m + 1 for its end lookup, which
+  is also node i + 1's derivative lookup, and the Hermite midpoint of
+  nodes i - m and i - m + 1; node i - m is the previous step's end
+  lookup, kept in locals, so a step reads four stored values. On the
+  first interval both lookups come from the history, at the times the
+  interval path uses. Only a partial final step looks up by time, off
+  the grid. This path takes intervals shorter than the crossover, the
+  partial final step, and any interval whose decay product P leaves
+  [1e-250, 1e250] or whose states break the 1e12 blow-up bound; such an
+  interval is re-run step by step, so a divergence is reported at its
+  step.
 
 Both paths apply the same RK4 map: the per-step path does the
 floating-point operations of RK4 on numpy 4-vectors built from the
@@ -60,13 +63,14 @@ _BLOWUP_NORM = 1e12
 _MAX_STEPS = 100_000_000
 #: shortest delay interval, in steps, that integrate solves as numpy
 #: affine recurrences; shorter ones run step by step. The measured
-#: crossover (n4, tau = 12, 20 k steps, 21 interleaved pairs per run, two
-#: or three runs): the numpy path's time over the per-step path's was, as
-#: best of 7 and as the median pair, 1.02-1.25 and 1.09-1.18 at 32 steps
-#: per interval, 0.94-1.02 and 1.01-1.02 at 36, 0.94-1.06 and 0.97-1.01
-#: at 38, and 0.82-1.00 and 0.87-0.91 at 40 (2-core Xeon, CPython 3.11,
-#: numpy 2.4)
-_PASS_MIN_STEPS = 36
+#: crossover (n4, tau = 12, 20 k steps, 21 interleaved pairs per run, each
+#: side the best of 7 calls; three runs, two at 39, five at 40): the numpy
+#: path's time over the per-step path's was, as the best over the pairs
+#: and as the median pair, 1.18-1.21 and 1.18-1.21 at 32 steps per
+#: interval, 1.06-1.09 and 1.06-1.09 at 36, 1.01-1.03 and 1.01-1.05 at
+#: 38, 0.98-1.00 and 0.99-1.00 at 39, and 0.96-0.98 and 0.96-0.99 at 40
+#: (2-core Xeon, CPython 3.11, numpy 2.4)
+_PASS_MIN_STEPS = 40
 
 
 def _hermite_weights(s: float, h: float) -> tuple[float, float, float, float]:
@@ -83,6 +87,12 @@ def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray:
     _hill_log.
     """
     ax = np.abs(x)
+    # all positive (nan fails the test) with t in [-700, 700], the common
+    # case: the same operations as below, without their masks
+    if x.min() > 0.0:
+        t = log_a - n * np.log(ax)
+        if t.min() >= -700.0 and t.max() <= 700.0:
+            return 1.0 / (1.0 + np.exp(t))
     zero = ax == 0.0
     any_zero = zero.any()
     if any_zero:
@@ -367,6 +377,7 @@ def integrate(p: ModelParams, tau: float, history: History,
             hf = first[2 * i0 + 1:2 * min(i1, m, n_full) + 1].ravel().tolist()
         w0, w1, w2, w3 = _hermite_weights(0.5, step)
         h, hh, h6 = step, 0.5 * step, step / 6.0
+        log, exp, hill = math.log, math.exp, _hill_log
         for i in range(i0, i1):
             # the delayed y1, y2 at the midpoint (d) and at the end (g)
             if m <= i < n_full:
@@ -389,8 +400,14 @@ def integrate(p: ModelParams, tau: float, history: History,
                 t = i * step
                 d1, d2 = off_grid(t + hh - tau)
                 g1, g2 = off_grid(t + rem - tau)
-            c1m, c2m, fm = a1 + a12 * d2, a2 + a21 * d1, _hill_log(d1, n, log_a)
-            c1e, c2e, fe = a1 + a12 * g2, a2 + a21 * g1, _hill_log(g1, n, log_a)
+            c1m, c2m = a1 + a12 * d2, a2 + a21 * d1
+            c1e, c2e = a1 + a12 * g2, a2 + a21 * g1
+            # the Hill terms: _hill_log's operations, in place where its
+            # argument is positive and t = ln a - n ln x lies in [-700, 700]
+            t = log_a - n * log(d1) if d1 > 0.0 else math.inf
+            fm = 1.0 / (1.0 + exp(t)) if -700.0 <= t <= 700.0 else hill(d1, n, log_a)
+            t = log_a - n * log(g1) if g1 > 0.0 else math.inf
+            fe = 1.0 / (1.0 + exp(t)) if -700.0 <= t <= 700.0 else hill(g1, n, log_a)
             # RK4 stages; k1 is the derivative stored at the current node
             u1 = x1 + hh * k1a
             v1 = y1 + hh * k1b

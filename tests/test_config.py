@@ -146,6 +146,13 @@ def test_sweep_validation():
         config_from_mapping(_with_sweep(**{"sweep.param": "tau"}))
     with pytest.raises(ConfigError, match="sweep.count must be >= 1"):
         config_from_mapping(_with_sweep(**{"sweep.count": "0"}))
+    # every point is held in memory and printed in report.txt
+    for big in ("10001", "1000000000000"):
+        with pytest.raises(ConfigError, match=f"^sweep.count must be >= 1 and "
+                                              f"at most 10000, got {big}$"):
+            config_from_mapping(_with_sweep(**{"sweep.count": big}))
+    cfg = config_from_mapping(_with_sweep(**{"sweep.count": "10000"}))
+    assert cfg.sweep.count == 10000
     with pytest.raises(ConfigError, match="sweep.stop must be >= sweep.start"):
         config_from_mapping(_with_sweep(**{"sweep.stop": "1"}))
 

@@ -432,6 +432,23 @@ def test_newton_solve_evaluates_the_hill_term_at_most_12_times(monkeypatch):
         assert 1 <= len(calls) <= 12, n
 
 
+def test_saturated_hill_term_solve_takes_14_hill_evaluations(monkeypatch):
+    # f(y10) is about 1, far above the f = 1/2 start at y = 0.93: Newton
+    # creeps up the saturating Hill term (twice the step is taken), then
+    # lands on a run of floats where the rounded value is 0 (probes 1, 2,
+    # 4, ... floats away bracket its end). One-float steps and no doubling
+    # took 17 evaluations and used up _NEWTON_STEPS
+    calls = []
+    hill = equilibrium._hill_log
+    monkeypatch.setattr(equilibrium, "_hill_log",
+                        lambda *a: calls.append(a) or hill(*a))
+    p = ModelParams(a1=0.0045, a2=0.47, a12=0.045, a21=0.51, b1=0.36,
+                    b2=0.032, a=0.25, n=20)
+    y10 = _solve_y10(p)
+    assert len(calls) == 14
+    assert y10 == _bisected_y10(p)
+
+
 def test_wide_rounding_band_bisects_the_whole_bracket(monkeypatch):
     # at a1 = b1 = b2 = 1e-16 the test flips several times within 10 % of
     # y10 = 9.03e15; Newton's flip is not the whole bracket's, and the

@@ -237,13 +237,29 @@ def _assert_same_map(traj, states, derivs):
         assert np.all(np.abs(got - want) <= tol * scale)
 
 
+# the edges of the per-step loop's in-place Hill branch (x > 0 and
+# t = ln a - n ln x in [-700, 700]), as a constant delayed y1 over the
+# first interval, at m = 1 and m = 4 with tau = 1: x = 0, odd n with
+# x < 0, and at n = 163 t < -700 (y1 = 200) and t > 700 (y1 = 1e-3)
+_HILL_EDGES = {f"{name}_m{m}": (p, y1, m) for name, p, y1 in (
+    ("zero_y1", PRESETS["n4"], 0.0),
+    ("odd_n3_negative_y1", PRESETS["n2"]._replace(n=3), -0.5),
+    ("t_below_minus_700", PRESETS["n163"], 200.0),
+    ("t_above_700", PRESETS["n163"], 1e-3)) for m in (1, 4)}
+
+
 @pytest.mark.parametrize("case", ["from_function", "step_equals_tau",
-                                  "odd_n_negative_y1", "partial_final_step"])
+                                  "odd_n_negative_y1", "partial_final_step",
+                                  *_HILL_EDGES])
 def test_integrate_matches_reference_bit_for_bit(case):
     p = PRESETS["n2"]
     tau, t_end, step = 2.0, 30.0, 0.125
     history = History.from_function(_smooth, tau)
-    if case == "step_equals_tau":
+    if case in _HILL_EDGES:
+        p, y1, m = _HILL_EDGES[case]
+        tau, t_end, step = 1.0, 3.0, 1.0 / m
+        history = History.constant(np.array([1.0, y1, 3.0, 20.0]), tau)
+    elif case == "step_equals_tau":
         step, t_end = tau, 60.0
     elif case == "odd_n_negative_y1":
         # a negative delayed y1 takes the odd branch of the Hill continuation
@@ -304,7 +320,9 @@ def _spy_on_solver(monkeypatch):
 
 
 def _spy_on_per_step_lookups(monkeypatch):
-    """Count the per-step path's Hill evaluations, one per lookup."""
+    """Count the per-step path's Hill evaluations, one per lookup: the
+    in-place branch's exp, through the math module the loop binds its
+    functions from, and the _hill_log calls outside that branch."""
     calls = []
     real = simulation._hill_log
 
@@ -312,7 +330,17 @@ def _spy_on_per_step_lookups(monkeypatch):
         calls.append(args[0])
         return real(*args)
 
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def exp(t):
+            calls.append(t)
+            return math.exp(t)
+
     monkeypatch.setattr(simulation, "_hill_log", spy)
+    monkeypatch.setattr(simulation, "math", CountingMath())
     return calls
 
 
@@ -340,7 +368,8 @@ def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
 
 @pytest.mark.parametrize("case, tau, m, t_end, stretch", [
     ("n4", 12.0, 256, 200.0, 1.0), ("n164", 7.4, 128, 100.0, 1.0),
-    ("n163", 0.5, 36, 30.0, 1.0), ("n4", 3.0, 40, 31.3, 1.0),
+    ("n163", 0.5, 36, 30.0, 1.0), ("n163", 0.5, 40, 30.0, 1.0),
+    ("n4", 3.0, 40, 31.3, 1.0),
     # a step that divides tau only to the accepted 1e-9, taken as tau/m
     ("n4", 2.0, 256, 60.0, 1.0 + 9e-10)])
 def test_interval_path_equals_per_step_path(case, tau, m, t_end, stretch, monkeypatch):
