@@ -5,7 +5,9 @@ delay exactly, so every delayed lookup falls on the already-computed part
 of the grid, where it is evaluated by cubic Hermite interpolation from
 stored states and derivatives, keeping the overall order four, or in the
 prescribed history. Delayed values for the two internal stages share the
-midpoint lookup.
+midpoint lookup. The states and derivatives are stored as one contiguous
+row per component, (4, N+1); the Trajectory holds their (N+1, 4)
+transposes, so a component's samples are contiguous.
 
 A lookup enters a step only through three numbers: the delayed
 coefficients a1 + a12 y2(t - tau) and a2 + a21 y1(t - tau), and the Hill
@@ -18,19 +20,23 @@ term f(y1(t - tau)). integrate takes the steps by one of two paths:
   constant decay rates b1, b2, then y1 and y2 forced by the stage values
   of x1 and x2. One RK4 step of such an ODE is an affine map
   z <- rho z + sigma, so the interval's steps are solved in numpy as
-  z = P (z0 + cumsum(sigma / P)) with P = cumprod(rho). This path takes
-  every interval of at least _PASS_MIN_STEPS steps (the measured
-  crossover), including a trailing one cut short by t_end.
+  z = P (z0 + cumsum(sigma / P)) with P = cumprod(rho). An interval's
+  lookups are laid out as its nodes, then its midpoints, so every slice
+  of them, and of the component rows read and written, is a contiguous
+  row. This path takes every interval of at least _PASS_MIN_STEPS steps,
+  including a trailing one cut short by t_end.
 - per step: a float loop with one Hill term per lookup, evaluated in
   place as 1/(1 + e^t), t = ln a - n ln x, where x > 0 and |t| <= 700
   (_hill_log's operations there, so its bits), and by a _hill_log call
   otherwise. Full step i reads node i - m + 1 for its end lookup, which
   is also node i + 1's derivative lookup, and the Hermite midpoint of
   nodes i - m and i - m + 1; node i - m is the previous step's end
-  lookup, kept in locals, so a step reads four stored values. On the
+  lookup, kept in locals, so a step reads four stored values, indexed
+  by node in each component's row. At m = 1 the end lookup is node i,
+  the current one, already in locals, and a step reads none. On the
   first interval both lookups come from the history, at the times the
   interval path uses. Only a partial final step looks up by time, off
-  the grid. This path takes intervals shorter than the crossover, the
+  the grid. This path takes intervals shorter than _PASS_MIN_STEPS, the
   partial final step, and any interval whose decay product P leaves
   [1e-250, 1e250] or whose states break the 1e12 blow-up bound; such an
   interval is re-run step by step, so a divergence is reported at its
@@ -62,14 +68,16 @@ from .model import IX1, IY1, IY2, ModelParams, _hill_log
 _BLOWUP_NORM = 1e12
 _MAX_STEPS = 100_000_000
 #: shortest delay interval, in steps, that integrate solves as numpy
-#: affine recurrences; shorter ones run step by step. The measured
-#: crossover (n4, tau = 12, 20 k steps, 21 interleaved pairs per run, each
-#: side the best of 7 calls; three runs, two at 39, five at 40): the numpy
-#: path's time over the per-step path's was, as the best over the pairs
-#: and as the median pair, 1.18-1.21 and 1.18-1.21 at 32 steps per
-#: interval, 1.06-1.09 and 1.06-1.09 at 36, 1.01-1.03 and 1.01-1.05 at
-#: 38, 0.98-1.00 and 0.99-1.00 at 39, and 0.96-0.98 and 0.96-0.99 at 40
-#: (2-core Xeon, CPython 3.11, numpy 2.4)
+#: affine recurrences; shorter ones run step by step. Measured (n4, tau =
+#: 12, 20 k steps, 21 interleaved pairs per run, each side the best of 7
+#: calls; three runs, 2-core Xeon, CPython 3.11, numpy 2.4): the numpy
+#: path's time over the per-step path's, as the best over the pairs and
+#: as the median pair, was 1.03-1.08 and 1.04-1.10 at 40 steps per
+#: interval, 1.02-1.19 and 1.01-1.17 at 42 and 0.94-0.97 and 0.91-0.94
+#: at 44, so the crossover now lies at 43-44. It stays at 40: runs of
+#: 40-43 steps per interval would gain a few per cent on the per-step
+#: path, which no preset or default step takes, and their bits would move
+#: at rounding level
 _PASS_MIN_STEPS = 40
 
 
@@ -204,8 +212,8 @@ class _IntervalSolver:
     as numpy affine recurrences (see the module docstring).
 
     Rows of the (2, .) arrays are (x1, x2), (y1, y2) or the delayed
-    (y1, y2); where a step's lookups are laid out, even columns are the
-    nodes and odd ones the midpoints between them.
+    (y1, y2); where the lookups of L steps are laid out, the first L + 1
+    columns are the nodes and the last L the midpoints between them.
     """
 
     def __init__(self, p: ModelParams, first: np.ndarray,
@@ -228,33 +236,33 @@ class _IntervalSolver:
         """Full steps i0..i1-1, within one delay interval.
 
         Step i reads its delayed y1, y2 from node i - m (on the first
-        interval, from first: the history at the half-grid times less
-        tau), so every input is known before the first step. Writes
-        nodes i0+1..i1 and their derivatives and returns True. Returns
-        False when a decay product leaves [1e-250, 1e250] or a state breaks
-        the blow-up bound; the caller then takes these steps one by one,
-        which rewrites every node it reaches.
+        interval, which is solved whole, from first: the history at its
+        nodes and midpoints less tau), so every input is known before the
+        first step. Writes nodes i0+1..i1 and their derivatives and
+        returns True. Returns False when a decay product leaves [1e-250,
+        1e250] or a state breaks the blow-up bound; the caller then takes
+        these steps one by one, which rewrites every node it reaches.
         """
         if not self.x_ok:
             return False
         states, derivs, m, step = self.states, self.derivs, self.m, self.step
         L = i1 - i0
         if i0 < m:
-            w = self.first[:, 2 * i0:2 * i1 + 1]
+            w = self.first
         else:
-            yn = states[i0 - m:i1 - m + 1, IY1::2].T
-            dn = derivs[i0 - m:i1 - m + 1, IY1::2].T
+            yn = states[IY1::2, i0 - m:i1 - m + 1]
+            dn = derivs[IY1::2, i0 - m:i1 - m + 1]
             w = np.empty((2, 2 * L + 1))
-            w[:, ::2] = yn
-            w[:, 1::2] = (0.5 * (yn[:, :-1] + yn[:, 1:])
-                          + (0.125 * step) * (dn[:, :-1] - dn[:, 1:]))
+            w[:, :L + 1] = yn
+            w[:, L + 1:] = (0.5 * (yn[:, :-1] + yn[:, 1:])
+                            + (0.125 * step) * (dn[:, :-1] - dn[:, 1:]))
         # decay rates of y1, y2 and forcing (1, f(y1d)) of x1, x2
         c = self.base + self.cross * w[::-1]
         q = np.ones((2, 2 * L + 1))
         q[1] = _hill_log_many(w[0], self.n, self.log_a)
-        q1, qm, q4 = q[:, :-1:2], q[:, 1::2], q[:, 2::2]
+        q1, q4, qm = q[:, :L], q[:, 1:L + 1], q[:, L + 1:]
         b, P = self.b, self.P[:, :L]
-        x0, y0 = states[i0, IX1::2, None], states[i0, IY1::2, None]
+        x0, y0 = states[IX1::2, i0, None], states[IY1::2, i0, None]
         x = P * (x0 + np.cumsum((self.w1 * q1 + self.wm * qm + self.w4 * q4) / P,
                                 axis=1))
         # x at each step's start and stages: the forcing of y1 and y2
@@ -263,20 +271,20 @@ class _IntervalSolver:
         xs3 = xs1 + (0.5 * step) * (qm - b * xs2)
         xs4 = xs1 + step * (qm - b * xs3)
         with np.errstate(over="ignore", invalid="ignore"):
-            rho, sigma = _rk4_affine(step, c[:, :-1:2], c[:, 1::2], c[:, 2::2],
+            rho, sigma = _rk4_affine(step, c[:, :L], c[:, L + 1:], c[:, 1:L + 1],
                                      xs1, xs2, xs3, xs4)
             P = np.cumprod(rho, axis=1)
             if not _in_range(P):
                 return False
             y = P * (y0 + np.cumsum(sigma / P, axis=1))
-        out = states[i0 + 1:i1 + 1]
-        out[:, IX1::2], out[:, IY1::2] = x.T, y.T
+        out = states[:, i0 + 1:i1 + 1]
+        out[IX1::2], out[IY1::2] = x, y
         # NaN fails the comparison too
         if not np.abs(out).max() <= _BLOWUP_NORM:
             return False
-        d = derivs[i0 + 1:i1 + 1]
-        d[:, IX1::2] = (q4 - b * x).T
-        d[:, IY1::2] = (x - c[:, 2::2] * y).T
+        d = derivs[:, i0 + 1:i1 + 1]
+        d[IX1::2] = q4 - b * x
+        d[IY1::2] = x - c[:, 1:L + 1] * y
         return True
 
 
@@ -321,25 +329,26 @@ def integrate(p: ModelParams, tau: float, history: History,
     N = n_full + (1 if rem > 0.0 else 0)
     if N > _MAX_STEPS:
         raise DomainError(f"{N} steps exceed the {_MAX_STEPS} budget")
-    # the history at the first interval's nodes and midpoints, which
-    # start at -tau, and at 0
+    # the history at the first interval's nodes, then its midpoints (they
+    # start at -tau), and at 0
     k = min(m, n_full)
-    hv = history.values(np.append(np.arange(2 * k + 1) * (0.5 * step) - tau, 0.0))
+    half = np.arange(2 * k + 1) * (0.5 * step) - tau
+    hv = history.values(np.concatenate((half[::2], half[1::2], [0.0])))
     if not np.all(np.isfinite(hv)):
         raise DivergenceError("history holds non-finite values")
-    # the delayed y1, y2 at those times, one row per time
-    first = hv[:-1, IY1::2]
+    # the delayed y1, y2 at those times, one row per component
+    first = np.ascontiguousarray(hv[:-1, IY1::2].T)
 
-    # zeros, not empty: every lookup reads nodes that are already written
-    # (full step i reads nodes i - m and i - m + 1, the partial step at most
-    # node n_full), and should that ever break, the read gives 0, not
-    # whatever the allocator left there
-    states = np.zeros((N + 1, 4))
-    derivs = np.zeros((N + 1, 4))
-    states[0] = hv[-1]
-    # flat views: indexing them reads and writes Python floats directly
-    sv = memoryview(states).cast("B").cast("d")
-    dv = memoryview(derivs).cast("B").cast("d")
+    # one row per component; zeros, not empty: every lookup reads nodes
+    # that are already written (full step i reads nodes i - m and i - m +
+    # 1, the partial step at most node n_full), and should that ever break,
+    # the read gives 0, not whatever the allocator left there
+    states = np.zeros((4, N + 1))
+    derivs = np.zeros((4, N + 1))
+    states[:, 0] = hv[-1]
+    # one view per row: indexing it by node reads and writes Python floats
+    sx1, sy1, sx2, sy2 = map(memoryview, states)
+    dx1, dy1, dx2, dy2 = map(memoryview, derivs)
     a1, a2, a12, a21, b1, b2, n = p.a1, p.a2, p.a12, p.a21, p.b1, p.b2, p.n
     log_a = math.log(p.a)
     big, small = _BLOWUP_NORM, -_BLOWUP_NORM
@@ -354,38 +363,43 @@ def integrate(p: ModelParams, tau: float, history: History,
         x = tq / step
         j = int(x)
         s = x - j
-        k = 4 * j + 1
         if s < 1e-13:
-            return sv[k], sv[k + 2]
+            return sy1[j], sy2[j]
         w0, w1, w2, w3 = _hermite_weights(s, step)
-        return (w0 * sv[k] + w1 * dv[k] + w2 * sv[k + 4] + w3 * dv[k + 4],
-                w0 * sv[k + 2] + w1 * dv[k + 2] + w2 * sv[k + 6] + w3 * dv[k + 6])
+        return (w0 * sy1[j] + w1 * dy1[j] + w2 * sy1[j + 1] + w3 * dy1[j + 1],
+                w0 * sy2[j] + w1 * dy2[j] + w2 * sy2[j + 1] + w3 * dy2[j + 1])
 
     def steps(i0: int, i1: int) -> None:
         """Steps i0..i1-1 one by one on Python floats, from node i0 and
         its stored derivative."""
-        k = 4 * i0
-        x1, y1, x2, y2 = sv[k], sv[k + 1], sv[k + 2], sv[k + 3]
-        k1a, k1b, k1c, k1d = dv[k], dv[k + 1], dv[k + 2], dv[k + 3]
+        x1, y1, x2, y2 = sx1[i0], sy1[i0], sx2[i0], sy2[i0]
+        k1a, k1b, k1c, k1d = dx1[i0], dy1[i0], dx2[i0], dy2[i0]
         # y1, y2 and their derivatives at node i - m, the previous step's
         # end lookup (node 0 until the first interval is done)
-        k = 4 * max(i0 - m, 0) + 1
-        e1, e2, ed1, ed2 = sv[k], sv[k + 2], dv[k], dv[k + 2]
+        j = max(i0 - m, 0)
+        e1, e2, ed1, ed2 = sy1[j], sy2[j], dy1[j], dy2[j]
         if i0 < m:
-            # the first interval's lookups, midpoints and ends in turn, at
-            # the same times as _IntervalSolver.solve's
-            hf = first[2 * i0 + 1:2 * min(i1, m, n_full) + 1].ravel().tolist()
+            # the first interval's lookups: its nodes, then from k + 1 its
+            # midpoints, at the same times as _IntervalSolver.solve's
+            hy1, hy2 = first.tolist()
         w0, w1, w2, w3 = _hermite_weights(0.5, step)
         h, hh, h6 = step, 0.5 * step, step / 6.0
         log, exp, hill = math.log, math.exp, _hill_log
         for i in range(i0, i1):
             # the delayed y1, y2 at the midpoint (d) and at the end (g)
             if m <= i < n_full:
-                k = 4 * (i - m) + 5
-                g1 = sv[k]
-                g2 = sv[k + 2]
-                gd1 = dv[k]
-                gd2 = dv[k + 2]
+                if m == 1:
+                    # the end lookup is node i, the current one
+                    g1 = y1
+                    g2 = y2
+                    gd1 = k1b
+                    gd2 = k1d
+                else:
+                    j = i - m + 1
+                    g1 = sy1[j]
+                    g2 = sy2[j]
+                    gd1 = dy1[j]
+                    gd2 = dy2[j]
                 d1 = w0 * e1 + w1 * ed1 + w2 * g1 + w3 * gd1
                 d2 = w0 * e2 + w1 * ed2 + w2 * g2 + w3 * gd2
                 e1 = g1
@@ -393,8 +407,8 @@ def integrate(p: ModelParams, tau: float, history: History,
                 ed1 = gd1
                 ed2 = gd2
             elif i < n_full:
-                k = 4 * (i - i0)
-                d1, d2, g1, g2 = hf[k], hf[k + 1], hf[k + 2], hf[k + 3]
+                d1, d2 = hy1[k + 1 + i], hy2[k + 1 + i]
+                g1, g2 = hy1[i + 1], hy2[i + 1]
             else:
                 h, hh, h6 = rem, 0.5 * rem, rem / 6.0
                 t = i * step
@@ -442,29 +456,29 @@ def integrate(p: ModelParams, tau: float, history: History,
                     and small <= x2 <= big and small <= y2 <= big):
                 raise DivergenceError(
                     f"trajectory diverged at t={(i * step + h):.6g} (step {i})")
-            k = 4 * i + 4
-            sv[k] = x1
-            sv[k + 1] = y1
-            sv[k + 2] = x2
-            sv[k + 3] = y2
+            j = i + 1
+            sx1[j] = x1
+            sy1[j] = y1
+            sx2[j] = x2
+            sy2[j] = y2
             # the new node's derivative takes the end lookup
             k1a = 1.0 - b1 * x1
             k1b = x1 - c1e * y1
             k1c = fe - b2 * x2
             k1d = x2 - c2e * y2
-            dv[k] = k1a
-            dv[k + 1] = k1b
-            dv[k + 2] = k1c
-            dv[k + 3] = k1d
+            dx1[j] = k1a
+            dy1[j] = k1b
+            dx2[j] = k1c
+            dy2[j] = k1d
 
-    x1, y1, x2, y2 = sv[0], sv[1], sv[2], sv[3]
-    y1d, y2d = first[0].tolist()
-    dv[0], dv[1], dv[2], dv[3] = (1.0 - b1 * x1, x1 - (a1 + a12 * y2d) * y1,
-                                  _hill_log(y1d, n, log_a) - b2 * x2,
-                                  x2 - (a2 + a21 * y1d) * y2)
+    x1, y1, x2, y2 = hv[-1].tolist()
+    y1d, y2d = first[:, 0].tolist()
+    dx1[0], dy1[0], dx2[0], dy2[0] = (1.0 - b1 * x1, x1 - (a1 + a12 * y2d) * y1,
+                                      _hill_log(y1d, n, log_a) - b2 * x2,
+                                      x2 - (a2 + a21 * y1d) * y2)
     i = 0
     if m >= _PASS_MIN_STEPS:
-        solver = _IntervalSolver(p, first.T, states, derivs, m, step)
+        solver = _IntervalSolver(p, first, states, derivs, m, step)
         while n_full - i >= _PASS_MIN_STEPS:
             i1 = min(i + m, n_full)
             if not solver.solve(i, i1):
@@ -476,7 +490,7 @@ def integrate(p: ModelParams, tau: float, history: History,
     ts[:n_full + 1] = np.arange(n_full + 1) * step
     if rem > 0.0:
         ts[N] = t_end
-    return Trajectory(t=ts, states=states, derivs=derivs)
+    return Trajectory(t=ts, states=states.T, derivs=derivs.T)
 
 
 def upward_crossings(ts: np.ndarray, vals: np.ndarray, level: float = 0.0) -> np.ndarray:
@@ -495,8 +509,9 @@ def oscillation_summary(ts: np.ndarray, vals: np.ndarray) -> dict:
 
     Uses upward crossings of the mean level over the last half of the
     record; amplitude variation is (max - min)/mean of per-cycle peak-to-
-    trough amplitudes over the last quarter. Returns NaNs when fewer than
-    three full cycles are available.
+    trough amplitudes over the last quarter. ts must be sorted, as a
+    trajectory's times are. Returns NaNs when fewer than three full cycles
+    are available.
     """
     n = len(ts)
     half = slice(n // 2, n)
@@ -510,11 +525,13 @@ def oscillation_summary(ts: np.ndarray, vals: np.ndarray) -> dict:
     out["period"] = float(np.mean(periods))
     # per-cycle amplitudes over the last quarter of the cycles
     q = max(3, len(cr) * 3 // 4)
+    # the samples with c0 <= t <= c1 of each cycle, as ts is sorted
+    lo = np.searchsorted(ts, cr[q - 1:-1], side="left").tolist()
+    hi = np.searchsorted(ts, cr[q:], side="right").tolist()
     amps = []
-    for c0, c1 in zip(cr[q - 1:-1], cr[q:]):
-        mask = (ts >= c0) & (ts <= c1)
-        if np.count_nonzero(mask) > 2:
-            seg = vals[mask]
+    for j0, j1 in zip(lo, hi):
+        if j1 - j0 > 2:
+            seg = vals[j0:j1]
             amps.append(float(np.max(seg) - np.min(seg)))
     if len(amps) >= 2 and np.mean(amps) > 0.0:
         out["amp_variation"] = float((np.max(amps) - np.min(amps)) / np.mean(amps))

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hopf_dde import (DivergenceError, DomainError, History, IX1, IX2, PRESETS,
-                      find_equilibria, integrate, oscillation_summary,
+from hopf_dde import (DivergenceError, DomainError, History, IX1, IX2, IY1,
+                      PRESETS, find_equilibria, integrate, oscillation_summary,
                       upward_crossings)
 
 from hopf_dde import simulation
@@ -249,6 +249,7 @@ _HILL_EDGES = {f"{name}_m{m}": (p, y1, m) for name, p, y1 in (
 
 
 @pytest.mark.parametrize("case", ["from_function", "step_equals_tau",
+                                  "step_equals_tau_partial_final_step", "m2",
                                   "odd_n_negative_y1", "partial_final_step",
                                   *_HILL_EDGES])
 def test_integrate_matches_reference_bit_for_bit(case):
@@ -261,6 +262,14 @@ def test_integrate_matches_reference_bit_for_bit(case):
         history = History.constant(np.array([1.0, y1, 3.0, 20.0]), tau)
     elif case == "step_equals_tau":
         step, t_end = tau, 60.0
+    elif case == "step_equals_tau_partial_final_step":
+        # the end lookup of a full step is the current node, held in
+        # locals; the partial step then looks up by time
+        step, t_end = tau, 61.3
+    elif case == "m2":
+        # a full step's end lookup is node i - 1, a stored node that is not
+        # the current one
+        step = tau / 2
     elif case == "odd_n_negative_y1":
         # a negative delayed y1 takes the odd branch of the Hill continuation
         p = p._replace(n=3)
@@ -271,6 +280,19 @@ def test_integrate_matches_reference_bit_for_bit(case):
     states, derivs = _reference_integrate(p, tau, history, t_end, step)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.derivs, derivs)
+
+
+@pytest.mark.parametrize("m, rows", [(1, 12), (64, 651)])
+def test_trajectory_stores_one_contiguous_row_per_component(m, rows):
+    # 10 full steps and a partial one at m = 1, 649 and a partial one at
+    # m = 64; states and derivs are (N+1, 4) views of one row per
+    # component, so each component's samples are contiguous
+    traj = integrate(PRESETS["n2"], 2.0, History.from_function(_smooth, 2.0),
+                     20.3, 2.0 / m)
+    for arr in (traj.states, traj.derivs):
+        assert arr.shape == (rows, 4)
+        for k in range(4):
+            assert arr[:, k].flags.c_contiguous
 
 
 def test_one_step_intervals_match_reference_bit_for_bit(preset_data, monkeypatch):
@@ -601,6 +623,38 @@ def test_oscillation_summary_on_sine():
     assert out["amp_variation"] < 0.01
     assert out["min"] == pytest.approx(-1.0, abs=1e-3)
     assert out["max"] == pytest.approx(1.0, abs=1e-3)
+
+
+def _mask_amp_variation(ts, vals):
+    """oscillation_summary's amp_variation, each cycle's samples selected
+    by a full-length mask (ts >= c0) & (ts <= c1)."""
+    half = slice(len(ts) // 2, len(ts))
+    cr = upward_crossings(ts[half], vals[half], float(np.mean(vals[half])))
+    q = max(3, len(cr) * 3 // 4)
+    amps = []
+    for c0, c1 in zip(cr[q - 1:-1], cr[q:]):
+        mask = (ts >= c0) & (ts <= c1)
+        if np.count_nonzero(mask) > 2:
+            seg = vals[mask]
+            amps.append(float(np.max(seg) - np.min(seg)))
+    return float((np.max(amps) - np.min(amps)) / np.mean(amps))
+
+
+@pytest.mark.parametrize("case", ["sine", "n4"])
+def test_oscillation_summary_selects_cycles_as_a_mask_does(case, preset_data):
+    if case == "sine":
+        ts = np.linspace(0.0, 40.0 * math.pi, 4001)
+        vals = np.sin(ts) * (1.0 + 0.01 * ts)
+    else:
+        # n4 just past its critical delay, 10 periods at 256 steps per delay
+        p, eq, _, hp = preset_data["n4"]
+        tau = 1.05 * hp.tau_c
+        history = History.constant(np.asarray(eq.state()) * 1.01, tau)
+        traj = integrate(p, tau, history, 20.0 * math.pi / hp.omega_c, tau / 256)
+        ts, vals = traj.t, traj.component(IY1)
+    got = oscillation_summary(ts, vals)["amp_variation"]
+    assert got > 0.0
+    assert got == _mask_amp_variation(ts, vals)
 
 
 def test_oscillation_summary_flat_signal_reports_nan():
