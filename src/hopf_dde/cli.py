@@ -74,7 +74,7 @@ def _write_csvs(out: str, run: RunResult, runs: int) -> None:
         ppath = os.path.join(out, f"phase{suffix}.csv")
         # phase.csv's y1, y2 text is formatted once, for both files
         write_trajectory_csv(tpath, traj,
-                             lambda chunks: write_phase_csv(ppath, traj, chunks))
+                             lambda chunks: write_phase_csv(ppath, chunks))
         progress("wrote %s, %s", tpath, ppath)
 
 

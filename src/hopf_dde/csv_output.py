@@ -213,11 +213,11 @@ def write_trajectory_csv(path: str, traj: Trajectory, phase=None) -> None:
             pass
 
 
-def write_phase_csv(path: str, traj: Trajectory, chunks) -> None:
+def write_phase_csv(path: str, chunks) -> None:
     """Protein phase-plane samples; header exactly `y1,y2`.
 
     `chunks` is the iterator that `write_trajectory_csv` passes to its
-    `phase` callback for the same trajectory.
+    `phase` callback.
     """
     with open(path, "wb") as fh:
         fh.write(b"y1,y2\n")

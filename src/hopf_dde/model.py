@@ -197,7 +197,11 @@ def _hill_log(x: float, n: int, log_a: float) -> float:
     x < 0, x^n/(a + x^n) = 1/(1 - exp(t)) with the same
     t = ln a - n ln|x| as the positive branch 1/(1 + exp(t)), so neither
     overflows for huge n; the pole x = -a^(1/n) (t = 0) raises
-    DivergenceError. Takes ln a so a caller can compute it once.
+    DivergenceError. Where t < -700, e^t is below half an ulp of 1, so
+    1/(1 +- e^t) rounds to exactly 1. The integrator's fast copies (the
+    per-step loop's in-place term, simulation._hill_log_many) cover only
+    x > 0 with t <= 700 and leave every other case to this function.
+    Takes ln a so a caller can compute it once.
     """
     if x == 0.0:
         return 0.0
@@ -205,8 +209,6 @@ def _hill_log(x: float, n: int, log_a: float) -> float:
     sign = -1.0 if x < 0.0 and n % 2 else 1.0
     if t > 700.0:
         return sign * math.exp(-t)
-    if t < -700.0:
-        return 1.0
     if t == 0.0 and sign < 0.0:
         raise DivergenceError(f"Hill term has a pole at x={x!r} for odd n={n}")
     return 1.0 / (1.0 + sign * math.exp(t))

@@ -14,6 +14,7 @@ report. Sweep points run one after another, in sweep order.
 
 from __future__ import annotations
 
+import collections
 import importlib
 import math
 import os
@@ -212,8 +213,18 @@ def run_analysis(cfg: AnalysisConfig,
     if cfg.sweep is None:
         points = [(cfg.params, "")]
     else:
-        points = [(cfg.params._replace(**{cfg.sweep.param: v}),
-                   f"{cfg.sweep.param}={v:.10g}") for v in sweep_values(cfg.sweep)]
+        # each value once, as sweep_values gives the Hill exponent's
+        param, vals = cfg.sweep.param, list(dict.fromkeys(sweep_values(cfg.sweep)))
+        # 10 significant digits, or, where two values share those, the
+        # fewest up to 17 (which tell any two floats apart) that part them
+        text = [f"{v:.10g}" for v in vals]
+        shared = {s for s, k in collections.Counter(text).items() if k > 1}
+        if shared:
+            d = next(d for d in range(11, 18)
+                     if len({f"{v:.{d}g}" for v in vals}) == len(vals))
+            text = [f"{v:.{d}g}" if s in shared else s for v, s in zip(vals, text)]
+        points = [(cfg.params._replace(**{param: v}), f"{param}={s}")
+                  for v, s in zip(vals, text)]
     results = []
     for p, label in points:
         run = analyze_params(p, cfg, label)

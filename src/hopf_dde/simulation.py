@@ -24,9 +24,10 @@ term f(y1(t - tau)). integrate takes the steps by one of two paths:
   lookups are laid out as its nodes, then its midpoints, so every slice
   of them, and of the component rows read and written, is a contiguous
   row. This path takes every interval of at least _PASS_MIN_STEPS steps,
-  including a trailing one cut short by t_end.
+  including a trailing one cut short by t_end, whose delayed y1 are all
+  positive with t = ln a - n ln y1 <= 700.
 - per step: a float loop with one Hill term per lookup, evaluated in
-  place as 1/(1 + e^t), t = ln a - n ln x, where x > 0 and |t| <= 700
+  place as 1/(1 + e^t), t = ln a - n ln x, where x > 0 and t <= 700
   (_hill_log's operations there, so its bits), and by a _hill_log call
   otherwise. Full step i reads node i - m + 1 for its end lookup, which
   is also node i + 1's derivative lookup, and the Hermite midpoint of
@@ -37,8 +38,9 @@ term f(y1(t - tau)). integrate takes the steps by one of two paths:
   first interval both lookups come from the history, at the times the
   interval path uses. Only a partial final step looks up by time, off
   the grid. This path takes intervals shorter than _PASS_MIN_STEPS, the
-  partial final step, and any interval whose decay product P leaves
-  [1e-250, 1e250] or whose states break the 1e12 blow-up bound; such an
+  partial final step, and any interval the other path gives back: one
+  with a delayed y1 outside its domain, a decay product P that leaves
+  [1e-250, 1e250] or states that break the 1e12 blow-up bound. Such an
   interval is re-run step by step, so a divergence is reported at its
   step.
 
@@ -70,15 +72,12 @@ _MAX_STEPS = 100_000_000
 #: shortest delay interval, in steps, that integrate solves as numpy
 #: affine recurrences; shorter ones run step by step. Measured (n4, tau =
 #: 12, 20 k steps, 21 interleaved pairs per run, each side the best of 7
-#: calls; three runs, 2-core Xeon, CPython 3.11, numpy 2.4): the numpy
-#: path's time over the per-step path's, as the best over the pairs and
-#: as the median pair, was 1.03-1.08 and 1.04-1.10 at 40 steps per
-#: interval, 1.02-1.19 and 1.01-1.17 at 42 and 0.94-0.97 and 0.91-0.94
-#: at 44, so the crossover now lies at 43-44. It stays at 40: runs of
-#: 40-43 steps per interval would gain a few per cent on the per-step
-#: path, which no preset or default step takes, and their bits would move
-#: at rounding level
-_PASS_MIN_STEPS = 40
+#: calls; 2-core Xeon, CPython 3.11, numpy 2.4): the numpy path's time over
+#: the per-step path's, as the median pair, was 0.99-1.04 at 40 steps per
+#: interval (five runs), 0.97-0.99 at 41, 0.94-1.00 at 42 and 0.93-0.97 at
+#: 43 (three runs each), so the crossover lies at 40-41. The best pair
+#: ranged from 0.54 to 1.00 on this shared machine, too noisy to use
+_PASS_MIN_STEPS = 41
 
 
 def _hermite_weights(s: float, h: float) -> tuple[float, float, float, float]:
@@ -87,41 +86,21 @@ def _hermite_weights(s: float, h: float) -> tuple[float, float, float, float]:
             s * s * (3.0 - 2.0 * s), s * s * (s - 1.0) * h)
 
 
-def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray:
-    """_hill_log elementwise, with numpy's log and exp.
+def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray | None:
+    """_hill_log elementwise, with numpy's log and exp, where every x > 0
+    and t = ln a - n ln x <= 700; None otherwise.
 
-    Agrees with _hill_log to a few ulp (the transcendental parts round
-    differently); zero, the +-700 clamps and the pole are as in
-    _hill_log.
+    Agrees with _hill_log there to a few ulp (the transcendental parts
+    round differently). Every other case is _hill_log's: the caller then
+    takes the lookups step by step.
     """
-    ax = np.abs(x)
-    # all positive (nan fails the test) with t in [-700, 700], the common
-    # case: the same operations as below, without their masks
-    if x.min() > 0.0:
-        t = log_a - n * np.log(ax)
-        if t.min() >= -700.0 and t.max() <= 700.0:
-            return 1.0 / (1.0 + np.exp(t))
-    zero = ax == 0.0
-    any_zero = zero.any()
-    if any_zero:
-        ax[zero] = 1.0
-    t = log_a - n * np.log(ax)
-    # exp(-700) is below half an ulp of 1, so capping t at 700 already
-    # gives the t < -700 branch's 1.0 and keeps exp finite
-    e = np.exp(np.minimum(t, 700.0))
-    if n % 2:
-        neg = x < 0.0
-        if neg.any():
-            if np.any(t[neg] == 0.0):
-                raise DivergenceError(f"Hill term has a pole for odd n={n}")
-            e[neg] = -e[neg]
-    out = 1.0 / (1.0 + e)
-    tail = t > 700.0
-    if tail.any():
-        out[tail] = np.copysign(np.exp(-t[tail]), e[tail])
-    if any_zero:
-        out[zero] = 0.0
-    return out
+    # nan fails both comparisons too
+    if not x.min() > 0.0:
+        return None
+    t = log_a - n * np.log(x)
+    if not t.max() <= 700.0:
+        return None
+    return 1.0 / (1.0 + np.exp(t))
 
 
 class _HistoryFields(NamedTuple):
@@ -239,9 +218,10 @@ class _IntervalSolver:
         interval, which is solved whole, from first: the history at its
         nodes and midpoints less tau), so every input is known before the
         first step. Writes nodes i0+1..i1 and their derivatives and
-        returns True. Returns False when a decay product leaves [1e-250,
-        1e250] or a state breaks the blow-up bound; the caller then takes
-        these steps one by one, which rewrites every node it reaches.
+        returns True. Returns False when a delayed y1 lies outside
+        _hill_log_many's domain, a decay product leaves [1e-250, 1e250] or
+        a state breaks the blow-up bound; the caller then takes these steps
+        one by one, which rewrites every node it reaches.
         """
         if not self.x_ok:
             return False
@@ -256,10 +236,13 @@ class _IntervalSolver:
             w[:, :L + 1] = yn
             w[:, L + 1:] = (0.5 * (yn[:, :-1] + yn[:, 1:])
                             + (0.125 * step) * (dn[:, :-1] - dn[:, 1:]))
+        f = _hill_log_many(w[0], self.n, self.log_a)
+        if f is None:
+            return False
         # decay rates of y1, y2 and forcing (1, f(y1d)) of x1, x2
         c = self.base + self.cross * w[::-1]
         q = np.ones((2, 2 * L + 1))
-        q[1] = _hill_log_many(w[0], self.n, self.log_a)
+        q[1] = f
         q1, q4, qm = q[:, :L], q[:, 1:L + 1], q[:, L + 1:]
         b, P = self.b, self.P[:, :L]
         x0, y0 = states[IX1::2, i0, None], states[IY1::2, i0, None]
@@ -417,11 +400,11 @@ def integrate(p: ModelParams, tau: float, history: History,
             c1m, c2m = a1 + a12 * d2, a2 + a21 * d1
             c1e, c2e = a1 + a12 * g2, a2 + a21 * g1
             # the Hill terms: _hill_log's operations, in place where its
-            # argument is positive and t = ln a - n ln x lies in [-700, 700]
+            # argument is positive and t = ln a - n ln x <= 700
             t = log_a - n * log(d1) if d1 > 0.0 else math.inf
-            fm = 1.0 / (1.0 + exp(t)) if -700.0 <= t <= 700.0 else hill(d1, n, log_a)
+            fm = 1.0 / (1.0 + exp(t)) if t <= 700.0 else hill(d1, n, log_a)
             t = log_a - n * log(g1) if g1 > 0.0 else math.inf
-            fe = 1.0 / (1.0 + exp(t)) if -700.0 <= t <= 700.0 else hill(g1, n, log_a)
+            fe = 1.0 / (1.0 + exp(t)) if t <= 700.0 else hill(g1, n, log_a)
             # RK4 stages; k1 is the derivative stored at the current node
             u1 = x1 + hh * k1a
             v1 = y1 + hh * k1b

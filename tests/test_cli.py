@@ -87,6 +87,22 @@ def test_sweep_writes_labeled_outputs(tmp_path):
         assert (out / f"phase_{slug}.csv").exists()
 
 
+def test_sweep_points_sharing_ten_digits_write_their_own_csvs(tmp_path):
+    # the three a12 values agree to 11 significant digits: their labels
+    # take as many more as part them, and so do their CSV names
+    cfg = FAST_CFG + ("sweep.param = a12\nsweep.start = 0.01\n"
+                      "sweep.stop = 0.0100000000001\nsweep.count = 3\n")
+    out = tmp_path / "out"
+    rc = cli.main(["--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert rc == 0
+    kv = parse_report((out / "report.txt").read_text())
+    assert kv["runs.count"] == "3"
+    labels = [kv[f"run.{j}.label"] for j in range(3)]
+    assert len(set(labels)) == 3
+    assert len(list(out.glob("trajectory_*.csv"))) == 3
+    assert len(list(out.glob("phase_*.csv"))) == 3
+
+
 A12_SWEEP = FAST_CFG + "sweep.param = a12\nsweep.start = 0.01\nsweep.stop = 0.03\nsweep.count = 3\n"
 
 
@@ -104,7 +120,7 @@ def _write_after_the_run(cfg, out):
             ppath = os.path.join(out, f"phase{suffix}.csv")
             csv_output.write_trajectory_csv(
                 os.path.join(out, f"trajectory{suffix}.csv"), traj,
-                lambda chunks: csv_output.write_phase_csv(ppath, traj, chunks))
+                lambda chunks: csv_output.write_phase_csv(ppath, chunks))
 
 
 @pytest.mark.parametrize("case", ["a12_sweep", "n4"])

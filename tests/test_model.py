@@ -9,8 +9,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_dde import (DivergenceError, DomainError, ModelParams, PRESETS,
-                      find_equilibria, hill_derivs, hill_eval)
+from hopf_dde import (DivergenceError, DomainError, History, ModelParams, PRESETS,
+                      find_equilibria, hill_derivs, hill_eval, integrate)
 from hopf_dde.model import _hill_log
 from hopf_dde.simulation import _hill_log_many
 
@@ -213,8 +213,14 @@ def test_hill_odd_branch_pole_is_divergence(x, n, a):
     # x^n = -a makes the denominator vanish
     with pytest.raises(DivergenceError):
         _hill_log(x, n, math.log(a))
-    with pytest.raises(DivergenceError):
-        _hill_log_many(np.array([0.5, x]), n, math.log(a))
+    # the same pole at one node of an interval of 64 steps, whose history
+    # is positive elsewhere: the interval pass gives the interval back, and
+    # the per-step loop's _hill_log reports the pole
+    p = PRESETS["n2"]._replace(n=n, a=a)
+    history = History.from_function(
+        lambda t: [1.0, x if t == -0.5 else 0.5, 3.0, 20.0], 1.0)
+    with pytest.raises(DivergenceError, match="pole"):
+        integrate(p, 1.0, history, 2.0, 1.0 / 64)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 163, 164])
@@ -228,21 +234,26 @@ def test_hill_log_many_matches_scalar_bit_for_bit(n, a):
     rng = np.random.default_rng(n)
     x = np.concatenate((rng.uniform(-3.0, 3.0, 2000), rng.uniform(0.99, 1.01, 500),
                         [0.0, -0.0, 1e-300, -1e-300, 5e-324, 100.0, -100.0,
-                         1e10, -1e10, 1e300, -1e300]))
-    if n % 2:
-        x = x[np.abs(np.abs(x) - a ** (1.0 / n)) > 1e-9]  # keep off the pole
+                         1e10, -1e10, 1e300, -1e300, math.nan]))
+    log_x = np.log(np.where(x == 0.0, 1.0, np.abs(x)))
+    t = math.log(a) - n * log_x
+    # its domain: the rest (zero, negative values, t > 700, nan) is
+    # _hill_log's alone
+    inside = (x > 0.0) & (t <= 700.0)
+    edges = x[~inside].tolist()
+    assert len(edges) > 900 and any(v > 0.0 for v in edges)
+    for v in edges:
+        assert _hill_log_many(np.array([1.0, v]), n, math.log(a)) is None
+    x, log_x, t = x[inside], log_x[inside], t[inside]
     want = np.array([_hill_log(v, n, math.log(a)) for v in x.tolist()])
     got = _hill_log_many(x, n, math.log(a))
-    log_x = np.log(np.where(x == 0.0, 1.0, np.abs(x)))
     cond = 1.0 + (abs(math.log(a)) + n * np.abs(log_x)) * np.abs(1.0 - want)
     assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)) * cond)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    # zero, and the clamps where both sides round to 1 or to +-0, exactly
-    t = math.log(a) - n * log_x
-    clamped = np.abs(t) > 746.0
-    assert np.count_nonzero(clamped) >= (0 if n == 1 else 4)
-    exact = (x == 0.0) | clamped
-    assert np.array_equal(got[exact], want[exact])
+    # t < -746, where both sides round to 1, exactly
+    ones = t < -746.0
+    assert np.count_nonzero(ones) >= (0 if n == 1 else 1)
+    assert np.array_equal(got[ones], want[ones])
 
 
 def test_rhs_hand_computed():

@@ -184,6 +184,20 @@ def test_sweep_values_are_np_linspace(start, width, count):
     assert [v.hex() for v in got] == _linspace_bits(start, stop, count)
 
 
+@pytest.mark.parametrize("start, stop, count, labels", [
+    (0.01, 0.03, 3, ["a12=0.01", "a12=0.02", "a12=0.03"]),
+    # the last two share 10 significant digits; 0.5 keeps its label
+    (0.5, 0.5000000001, 3, ["a12=0.5", "a12=0.50000000005", "a12=0.5000000001"]),
+    (0.01, 0.0100000000001, 3,
+     ["a12=0.01", "a12=0.01000000000005", "a12=0.0100000000001"]),
+    # equal values run once
+    (0.02, 0.02, 3, ["a12=0.02"])])
+def test_sweep_labels_are_distinct(start, stop, count, labels):
+    cfg = AnalysisConfig(params=PRESETS["n2"], sim=SimSpec(enabled=False),
+                         sweep=SweepSpec("a12", start, stop, count))
+    assert [r.label for r in run_analysis(cfg)] == labels
+
+
 def test_sweep_runs_in_order():
     cfg = AnalysisConfig(params=PRESETS["n2"], sim=SimSpec(enabled=False),
                          sweep=SweepSpec("n", 2, 4, 3))

@@ -228,7 +228,7 @@ def _write_both(tpath, ppath, traj):
     """Both CSVs, phase.csv from the trajectory writer's chunks, as cli
     writes them."""
     write_trajectory_csv(str(tpath), traj,
-                         lambda chunks: write_phase_csv(str(ppath), traj, chunks))
+                         lambda chunks: write_phase_csv(str(ppath), chunks))
 
 
 def test_trajectory_csv(tmp_path, short_traj):

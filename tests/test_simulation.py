@@ -20,6 +20,11 @@ def _smooth(t):
     return np.array([math.sin(t), math.cos(2.0 * t), math.sin(3.0 * t), 1.0])
 
 
+def _smooth_positive(t):
+    """_smooth with y1 = 2 + cos 2t > 0, inside the interval pass's domain."""
+    return np.array([math.sin(t), 2.0 + math.cos(2.0 * t), math.sin(3.0 * t), 1.0])
+
+
 def _dense_value(traj, time):
     """The cubic Hermite interpolant of the stored nodes and derivatives
     at time: dense output, as a reference for the grid's derivatives."""
@@ -238,9 +243,10 @@ def _assert_same_map(traj, states, derivs):
 
 
 # the edges of the per-step loop's in-place Hill branch (x > 0 and
-# t = ln a - n ln x in [-700, 700]), as a constant delayed y1 over the
-# first interval, at m = 1 and m = 4 with tau = 1: x = 0, odd n with
-# x < 0, and at n = 163 t < -700 (y1 = 200) and t > 700 (y1 = 1e-3)
+# t = ln a - n ln x <= 700), as a constant delayed y1 over the first
+# interval, at m = 1 and m = 4 with tau = 1: x = 0, odd n with x < 0, and
+# at n = 163 t > 700 (y1 = 1e-3) and, inside the branch, t < -700
+# (y1 = 200), where 1/(1 + e^t) rounds to exactly 1
 _HILL_EDGES = {f"{name}_m{m}": (p, y1, m) for name, p, y1 in (
     ("zero_y1", PRESETS["n4"], 0.0),
     ("odd_n3_negative_y1", PRESETS["n2"]._replace(n=3), -0.5),
@@ -373,25 +379,36 @@ def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
     # numpy path, which agrees with the per-step reference to rounding
     p = PRESETS["n2"]
     tau, t_end, step = 2.0, 30.0, 2.0 / 64
-    history = History.from_function(_smooth, tau)
+    history = History.from_function(_smooth_positive, tau)
     if case == "odd_n_negative_y1":
         p = p._replace(n=3)
         history = History.constant(np.array([1.0, -0.5, 3.0, 20.0]), tau)
     elif case == "partial_final_step":
-        t_end = 5.3  # 169.6 steps: 41 full ones in the last interval
+        t_end = 5.4  # 172.8 steps: 44 full ones in the last interval
     elif case == "ends_mid_interval":
         t_end = 178 * step  # the last interval has 50 of its 64 steps
-    assert 41 >= simulation._PASS_MIN_STEPS
-    calls = _spy_on_interval_pass(monkeypatch)
+    assert 44 >= simulation._PASS_MIN_STEPS
+    calls = _spy_on_solver(monkeypatch)
     traj = integrate(p, tau, history, t_end, step)
-    assert len(calls) == math.ceil(t_end / tau)
-    _assert_same_map(traj, *_reference_integrate(p, tau, history, t_end, step))
+    states, derivs = _reference_integrate(p, tau, history, t_end, step)
+    solved = [ok for _, _, ok in calls]
+    assert len(solved) == math.ceil(t_end / tau)
+    if case == "odd_n_negative_y1":
+        # the delayed y1 is negative on the first two intervals: the pass
+        # gives them back, and the per-step loop takes them to the bit
+        assert solved == [False, False] + [True] * (len(solved) - 2)
+        k = 2 * 64 + 1
+        assert np.array_equal(traj.states[:k], states[:k])
+        assert np.array_equal(traj.derivs[:k], derivs[:k])
+    else:
+        assert all(solved)
+    _assert_same_map(traj, states, derivs)
 
 
 @pytest.mark.parametrize("case, tau, m, t_end, stretch", [
     ("n4", 12.0, 256, 200.0, 1.0), ("n164", 7.4, 128, 100.0, 1.0),
-    ("n163", 0.5, 36, 30.0, 1.0), ("n163", 0.5, 40, 30.0, 1.0),
-    ("n4", 3.0, 40, 31.3, 1.0),
+    ("n163", 0.5, 36, 30.0, 1.0), ("n163", 0.5, 44, 30.0, 1.0),
+    ("n4", 3.0, 45, 31.3, 1.0),
     # a step that divides tau only to the accepted 1e-9, taken as tau/m
     ("n4", 2.0, 256, 60.0, 1.0 + 9e-10)])
 def test_interval_path_equals_per_step_path(case, tau, m, t_end, stretch, monkeypatch):
@@ -403,6 +420,24 @@ def test_interval_path_equals_per_step_path(case, tau, m, t_end, stretch, monkey
     monkeypatch.setattr(simulation, "_PASS_MIN_STEPS", 10**9)
     slow = integrate(p, tau, history, t_end, step)
     _assert_same_map(fast, slow.states, slow.derivs)
+
+
+@pytest.mark.parametrize("case", ["zero_y1", "odd_n3_negative_y1", "t_above_700"])
+def test_interval_outside_the_fast_domain_matches_reference_bit_for_bit(
+        case, monkeypatch):
+    # _HILL_EDGES's constant delayed y1 at 64 steps per interval: the first
+    # interval looks it up throughout, the second at node 0, so the pass
+    # gives both back, and the per-step loop's _hill_log takes them to the
+    # bit
+    p, y1, _ = _HILL_EDGES[f"{case}_m1"]
+    tau, m = 1.0, 64
+    history = History.constant(np.array([1.0, y1, 3.0, 20.0]), tau)
+    calls = _spy_on_solver(monkeypatch)
+    traj = integrate(p, tau, history, 2.0 * tau, tau / m)
+    assert calls == [(0, m, False), (m, 2 * m, False)]
+    states, derivs = _reference_integrate(p, tau, history, 2.0 * tau, tau / m)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
 
 
 def test_interval_with_underflowing_decay_product_runs_per_step(monkeypatch):
@@ -462,7 +497,7 @@ def test_partial_final_step_after_a_cut_interval(monkeypatch):
     tau, m = 2.0, 256
     step = tau / m
     t_end = (2 * m + 128.3) * step
-    history = History.from_function(_smooth, tau)
+    history = History.from_function(_smooth_positive, tau)
     calls = _spy_on_solver(monkeypatch)
     lookups = _spy_on_per_step_lookups(monkeypatch)
     traj = integrate(p, tau, history, t_end, step)
@@ -470,6 +505,11 @@ def test_partial_final_step_after_a_cut_interval(monkeypatch):
     assert 1 <= len(lookups) <= 3
     assert len(traj.t) == 2 * m + 130 and traj.t[-1] == t_end
     _assert_same_map(traj, *_reference_integrate(p, tau, history, t_end, step))
+    # _smooth's y1 = cos 2t is negative on part of the first interval,
+    # which the pass gives back to the per-step loop
+    calls.clear()
+    integrate(p, tau, History.from_function(_smooth, tau), t_end, step)
+    assert calls[0] == (0, m, False)
 
 
 def test_interval_start_derivatives_are_current():
@@ -479,7 +519,7 @@ def test_interval_start_derivatives_are_current():
     p = PRESETS["n2"]
     tau, m = 2.0, 64
     step = tau / m
-    traj = integrate(p, tau, History.from_function(_smooth, tau), 20.0, step)
+    traj = integrate(p, tau, History.from_function(_smooth_positive, tau), 20.0, step)
     for j in range(m, len(traj.t) - 1, m):
         want = rhs(traj.states[j], _dense_value(traj, j * step - tau), p)
         np.testing.assert_allclose(traj.derivs[j], want, rtol=1e-12, atol=1e-14)
@@ -503,18 +543,17 @@ def test_interval_path_divergence_matches_per_step_path(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 64])
 def test_huge_odd_exponent_with_very_negative_delayed_y1(m):
-    # (-100)^163 overflows a float; the log-space odd branch gives 1.0
+    # (-100)^163 overflows a float; the log-space odd branch gives 1.0. The
+    # delayed y1 stays negative, so at m = 64 the interval pass gives every
+    # interval back to the per-step loop
     p = PRESETS["n163"]
     tau = 1.0
     history = History.constant(np.array([1.0, -100.0, 3.0, 20.0]), tau)
     traj = integrate(p, tau, history, 3.0, tau / m)
     assert np.all(np.isfinite(traj.states))
     states, derivs = _reference_integrate(p, tau, history, 3.0, tau / m)
-    if m < simulation._PASS_MIN_STEPS:
-        assert np.array_equal(traj.states, states)
-        assert np.array_equal(traj.derivs, derivs)
-    else:
-        _assert_same_map(traj, states, derivs)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
 
 
 @pytest.mark.parametrize("m", [1, 64])
