@@ -291,7 +291,7 @@ def integrate(p: ModelParams, tau: float, history: History,
     step's lookups fall off the grid. Raises DivergenceError when those
     history values are not all finite, or when the state norm exceeds
     1e12 or turns non-finite; DomainError for a tau, step or t_end that
-    is not positive and finite.
+    is not positive and finite, and for arrays that cannot be allocated.
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"delay must be positive and finite, got {tau!r}")
@@ -326,8 +326,13 @@ def integrate(p: ModelParams, tau: float, history: History,
     # that are already written (full step i reads nodes i - m and i - m +
     # 1, the partial step at most node n_full), and should that ever break,
     # the read gives 0, not whatever the allocator left there
-    states = np.zeros((4, N + 1))
-    derivs = np.zeros((4, N + 1))
+    try:
+        states = np.zeros((4, N + 1))
+        derivs = np.zeros((4, N + 1))
+        ts = np.empty(N + 1)
+    except MemoryError:
+        raise DomainError(f"{N} steps need {72 * (N + 1)} bytes of arrays, "
+                          "more than can be allocated") from None
     states[:, 0] = hv[-1]
     # one view per row: indexing it by node reads and writes Python floats
     sx1, sy1, sx2, sy2 = map(memoryview, states)
@@ -469,7 +474,6 @@ def integrate(p: ModelParams, tau: float, history: History,
             i = i1
     steps(i, N)
 
-    ts = np.empty(N + 1)
     ts[:n_full + 1] = np.arange(n_full + 1) * step
     if rem > 0.0:
         ts[N] = t_end

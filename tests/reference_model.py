@@ -1,4 +1,6 @@
-"""Reference builders of the model's right-hand side and linearization.
+"""Float reference builders: the model's right-hand side, its
+linearization, the characteristic root by Newton continuation, and the
+bilinear pairing by quadrature.
 
 The package computes on the structure of these objects (the
 characteristic coefficients, the E-vector entries, the integrator's
@@ -7,20 +9,13 @@ term from the model equations, and compare the package against them.
 """
 
 import cmath
-import dataclasses
 import math
+import types
 
 import numpy as np
 
+import reference_mp
 from hopf_dde.model import IX1, IX2, IY1, IY2, _hill_log
-
-
-@dataclasses.dataclass(frozen=True)
-class LinearPair:
-    """Instantaneous and delayed Jacobians of the linearized system."""
-
-    A: np.ndarray
-    B: np.ndarray
 
 
 def rhs(state, delayed, p):
@@ -40,23 +35,37 @@ def rhs(state, delayed, p):
 
 
 def linearize(p, eq):
-    """The Jacobians A (of the state at t) and B (at t - tau) at eq."""
-    al = p.a1 + p.a12 * eq.y20
-    be = p.a2 + p.a21 * eq.y10
-    A = np.array([
-        [-p.b1, 0.0, 0.0, 0.0],
-        [1.0, -al, 0.0, 0.0],
-        [0.0, 0.0, -p.b2, 0.0],
-        [0.0, 0.0, 1.0, -be],
-    ])
-    B = np.zeros((4, 4))
-    B[1, 3] = -p.a12 * eq.y10
-    B[2, 1] = eq.rho1
-    B[3, 1] = -p.a21 * eq.y20
-    return LinearPair(A=A, B=B)
+    """The Jacobians A (of the state at t) and B (at t - tau) at eq, as
+    float arrays: reference_mp.jacobians rounded."""
+    A, B = (np.array([[float(x.v) for x in row] for row in M])
+            for M in reference_mp.jacobians(p, eq))
+    return types.SimpleNamespace(A=A, B=B)
 
 
 def characteristic_residual(lam, tau, cc):
     """Delta(lambda, tau); zero at characteristic roots."""
     return (lam**3 + cc.b * lam**2 + cc.c * lam + cc.d
             + (cc.g * lam + cc.h) * cmath.exp(-2.0 * lam * tau))
+
+
+def newton_root(cc, tau, lam0):
+    """The characteristic root near lam0 at delay tau, by Newton's method."""
+    lam = lam0
+    for _ in range(60):
+        E = cmath.exp(-2.0 * lam * tau)
+        step = characteristic_residual(lam, tau, cc) / (
+            3 * lam**2 + 2 * cc.b * lam + cc.c + (cc.g - 2.0 * tau * (cc.g * lam + cc.h)) * E)
+        lam -= step
+        if abs(step) < 1e-15 * max(1.0, abs(lam)):
+            break
+    return lam
+
+
+def pairing_quadrature(w_row, v_col, B, tau, rate_psi, rate_phi):
+    """The bilinear pairing of w e^(rate_psi s) and v e^(rate_phi theta):
+    the boundary term plus the delay integral by composite Simpson on
+    10000 intervals."""
+    xi = np.linspace(-tau, 0.0, 10001)
+    y = (w_row @ B @ v_col) * np.exp(rate_psi * (xi + tau) + rate_phi * xi)
+    return w_row @ v_col + (xi[1] - xi[0]) / 3.0 * (
+        y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())

@@ -9,7 +9,6 @@ first crossing at tau_c is the first loss of stability, as the Hopf
 theorem requires; the test asserts that precondition before simulating.
 """
 
-import cmath
 import filecmp
 import math
 import time
@@ -24,7 +23,8 @@ from hopf_dde import (History, IY1, PRESETS, build_equilibrium, char_coeffs,
                       hopf_candidates, integrate,
                       routh_hurwitz_stable, transversality, upward_crossings)
 
-from reference_model import characteristic_residual, linearize
+from reference_model import (characteristic_residual, linearize, newton_root,
+                             pairing_quadrature)
 
 # external reference values; the quadruples and crossing points are hard
 # targets, the mu2/beta2 magnitudes are soft (sign is the contract)
@@ -99,28 +99,14 @@ def test_criterion_3_crossing_points():
     assert time.monotonic() - t0 < 1.0
 
 
-def _newton_root(cc, tau, lam0):
-    lam = lam0
-    for _ in range(60):
-        f = characteristic_residual(lam, tau, cc)
-        E = cmath.exp(-2.0 * lam * tau)
-        df = (3 * lam**2 + 2 * cc.b * lam + cc.c
-              + (cc.g - 2.0 * tau * (cc.g * lam + cc.h)) * E)
-        step = f / df
-        lam -= step
-        if abs(step) < 1e-15 * max(1.0, abs(lam)):
-            break
-    return lam
-
-
 def test_criterion_4_transversality_against_continuation():
     t0 = time.monotonic()
     for case in CASES:
         _, _, cc, hp = _analysis(case)
         omega, tau = hp.omega_c, hp.tau_c
         h = 1e-3 * tau if tau < 1.0 else 1e-4 * max(tau, 1.0)
-        lam_p = _newton_root(cc, tau + h, 1j * omega)
-        lam_m = _newton_root(cc, tau - h, 1j * omega)
+        lam_p = newton_root(cc, tau + h, 1j * omega)
+        lam_m = newton_root(cc, tau - h, 1j * omega)
         fd = (lam_p - lam_m) / (2.0 * h)
         dl = transversality(omega, tau, cc)
         assert dl.real != 0.0, case
@@ -147,19 +133,6 @@ def test_criterion_5_bifurcation_classification():
     assert time.monotonic() - t0 < 10.0
 
 
-def _simpson(y, x):
-    h = x[1] - x[0]
-    return h / 3.0 * (y[0] + y[-1]
-                      + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-
-
-def _pairing_quadrature(w_row, v_col, B, tau, rate_psi, rate_phi):
-    xi = np.linspace(-tau, 0.0, 10001)
-    wBv = w_row @ B @ v_col
-    vals = wBv * np.exp(rate_psi * (xi + tau) + rate_phi * xi)
-    return w_row @ v_col + _simpson(vals, xi)
-
-
 def test_criterion_6_reduction_residuals():
     t0 = time.monotonic()
     from hopf_dde import g_quadratic, solve_E_vectors
@@ -175,10 +148,10 @@ def test_criterion_6_reduction_residuals():
         assert np.linalg.norm(w @ M) < 1e-9, case
         wc, vc = np.conj(w), np.conj(v)
         B = lin.B
-        assert abs(_pairing_quadrature(w, v, B, tau, -lam1, lam1) - 1.0) < 1e-9
-        assert abs(_pairing_quadrature(w, vc, B, tau, -lam1, -lam1)) < 1e-9
-        assert abs(_pairing_quadrature(wc, v, B, tau, lam1, lam1)) < 1e-9
-        assert abs(_pairing_quadrature(wc, vc, B, tau, lam1, -lam1) - 1.0) < 1e-9
+        assert abs(pairing_quadrature(w, v, B, tau, -lam1, lam1) - 1.0) < 1e-9
+        assert abs(pairing_quadrature(w, vc, B, tau, -lam1, -lam1)) < 1e-9
+        assert abs(pairing_quadrature(wc, v, B, tau, lam1, lam1)) < 1e-9
+        assert abs(pairing_quadrature(wc, vc, B, tau, lam1, -lam1) - 1.0) < 1e-9
         _, _, _, F20, F11, _ = g_quadratic(p, eq, ep, tau)
         E1, E2 = solve_E_vectors(p, eq, hp.omega_c, tau, F20, F11)
         F20, F11, E1, E2 = map(np.asarray, (F20, F11, E1, E2))

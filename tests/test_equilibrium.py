@@ -1,11 +1,10 @@
-"""Equilibrium polynomial and root-finding tests."""
+"""Equilibrium root-finding tests."""
 
 import math
 import random
 import sys
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,70 +18,15 @@ from hopf_dde.equilibrium import _bisect, _solve_y10
 from hopf_dde.model import _hill_log
 from hopf_dde.pipeline import sweep_values
 
+import reference_mp
 from reference_model import rhs
 from reference_values import CASES
-
-
-# The degree-(n+2) polynomial whose positive root is y10 (the steady-state
-# equations with the Hill denominator cleared) and Horner on it: the
-# package solves g instead, so these serve only as the tests' reference.
-
-def equilibrium_poly_coeffs(p):
-    # ascending by degree; contributions on the same degree accumulate
-    coeffs = np.zeros(p.n + 3)
-    base = p.b1 * p.b2 * p.a1
-    coeffs[0] += -p.b2 * p.a * p.a2
-    coeffs[1] += base * p.a * p.a2 - p.b2 * p.a * p.a21
-    coeffs[2] += base * p.a * p.a21
-    coeffs[p.n] += -p.b2 * p.a2
-    coeffs[p.n + 1] += base * p.a2 + p.b1 * p.a12 - p.b2 * p.a21
-    coeffs[p.n + 2] += base * p.a21
-    return coeffs
-
-
-def _poly_eval(coeffs, x):
-    acc = 0.0
-    for c in coeffs[::-1]:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_eval_scaled(coeffs, x):
-    # p(x) / max(1, x)^deg: Horner in 1/x beyond x = 1, so no overflow
-    if x <= 1.0:
-        return _poly_eval(coeffs, x)
-    u = 1.0 / x
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * u + c
-    return acc
-
-
-def _poly_deriv(coeffs):
-    return coeffs[1:] * np.arange(1, len(coeffs))
 
 
 def _params(**kw):
     base = dict(a1=0.13, a2=0.13, a12=0.02, a21=0.02, b1=0.8, b2=0.01, a=4.0, n=2)
     base.update(kw)
     return ModelParams(**base)
-
-
-def test_coeff_structure():
-    p = PRESETS["n2"]
-    co = equilibrium_poly_coeffs(p)
-    assert len(co) == p.n + 3
-    # constant term -b2*a*a2, leading term a1*a21*b1*b2
-    assert co[0] == pytest.approx(-p.b2 * p.a * p.a2, rel=1e-15)
-    assert co[-1] == pytest.approx(p.a1 * p.a21 * p.b1 * p.b2, rel=1e-15)
-
-
-def test_coeff_overlap_accumulates():
-    # n=2 puts the Hill block on degrees 2..4, overlapping degree 2
-    p = _params(n=2)
-    co = equilibrium_poly_coeffs(p)
-    expected_deg2 = p.b1 * p.b2 * p.a1 * p.a * p.a21 - p.b2 * p.a2
-    assert co[2] == pytest.approx(expected_deg2, rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -92,61 +36,6 @@ def test_non_finite_coefficients_rejected(bad):
     build_equilibrium(p, CASES["n2"]["y10"])
     with pytest.raises(DomainError):
         build_equilibrium(p, bad)
-
-
-def _cauchy_root_bound(coeffs):
-    # upper bound 1 + sum|c_i| / |lead| on root magnitudes
-    lead = abs(coeffs[-1])
-    return 1.0 + float(np.sum(np.abs(coeffs[:-1]))) / lead
-
-
-def _per_interval_roots(coeffs, grid=4096):
-    # the general-purpose sign scan over (0, Cauchy bound] that the
-    # bracketed solver replaced, as a scalar loop over every interval
-    coeffs = np.asarray(coeffs, dtype=float)
-    trimmed = np.trim_zeros(coeffs, "b")
-    if len(trimmed) < 2:
-        return []
-    x_max = _cauchy_root_bound(trimmed)
-    xs = np.unique(np.concatenate([
-        np.linspace(x_max / grid, x_max, grid),
-        np.geomspace(1e-8, x_max, grid // 2),
-    ]))
-    vals = np.array([_poly_eval_scaled(trimmed, x) for x in xs])
-    roots = []
-    deriv = _poly_deriv(trimmed)
-    for i in range(len(xs) - 1):
-        a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb >= 0.0:
-            continue
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = _poly_eval_scaled(trimmed, m)
-            if fm == 0.0 or (b - a) < 1e-16 * max(1.0, m):
-                break
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        root = 0.5 * (a + b)
-        if root < 1e3:
-            for _ in range(3):
-                dr = _poly_eval(deriv, root)
-                if dr == 0.0:
-                    break
-                step = _poly_eval(trimmed, root) / dr
-                if not np.isfinite(step):
-                    break
-                root -= step
-        if root > 0.0 and not any(abs(root - r) <= 1e-12 * max(1.0, abs(r))
-                                  for r in roots):
-            roots.append(float(root))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return sorted(roots)
 
 
 def _exact_sign(p, y):
@@ -177,13 +66,12 @@ def test_solver_matches_per_interval_reference():
             b1=rng.uniform(0.02, 1.0), b2=rng.uniform(0.002, 1.0),
             a=rng.uniform(0.2, 20.0), n=int(rng.integers(1, 9))))
     for p in sets:
-        ref = _per_interval_roots(equilibrium_poly_coeffs(p))
         eqs = find_equilibria(p)
-        assert len(ref) == len(eqs) == 1
+        assert len(eqs) == 1
         y = eqs[0].y10
         # the exact root lies within 4 ulp of the solver's
         assert _exact_sign(p, _steps(y, -4)) <= 0 <= _exact_sign(p, _steps(y, 4))
-        assert abs(ref[0] - y) <= 8 * math.ulp(y)
+        assert abs(reference_mp.y1_balance_root(p)[0] - y) <= 8 * math.ulp(y)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -239,22 +127,6 @@ def test_root_count_stable_under_small_perturbation():
         assert eqs[0].y10 == pytest.approx(base[0].y10, rel=1e-10)
 
 
-def test_brute_force_scan_agrees():
-    # independent oracle: dense sign scan with one million samples
-    p = PRESETS["n4"]
-    coeffs = equilibrium_poly_coeffs(p)
-    roots = [eq.y10 for eq in find_equilibria(p)]
-    xs = np.linspace(1e-6, 3.0, 1_000_000)
-    vals = np.array([_poly_eval(coeffs, x) for x in xs[::1000]])
-    # coarse check on the subsample grid: one sign change
-    signs = np.sign(vals)
-    changes = np.count_nonzero(signs[:-1] * signs[1:] < 0)
-    assert changes == len(roots) == 1
-    # dense scan pins the root bracket
-    dense = xs[np.searchsorted(xs, roots[0])]
-    assert abs(dense - roots[0]) < 1e-5
-
-
 @pytest.mark.parametrize("case", list(CASES))
 def test_root_lies_in_a_priori_bracket(case):
     # 1/(b1 (a1 + a12/(a2 b2))) <= y10 <= 1/(a1 b1), where g changes sign
@@ -289,25 +161,6 @@ def test_y20_when_b2_times_a2_underflows():
     assert eq.y10 * (p.a1 + p.a12 * eq.y20) == pytest.approx(eq.x10, rel=1e-12)
 
 
-def _root_of_g_60_digits(p):
-    # g(y) = a1 y + a12 y f(y)/(b2 (a2 + a21 y)) - 1/b1 bisected at 60
-    # digits on the a-priori bracket; mpmath's exponent range is unbounded
-    with mpmath.workdps(60):
-        a1, a2, a12, a21, b1, b2, a = map(mpmath.mpf, (p.a1, p.a2, p.a12, p.a21,
-                                                       p.b1, p.b2, p.a))
-
-        def g(y):
-            yn = y ** p.n
-            return a1 * y + a12 * y * yn / (a + yn) / (b2 * (a2 + a21 * y)) - 1 / b1
-
-        lo, hi = 1 / (b1 * (a1 + a12 / (a2 * b2))), 1 / (a1 * b1)
-        assert g(lo) < 0 < g(hi)
-        while hi - lo > mpmath.mpf(10) ** -58 * hi:
-            mid = mpmath.sqrt(lo * hi) if hi > 4 * lo else (lo + hi) / 2
-            lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
-        return float(lo)
-
-
 def test_load_whose_hill_product_underflows():
     # a12*f(y10) is about 4.5e-321, subnormal, while the load a12 f y/(b2
     # (a2 + a21 y)) is about 1.1e21; formed from the subnormal product, the
@@ -317,7 +170,7 @@ def test_load_whose_hill_product_underflows():
     eq = find_equilibria(p)[0]
     supply = (p.a1 + p.a12 * eq.y20) * eq.y10
     assert abs(eq.x10 - supply) <= 1e-10 * (eq.x10 + supply)
-    assert eq.y10 == pytest.approx(_root_of_g_60_digits(p), rel=1e-13)
+    assert eq.y10 == pytest.approx(float(reference_mp.y1_balance_root(p)[0]), rel=1e-13)
 
 
 def test_x20_when_the_hill_value_underflows():
@@ -327,13 +180,10 @@ def test_x20_when_the_hill_value_underflows():
     p = ModelParams(a1=1.0, a2=1e-200, a12=1.0, a21=0.0, b1=1.0, b2=1e-200,
                     a=1e300, n=1)
     eq = find_equilibria(p)[0]
-    assert eq.y10 == pytest.approx(_root_of_g_60_digits(p), rel=1e-13)
-    with mpmath.workdps(60):
-        y = mpmath.mpf(eq.y10)
-        x20 = y**p.n / (mpmath.mpf(p.a) + y**p.n) / mpmath.mpf(p.b2)
-        y20 = x20 / (mpmath.mpf(p.a2) + mpmath.mpf(p.a21) * y)
-    assert eq.x20 == pytest.approx(float(x20), rel=1e-13)
-    assert eq.y20 == pytest.approx(float(y20), rel=1e-13)
+    assert eq.y10 == pytest.approx(float(reference_mp.y1_balance_root(p)[0]), rel=1e-13)
+    ref = reference_mp.equilibrium(p, eq.y10)
+    assert eq.x20 == pytest.approx(float(ref.x20.v), rel=1e-13)
+    assert eq.y20 == pytest.approx(float(ref.y20.v), rel=1e-13)
     supply = (p.a1 + p.a12 * eq.y20) * eq.y10
     assert abs(eq.x10 - supply) <= 1e-10 * (eq.x10 + supply)
 

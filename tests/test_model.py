@@ -2,10 +2,8 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +12,7 @@ from hopf_dde import (DivergenceError, DomainError, History, ModelParams, PRESET
 from hopf_dde.model import _hill_log
 from hopf_dde.simulation import _hill_log_many
 
+import reference_mp
 from reference_model import rhs
 from reference_values import CASES, HILL_N4_AT_EQ
 
@@ -132,15 +131,13 @@ def test_hill_derivatives_frozen(case):
 @pytest.mark.parametrize("n", [1, 2])
 def test_hill_derivatives_at_the_ends_of_the_float_range(x, n):
     # x**3 overflows at 1e305 and rounds to 0 at 1e-108; the derivatives
-    # must stay finite and match a 40-digit symbolic evaluation (at 1e305
+    # must stay finite and match the 50-digit reference (at 1e305
     # the true values underflow to 0)
     p = PRESETS["n2"]._replace(n=n)
-    t = sympy.Symbol("t")
-    f = t**n / (sympy.Float(p.a, 40) + t**n)
-    for k, got in enumerate(hill_derivs(x, p), start=1):
-        want = float(sympy.diff(f, t, k).subs(t, sympy.Float(x, 40)).evalf(40))
+    want = reference_mp.hill(x, n, p.a)[1:]
+    for k, (got, w) in enumerate(zip(hill_derivs(x, p), want), start=1):
         assert math.isfinite(got)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-300), k
+        assert got == pytest.approx(float(w.v), rel=1e-12, abs=1e-300), k
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -148,17 +145,13 @@ def test_hill_derivatives_where_x_to_the_n_over_a_underflows(n):
     # below x^n/a = 2^-511 its square, and below 1e-308 the value itself,
     # leave the normal range although the derivatives need not: f''' =
     # 6/a^3 at n = 1 read 0 from x = 1e-154 down, and at n = 2, 3 every
-    # derivative read 0. Checked against a 60-digit evaluation of the
-    # symbolic derivatives (abs 1e-320 where the true value is subnormal).
+    # derivative read 0. Checked against the 50-digit reference (abs
+    # 1e-320 where the true value is subnormal).
     p = PRESETS["n4"]._replace(n=n)
-    t = sympy.Symbol("t")
-    f = t**n / (sympy.Rational(p.a) + t**n)
-    exact = [sympy.lambdify(t, sympy.diff(f, t, k), "mpmath") for k in (1, 2, 3)]
     for e in range(-300, -149, 10):
         for m in (1.0, 3.7):
             x = m * 10.0**e
-            with mpmath.workdps(60):
-                want = [float(d(mpmath.mpf(x))) for d in exact]
+            want = [float(w.v) for w in reference_mp.hill(x, n, p.a)[1:]]
             for k, (got, w) in enumerate(zip(hill_derivs(x, p), want), start=1):
                 assert got == pytest.approx(w, rel=1e-13, abs=1e-320), (x, k)
 
@@ -181,12 +174,9 @@ def test_hill_derivatives_where_the_hill_value_rounds_to_one():
     eq = find_equilibria(p)[0]
     assert eq.y10 == pytest.approx(9.0289e15, rel=1e-4)
     assert hill_eval(eq.y10, p) == 1.0
-    with mpmath.workdps(60):
-        # the k-th derivative of x/(a + x) is (-1)^(k+1) k! a/(a + x)^(k+1)
-        x = mpmath.mpf(eq.y10)
-        for k, got in enumerate((eq.rho1, eq.rho2, eq.rho3), start=1):
-            want = (-1) ** (k + 1) * mpmath.factorial(k) / (1 + x) ** (k + 1)
-            assert abs(got - want) <= 1e-14 * abs(want), (k, got, want)
+    want = reference_mp.hill(eq.y10, p.n, p.a)[1:]
+    for k, (got, w) in enumerate(zip((eq.rho1, eq.rho2, eq.rho3), want), start=1):
+        assert abs(got - w.v) <= 1e-14 * abs(w.v), (k, got, w.v)
 
 
 def test_hill_extension_matches_parity():

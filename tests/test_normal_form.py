@@ -13,40 +13,14 @@ from hopf_dde import (PRESETS, DomainError, ModelParams, SingularSystemError,
                       solve_E_vectors)
 from hopf_dde.normal_form import _B2, left_eigenvector_raw, right_eigenvector
 
-from reference_model import characteristic_residual, linearize
+import reference_mp
+from reference_model import characteristic_residual, linearize, pairing_quadrature
 from reference_values import CASES
 
 
 def _pencil(p, eq, lam, tau):
     lin = linearize(p, eq)
     return lam * np.eye(4) - lin.A - lin.B * np.exp(-lam * tau)
-
-
-def _simpson(y, x):
-    # composite Simpson on a uniform grid with an even interval count
-    h = x[1] - x[0]
-    return h / 3.0 * (y[0] + y[-1]
-                      + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-
-
-def _pairing_closed_form(w_row, v_col, B, tau, rate_psi, rate_phi):
-    # the bilinear pairing of w e^(rate_psi s) and v e^(rate_phi theta):
-    # the delay integral is (1 - e^(-mu tau)) / mu with
-    # mu = rate_psi + rate_phi, and tau in the mu -> 0 limit
-    mu = rate_psi + rate_phi
-    integral = tau if abs(mu) < 1e-14 else (1.0 - np.exp(-mu * tau)) / mu
-    return (w_row @ v_col
-            + np.exp(rate_psi * tau) * (w_row @ B @ v_col) * integral)
-
-
-def _pairing_quadrature(w_row, v_col, B, tau, rate_psi, rate_phi,
-                        nodes=10001):
-    # independent evaluation of the bilinear pairing: boundary term plus
-    # numerical quadrature of the distributed-delay integral
-    xi = np.linspace(-tau, 0.0, nodes)
-    wBv = w_row @ B @ v_col
-    vals = wBv * np.exp(rate_psi * (xi + tau) + rate_phi * xi)
-    return w_row @ v_col + _simpson(vals, xi)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -69,13 +43,11 @@ def test_right_eigenvector_needs_coupled_loop():
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_pairing_normalized_closed_form(case, preset_data):
+    # w is the 50-digit null row scaled by the pairing's closed form
     p, eq, _, hp = preset_data[case]
     ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
-    B = linearize(p, eq).B
-    lam1 = 1j * hp.omega_c
-    val = _pairing_closed_form(np.asarray(ep.w), np.asarray(ep.v), B,
-                               hp.tau_c, -lam1, lam1)
-    assert abs(val - 1.0) < 1e-12
+    ref = reference_mp.normal_form(p, eq, hp.omega_c, hp.tau_c, 1, 1)
+    assert np.allclose(ep.w, [complex(x.v) for x in ref.w], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -90,10 +62,10 @@ def test_pairing_orthonormality_by_quadrature(case, preset_data):
     tau = hp.tau_c
     w, v = np.asarray(ep.w), np.asarray(ep.v)
     wc, vc = np.conj(w), np.conj(v)
-    assert abs(_pairing_quadrature(w, v, B, tau, -lam1, lam1) - 1.0) < 1e-9
-    assert abs(_pairing_quadrature(w, vc, B, tau, -lam1, -lam1)) < 1e-9
-    assert abs(_pairing_quadrature(wc, v, B, tau, lam1, lam1)) < 1e-9
-    assert abs(_pairing_quadrature(wc, vc, B, tau, lam1, -lam1) - 1.0) < 1e-9
+    assert abs(pairing_quadrature(w, v, B, tau, -lam1, lam1) - 1.0) < 1e-9
+    assert abs(pairing_quadrature(w, vc, B, tau, -lam1, -lam1)) < 1e-9
+    assert abs(pairing_quadrature(wc, v, B, tau, lam1, lam1)) < 1e-9
+    assert abs(pairing_quadrature(wc, vc, B, tau, lam1, -lam1) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -194,50 +166,14 @@ def test_E_vector_solve_residuals(case, preset_data):
     assert np.linalg.norm(M1 @ E1 + F11) <= 1e-10 * max(1.0, np.linalg.norm(F11))
 
 
-def _manifold_coefficients(v, g20, g11, g02, E1, E2, omega):
-    # the Hassard-Kazarinoff-Wan closed form of the quadratic
-    # center-manifold coefficients, theta -> (w20(theta), w11(theta)); the
-    # package computes C1 without them
-    lam = 1j * omega
-
-    def at(theta):
-        q, qb = v * np.exp(lam * theta), np.conj(v) * np.exp(-lam * theta)
-        w20 = ((1j * g20 / omega) * q + (1j * np.conj(g02) / (3.0 * omega)) * qb
-               + E2 * np.exp(2.0 * lam * theta))
-        w11 = -(1j * g11 / omega) * q + (1j * np.conj(g11) / omega) * qb + E1
-        return w20, w11
-
-    return at
-
-
-def _boundary_residuals(p, eq, hp):
-    # the quadratic manifold coefficients must satisfy the boundary
-    # conditions of their defining linear problems:
-    #   A w20(0) + B w20(-tau) = 2 lam1 w20(0) + g20 v + conj(g02) conj(v) - F20
-    #   A w11(0) + B w11(-tau) = g11 v + conj(g11) conj(v) - F11
-    ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
-    g20, g11, g02, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c)
-    E1, E2 = solve_E_vectors(p, eq, hp.omega_c, hp.tau_c, F20, F11)
-    F20, F11, E1, E2, v = map(np.asarray, (F20, F11, E1, E2, ep.v))
-    manifold = _manifold_coefficients(v, g20, g11, g02, E1, E2, hp.omega_c)
-    lin = linearize(p, eq)
-    tau = hp.tau_c
-    lam1 = 1j * hp.omega_c
-    w20_0, w11_0 = manifold(0.0)
-    w20_mt, w11_mt = manifold(-tau)
-    r20 = (lin.A @ w20_0 + lin.B @ w20_mt
-           - (2.0 * lam1 * w20_0 + g20 * v + np.conj(g02) * np.conj(v) - F20))
-    r11 = (lin.A @ w11_0 + lin.B @ w11_mt
-           - (g11 * v + np.conj(g11) * np.conj(v) - F11))
-    return np.linalg.norm(r20), np.linalg.norm(r11)
-
-
 @pytest.mark.parametrize("case", list(CASES))
 def test_manifold_coefficient_boundary_identities(case, preset_data):
+    # the package takes g21 from C1 in characteristic-matrix form; the
+    # reference builds it from the Hassard-Kazarinoff-Wan coefficients
+    # w20, w11, which solve the boundary problems of the centre manifold
     p, eq, _, hp = preset_data[case]
-    r20, r11 = _boundary_residuals(p, eq, hp)
-    assert r20 < 1e-10
-    assert r11 < 1e-10
+    want = complex(reference_mp.normal_form(p, eq, hp.omega_c, hp.tau_c, 1, 1).g21.v)
+    assert abs(compute_normal_form(p, eq, hp).g21 - want) <= 1e-12 * abs(want)
 
 
 #: a12 != a21, so the two coupling rates cannot stand in for each other;
@@ -256,9 +192,9 @@ def _taylor_reference(p, eq, ep, omega, tau):
     # F20, F11, F02 and g21 from a sympy Taylor expansion of the model
     # equations about the equilibrium, independent of the hand-assembled
     # blocks: the Hill derivatives come from differentiating
-    # x^n / (a + x^n), A and B from the Jacobian, and the manifold
-    # coefficients w20, w11 from their Hassard-Kazarinoff-Wan closed form
-    # with E1, E2 solved here. Only the eigenpair is taken from the package.
+    # x^n / (a + x^n). The eigenpair is the package's; the manifold
+    # coefficients w20, w11, at theta = 0 and -tau, are the reference's
+    # Hassard-Kazarinoff-Wan ones
     a1, a2, a12, a21, b1, b2, a = (
         sympy.Float(getattr(p, k), _DIGITS)
         for k in ("a1", "a2", "a12", "a21", "b1", "b2", "a"))
@@ -270,11 +206,6 @@ def _taylor_reference(p, eq, ep, omega, tau):
            x2 - (a2 + a21 * y1d) * y2]
     x0 = [sympy.Float(c, _DIGITS) for c in eq.state()]
     at_eq = dict(zip(state, x0)) | {y1d: x0[1], y2d: x0[3]}
-    jac = [[complex(sympy.diff(r, s).subs(at_eq)) for s in state + (y1d, y2d)]
-           for r in rhs]
-    A = np.array([row[:4] for row in jac])
-    B = np.zeros((4, 4), dtype=complex)
-    B[:, 1], B[:, 3] = [row[4] for row in jac], [row[5] for row in jac]
 
     # quadratic plus cubic Taylor terms in the deviations u (at t) and
     # d2, d4 (y1, y2 at t - tau); quartic terms cannot reach z^2 zbar
@@ -291,39 +222,26 @@ def _taylor_reference(p, eq, ep, omega, tau):
         nonlinear.append(total)
 
     z, zb = sympy.symbols("z zb")
-    lam = 1j * omega
-    v, w = np.asarray(ep.v), np.asarray(ep.w)
+    w = np.asarray(ep.w)
 
     def coefficients(phi, monomials):
-        # phi(theta) -> per-monomial coefficient vectors of F(phi)
-        sub = dict(zip(u, phi(0.0))) | {d2: phi(-tau)[1], d4: phi(-tau)[3]}
+        # phi = (value, delayed value) -> per-monomial coefficient vectors
+        sub = dict(zip(u, phi[0])) | {d2: phi[1][1], d4: phi[1][3]}
         rows = []
         for e in nonlinear:
             poly = sympy.Poly(sympy.expand(e.subs(sub)), z, zb)
             rows.append([complex(poly.coeff_monomial(m)) for m in monomials])
         return np.array(rows).T
 
-    def linear(theta):
-        q = v * np.exp(lam * theta)
-        return [z * _sym(qj) + zb * _sym(np.conj(qj)) for qj in q]
-
+    linear = [[z * _sym(x) + zb * _sym(np.conj(x)) for x in q] for q in ep.q]
     c20, c11, c02 = coefficients(linear, (z**2, z * zb, zb**2))
-    F20, F11, F02 = 2.0 * c20, c11, 2.0 * c02
-    g20, g11, g02 = w @ F20, w @ F11, w @ F02
-    E2 = np.linalg.solve(2.0 * lam * np.eye(4) - A - B * np.exp(-2.0 * lam * tau),
-                         F20)
-    E1 = np.linalg.solve(-(A + B), F11)
-
-    coefficients_at = _manifold_coefficients(v, g20, g11, g02, E1, E2, omega)
-
-    def manifold(theta):
-        w20, w11 = coefficients_at(theta)
-        return [lin + z**2 / 2 * _sym(w20[j]) + z * zb * _sym(w11[j])
-                + zb**2 / 2 * _sym(np.conj(w20[j]))
-                for j, lin in enumerate(linear(theta))]
-
+    ref = reference_mp.normal_form(p, eq, omega, tau, 1, 1)
+    manifold = [[lin + z**2 / 2 * _sym(w20.v) + z * zb * _sym(w11.v)
+                 + zb**2 / 2 * _sym(np.conj(complex(w20.v)))
+                 for lin, w20, w11 in zip(linear[i], ref.W20[i], ref.W11[i])]
+                for i in (0, 1)]
     (c21,) = coefficients(manifold, (z**2 * zb,))
-    return F20, F11, F02, complex(w @ (2.0 * c21))
+    return 2.0 * c20, c11, 2.0 * c02, complex(w @ (2.0 * c21))
 
 
 @pytest.mark.parametrize("case", list(CASES) + ["asymmetric"])

@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from hopf_dde import (DivergenceError, DomainError, History, IX1, IX2, IY1,
-                      PRESETS, find_equilibria, integrate, oscillation_summary,
-                      upward_crossings)
+from hopf_dde import (AnalysisConfig, DivergenceError, DomainError, History, IX1,
+                      IX2, IY1, PRESETS, analyze_params, find_equilibria,
+                      integrate, oscillation_summary, upward_crossings)
+from hopf_dde.config import SimSpec
 
 from hopf_dde import simulation
 
@@ -117,6 +118,23 @@ def test_integrate_rejects_non_finite_arguments(arg, value):
     h = History.constant(np.ones(4), tau=2.0)
     with pytest.raises(DomainError):
         integrate(PRESETS["n2"], kw["tau"], h, kw["t_end"], kw["step"])
+
+
+def test_arrays_that_cannot_be_allocated_are_a_branch_error(monkeypatch):
+    # numpy raises MemoryError where a run's arrays do not fit; the run
+    # records a DomainError naming the step count and the bytes, as it
+    # does the step budget's
+    zeros = np.zeros
+
+    def no_room(shape, *args, **kwargs):
+        if np.prod(shape) > 10**8:
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+    monkeypatch.setattr(simulation.np, "zeros", no_room)
+    cfg = AnalysisConfig(tau=1.0, sim=SimSpec(t_end=48e6, step=1.0))
+    run = analyze_params(PRESETS["n4"], cfg)
+    assert run.branches[0].error == ("DomainError: 48000000 steps need 3456000072 "
+                                     "bytes of arrays, more than can be allocated")
 
 
 def test_first_component_matches_closed_form():

@@ -1,6 +1,6 @@
 """Linearization, characteristic coefficients, crossings, transversality."""
 
-import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -26,7 +26,8 @@ from hopf_dde.equilibrium import _bisect
 from hopf_dde.pipeline import sweep_values
 from hopf_dde.stability import CharCoeffs, _cubic_positive_root
 
-from reference_model import characteristic_residual, linearize, rhs
+import reference_mp
+from reference_model import characteristic_residual, linearize, newton_root, rhs
 from reference_values import CASES
 
 
@@ -250,29 +251,12 @@ def test_crossing_with_widely_scaled_cubic_is_found():
     assert classify_stability(cc, 2.0 * hp.tau_c, crossing) == "unstable"
 
 
-def _mp_char_cubic(p, eq):
-    # l1, l2, l3 in 50 digits from the float equilibrium
-    a1, a2, a12, a21, b2 = map(mpmath.mpf, (p.a1, p.a2, p.a12, p.a21, p.b2))
-    y10, y20, rho1 = map(mpmath.mpf, (eq.y10, eq.y20, eq.rho1))
-    al, be = a1 + a12 * y20, a2 + a21 * y10
-    b, c, d = al + be + b2, al * be + b2 * (al + be), b2 * al * be
-    g = -a12 * y10 * a21 * y20
-    h = -a12 * y10 * (b2 * a21 * y20 - rho1)
-    return b * b - 2 * c, c * c - 2 * b * d - g * g, d * d - h * h
-
-
-def _mp_routh_hurwitz(p, eq):
-    # d + h and b (c + g) - (d + h) from their definitions, at the float
-    # equilibrium; 8000 bits hold every product of up to four floats, so
-    # the sums are exact
+def _exact_routh_hurwitz(p, eq):
+    # d + h and b (c + g) - (d + h) at the float equilibrium; 8000 bits
+    # hold every product of up to four floats, so the sums are exact
     with mpmath.workprec(8000):
-        a1, a2, a12, a21, b2 = map(mpmath.mpf, (p.a1, p.a2, p.a12, p.a21, p.b2))
-        y10, y20, rho1 = map(mpmath.mpf, (eq.y10, eq.y20, eq.rho1))
-        al, be = a1 + a12 * y20, a2 + a21 * y10
-        b, c, d = al + be + b2, al * be + b2 * (al + be), b2 * al * be
-        g = -a12 * y10 * a21 * y20
-        h = -a12 * y10 * (b2 * a21 * y20 - rho1)
-        return d + h, b * (c + g) - (d + h)
+        cc = reference_mp.char_coeffs(p, eq)
+    return cc.dh.v, cc.margin.v
 
 
 def test_routh_hurwitz_verdict_without_cancellation():
@@ -285,25 +269,11 @@ def test_routh_hurwitz_verdict_without_cancellation():
     eq = find_equilibria(p)[0]
     cc = char_coeffs(p, eq)
     assert cc.d + cc.h == 0.0
-    dh, margin = _mp_routh_hurwitz(p, eq)
+    dh, margin = _exact_routh_hurwitz(p, eq)
     assert float(dh) == pytest.approx(3.118e-16, rel=1e-3, abs=0.0)
     assert float(margin) == pytest.approx(2.63e16, rel=1e-2)
     assert routh_hurwitz_stable(cc)
     assert classify_stability(cc, 0.0, hopf_candidates(cc)) == "stable"
-
-
-def _mp_positive_root(l1, l2, l3, lo, hi):
-    # F is increasing on z > 0 when l1, l2 > 0; bisect to 1e-20 relative
-    def F(z):
-        return ((z + l1) * z + l2) * z + l3
-    assert F(lo) < 0 < F(hi)
-    while hi - lo > mpmath.mpf("1e-20") * hi:
-        mid = (lo + hi) / 2
-        if F(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def test_crossing_with_rates_down_to_1e_94_is_found():
@@ -318,11 +288,8 @@ def test_crossing_with_rates_down_to_1e_94_is_found():
     crossing = hopf_candidates(cc)
     hp = first_hopf(cc, crossing)
     assert hp is not None
-    with mpmath.workdps(50):
-        l1, l2, l3 = _mp_char_cubic(p, eq)
-        z = mpmath.mpf(hp.omega_c) ** 2
-        root = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
-        assert abs(hp.omega_c - root) <= 1e-14 * root
+    root = reference_mp.frequency(reference_mp.char_coeffs(p, eq)).v
+    assert abs(hp.omega_c - root) <= 1e-14 * root
     assert classify_stability(cc, 2.0 * hp.tau_c, crossing) == "unstable"
 
 
@@ -344,77 +311,66 @@ def test_frequency_cubic_structure_with_rates_down_to_1e_30(exps, a_exp, n):
     assert (crossing is not None) == (cc.l3 < 0.0)
     assert crossing is None or crossing[1]
     # d + h > 0, and the zero-delay verdict is the exact one
-    dh, margin = _mp_routh_hurwitz(p, eq)
+    dh, margin = _exact_routh_hurwitz(p, eq)
     assert dh > 0
     assert routh_hurwitz_stable(cc) is (margin > 0)
 
 
+@functools.cache
 def _fixed_random_sample():
     # 2000 sets from random.Random(7): rates log-uniform in [1e-3, 1],
     # a in [1e-2, 1e3], n in 1..40
     rng = random.Random(7)
     names = ("a1", "a2", "a12", "a21", "b1", "b2")
+    sample = []
     for _ in range(2000):
         rates = {k: 10.0 ** rng.uniform(-3.0, 0.0) for k in names}
         p = ModelParams(**rates, a=10.0 ** rng.uniform(-2.0, 3.0),
                         n=rng.randint(1, 40))
         eq = find_equilibria(p)[0]
-        yield p, eq, char_coeffs(p, eq)
+        sample.append((p, eq, char_coeffs(p, eq)))
+    return sample
 
 
 def test_crossings_on_fixed_random_sample_against_mpmath():
     # the model's structure (l1 > 0, l2 > 0, d + h > 0) holds, a crossing
-    # is found iff l3 < 0 in 50 digits, omega matches a 50-digit bisection
+    # is found iff l3 < 0 in 50 digits, omega matches the 50-digit root
     # and every crossing destabilizes
     crossings = 0
-    with mpmath.workdps(50):
-        for p, eq, cc in _fixed_random_sample():
-            assert cc.l1 > 0.0 and cc.l2 > 0.0 and cc.d + cc.h > 0.0
-            crossing = hopf_candidates(cc)
-            l1, l2, l3 = _mp_char_cubic(p, eq)
-            assert (crossing is not None) == (l3 < 0), p
-            if crossing is not None:
-                omega, taus = crossing
-                crossings += 1
-                z = mpmath.mpf(omega) ** 2
-                root = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
-                assert abs(omega - root) <= 1e-14 * root, p
-                assert taus
-                for tau in taus:
-                    assert transversality(omega, tau, cc).real > 0.0, p
+    for p, eq, cc in _fixed_random_sample():
+        assert cc.l1 > 0.0 and cc.l2 > 0.0 and cc.d + cc.h > 0.0
+        crossing = hopf_candidates(cc)
+        ref = reference_mp.char_coeffs(p, eq)
+        assert (crossing is not None) == (ref.l3.v < 0), p
+        if crossing is not None:
+            omega, taus = crossing
+            crossings += 1
+            root = reference_mp.frequency(ref).v
+            assert abs(omega - root) <= 1e-14 * root, p
+            assert taus
+            for tau in taus:
+                assert transversality(omega, tau, cc).real > 0.0, p
     assert crossings > 500
-
-
-def _mp_pencil_solve(p, eq, lam, tau, F):
-    # Delta(lam) = lam I - A - B e^(-lam tau) built from linearize, solved
-    # by LU in the working precision
-    lin = linearize(p, eq)
-    e = mpmath.exp(-lam * tau)
-    M = mpmath.matrix(4, 4)
-    for i in range(4):
-        for j in range(4):
-            M[i, j] = (lam if i == j else 0) - lin.A[i, j] - lin.B[i, j] * e
-    return mpmath.lu_solve(M, mpmath.matrix([mpmath.mpc(f) for f in F]))
 
 
 def test_E_vectors_on_fixed_random_sample_against_mpmath():
     # at every crossing of the sample above, E1 = Delta(0)^-1 F11 and
-    # E2 = Delta(2 i omega_c)^-1 F20 match a 30-digit solve of the 4x4
-    # pencil to 1e-14 in norm
+    # E2 = Delta(2 i omega_c)^-1 F20 match a 50-digit solve of the 4x4
+    # characteristic matrix to 1e-14 in norm
     crossings = 0
-    with mpmath.workdps(30):
-        for p, eq, cc in _fixed_random_sample():
-            hp = first_hopf(cc, hopf_candidates(cc))
-            if hp is None:
-                continue
-            crossings += 1
-            ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
-            _, _, _, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c)
-            E1, E2 = solve_E_vectors(p, eq, hp.omega_c, hp.tau_c, F20, F11)
-            for lam, F, E in ((0.0, F11, E1), (2j * hp.omega_c, F20, E2)):
-                ref = _mp_pencil_solve(p, eq, mpmath.mpc(lam), hp.tau_c, F)
-                err = mpmath.norm(mpmath.matrix([mpmath.mpc(x) for x in E]) - ref)
-                assert err <= 1e-14 * mpmath.norm(ref), p
+    for p, eq, cc in _fixed_random_sample():
+        hp = first_hopf(cc, hopf_candidates(cc))
+        if hp is None:
+            continue
+        crossings += 1
+        ep = compute_eigenpair(p, eq, hp.omega_c, hp.tau_c)
+        _, _, _, F20, F11, _ = g_quadratic(p, eq, ep, hp.tau_c)
+        E1, E2 = solve_E_vectors(p, eq, hp.omega_c, hp.tau_c, F20, F11)
+        for lam, F, E in ((0.0, F11, E1), (2j * hp.omega_c, F20, E2)):
+            M = reference_mp.char_matrix(p, eq, lam, hp.tau_c)
+            ref = [x.v for x in reference_mp.solve(M, F)]
+            err = mpmath.norm([x - r for x, r in zip(E, ref)])
+            assert err <= 1e-14 * mpmath.norm(ref), p
     assert crossings > 500
 
 
@@ -423,20 +379,11 @@ def test_n163_critical_delay_against_mpmath(preset_data):
     # arg G(i omega_c) is small and tau_c is ill-conditioned; the float
     # chain must still match a 50-digit one from the same equilibrium
     p, eq, _, hp = preset_data["n163"]
+    cc = reference_mp.char_coeffs(p, eq)
+    tau = reference_mp.ladder(reference_mp.frequency(cc), cc, 0)[0].v
     with mpmath.workdps(50):
-        l1, l2, l3 = _mp_char_cubic(p, eq)
-        z = mpmath.mpf(hp.omega_c) ** 2
-        omega = mpmath.sqrt(_mp_positive_root(l1, l2, l3, z / 2, 2 * z))
-        a1, a2, a12, a21, b2 = map(mpmath.mpf, (p.a1, p.a2, p.a12, p.a21, p.b2))
-        y10, y20, rho1 = map(mpmath.mpf, (eq.y10, eq.y20, eq.rho1))
-        al, be = a1 + a12 * y20, a2 + a21 * y10
-        lam = mpmath.mpc(0, omega)
-        G = (a12 * y10 * (b2 * a21 * y20 - rho1 + a21 * y20 * lam)
-             / ((lam + al) * (lam + be) * (lam + b2)))
-        tau = (mpmath.arg(G) % (2 * mpmath.pi)) / (2 * omega)
-        # omega is bisected to 1e-20, which leaves tau good to ~1e-18
         assert abs(tau / mpmath.mpf("0.0021362560646201398543") - 1) < 1e-17
-        assert abs(hp.tau_c - tau) <= 1e-14 * tau
+    assert abs(hp.tau_c - tau) <= 1e-14 * tau
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -500,16 +447,11 @@ def test_transversality_frozen(case):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_implicit_equals_exact_trigonometric_form(case):
-    # independent derivation: multiply the implicit quotient through by
-    # e^(2 i omega tau); the resulting L-form must agree exactly
+    # the 50-digit implicit derivative -Delta_tau/Delta_lambda
     ref = CASES[case]
     cc = _cc(case)
     w, tau = ref["omega"], ref["taus"][0]
-    b, c, g, h = cc.b, cc.c, cc.g, cc.h
-    co, si = math.cos(2 * w * tau), math.sin(2 * w * tau)
-    L1t = (c - 3 * w * w) * co - 2 * b * w * si + g - 2 * h * tau
-    L2t = (c - 3 * w * w) * si + 2 * b * w * co - 2 * g * w * tau
-    exact = (-2 * g * w * w + 2j * w * h) / (L1t + 1j * L2t)
+    exact = complex(reference_mp.transversality(w, tau, cc)[0].v)
     dl = transversality(w, tau, cc)
     assert dl.real == pytest.approx(exact.real, rel=1e-12)
     assert dl.imag == pytest.approx(exact.imag, rel=1e-12)
@@ -557,20 +499,6 @@ def test_transversality_with_rates_down_to_1e_65():
     assert run.branches[0].error is None
 
 
-def _newton_root(cc, tau, lam0):
-    lam = lam0
-    for _ in range(60):
-        f = characteristic_residual(lam, tau, cc)
-        E = cmath.exp(-2.0 * lam * tau)
-        df = (3 * lam**2 + 2 * cc.b * lam + cc.c
-              + (cc.g - 2.0 * tau * (cc.g * lam + cc.h)) * E)
-        step = f / df
-        lam -= step
-        if abs(step) < 1e-15 * max(1.0, abs(lam)):
-            break
-    return lam
-
-
 @pytest.mark.parametrize("case", list(CASES))
 def test_transversality_against_root_continuation(case):
     # independent oracle: continue the characteristic root across tau_c
@@ -581,8 +509,8 @@ def test_transversality_against_root_continuation(case):
     h = 1e-4 * max(tau, 1.0)
     if tau < 1.0:
         h = 1e-3 * tau
-    lam_p = _newton_root(cc, tau + h, 1j * w)
-    lam_m = _newton_root(cc, tau - h, 1j * w)
+    lam_p = newton_root(cc, tau + h, 1j * w)
+    lam_m = newton_root(cc, tau - h, 1j * w)
     fd = (lam_p - lam_m) / (2.0 * h)
     dl = transversality(w, tau, cc)
     assert dl.real == pytest.approx(fd.real, rel=1e-4)
