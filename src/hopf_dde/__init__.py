@@ -9,7 +9,7 @@ Library layout:
   delays, transversality
 - normal_form: first Lyapunov coefficient from the characteristic matrix,
   bifurcation classification
-- simulation: method-of-steps RK4, histories, oscillation statistics
+- simulation: method-of-steps RK4, history functions, oscillation statistics
 - pipeline/report/cli: orchestration and deterministic text outputs;
   csv_output writes the simulated waveforms
 
@@ -19,8 +19,8 @@ that does not simulate, does not import numpy.
 
 Records (parameters, configuration, results) are typing.NamedTuple, not
 dataclasses: the dataclasses import and its generated methods were half
-of the package's import time. ModelParams and History validate every
-construction, _replace included.
+of the package's import time. ModelParams validates every construction,
+_replace included.
 """
 
 from .config import AnalysisConfig, SimSpec, SweepSpec, load_config
@@ -41,7 +41,7 @@ from .stability import (CharCoeffs, HopfPoint, char_coeffs, classify_stability,
 
 __version__ = "0.1.0"
 
-_SIMULATION_NAMES = ("History", "Trajectory", "integrate",
+_SIMULATION_NAMES = ("Trajectory", "constant_history", "integrate",
                      "oscillation_summary", "upward_crossings")
 
 

@@ -97,7 +97,7 @@ class RunResult(NamedTuple):
 
 def _simulate(p: ModelParams, eq: Equilibrium, tau: float,
               cfg: AnalysisConfig, hopf: HopfPoint | None) -> SimResult:
-    from .simulation import History
+    from .simulation import constant_history
 
     sim = cfg.sim
     if sim.t_end is not None:
@@ -112,7 +112,7 @@ def _simulate(p: ModelParams, eq: Equilibrium, tau: float,
         m = 256
     step = tau / m
     pert = sim.perturbation
-    history = History.constant([c * (1.0 + pert) for c in eq.state()], tau)
+    history = constant_history([c * (1.0 + pert) for c in eq.state()])
     progress("simulating tau=%.6g t_end=%.6g step=%.6g", tau, t_end, step)
     traj = integrate(p, tau, history, t_end, step)
     osc = oscillation_summary(traj.t, traj.component(IY1))

@@ -51,7 +51,8 @@ keep that reference); the interval path regroups them, and agrees with
 it to rounding (the tests pin states to 1e-12 and derivatives to 1e-10
 of each component's largest magnitude).
 
-The history on [-tau, 0] is a function of time: integrate evaluates it
+The history is a function from an array of times in [-tau, 0] to the
+(len, 4) array of states at them. When t_end >= tau, integrate calls it
 once, at the first interval's nodes and midpoints and at 0, and both
 paths read that array; no history is sampled or interpolated.
 """
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,54 +103,10 @@ def _hill_log_many(x: np.ndarray, n: int, log_a: float) -> np.ndarray | None:
     return 1.0 / (1.0 + np.exp(t))
 
 
-class _HistoryFields(NamedTuple):
-    tau: float
-    fn: Callable[[np.ndarray], np.ndarray]
-
-
-class History(_HistoryFields):
-    """Initial data on [-tau, 0]: fn maps an array of times there to the
-    (len, 4) array of states at them.
-
-    Every construction is validated, _replace included.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.tau < math.inf:
-            raise DomainError(
-                f"history delay must be positive and finite, got {self.tau!r}")
-        return self
-
-    # _replace builds through _make, which would skip __new__
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @classmethod
-    def constant(cls, state, tau: float) -> "History":
-        row = np.array(state, dtype=float)
-        return cls(float(tau), lambda ts: np.tile(row, (len(ts), 1)))
-
-    @classmethod
-    def from_function(cls, fn, tau: float) -> "History":
-        """fn(t), a state for one time t, called at each time looked up."""
-        return cls(float(tau), lambda ts: np.array(
-            [np.asarray(fn(t), dtype=float) for t in ts.tolist()]))
-
-    def values(self, ts) -> np.ndarray:
-        """The states at the times ts, as a (len(ts), 4) array."""
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < -self.tau - 1e-9) or np.any(ts > 1e-9):
-            raise DomainError("history queried outside [-tau, 0]")
-        out = np.asarray(self.fn(np.minimum(0.0, np.maximum(ts, -self.tau))),
-                         dtype=float)
-        if out.shape != (len(ts), 4):
-            raise DomainError(f"history function gave shape {out.shape}, "
-                              f"not ({len(ts)}, 4)")
-        return out
+def constant_history(state) -> Callable[[np.ndarray], np.ndarray]:
+    """The history that is state at every time: ts -> (len(ts), 4)."""
+    row = np.array(state, dtype=float)
+    return lambda ts: np.tile(row, (len(ts), 1))
 
 
 class Trajectory:
@@ -278,31 +234,32 @@ def _in_range(P: np.ndarray) -> bool:
     return bool(a.min() >= 1e-250 and a.max() <= 1e250)
 
 
-def integrate(p: ModelParams, tau: float, history: History,
+def integrate(p: ModelParams, tau: float,
+              history: Callable[[np.ndarray], np.ndarray],
               t_end: float, step: float) -> Trajectory:
-    """Method-of-steps RK4 over [0, t_end].
+    """Method-of-steps RK4 over [0, t_end] from history on [-tau, 0].
 
     step must divide tau (to 1e-9 relative); it is then taken as tau/m
     exactly, so every full step's delayed lookups fall on the grid's
     nodes and midpoints (on the first interval, the history at those
-    times less tau, looked up in one history.values call with the states
-    at 0 and -tau). A final shorter step is taken when t_end is not a
-    multiple of step; the last node then sits at t_end, and only that
-    step's lookups fall off the grid. Raises DivergenceError when those
-    history values are not all finite, or when the state norm exceeds
-    1e12 or turns non-finite; DomainError for a tau, step or t_end that
-    is not positive and finite, and for arrays that cannot be allocated.
+    times less tau, looked up in one call with the state at 0).
+    A final shorter step is taken when t_end is not a multiple of step;
+    the last node then sits at t_end, and only that step's lookups fall
+    off the grid. Raises DivergenceError when history gives a non-finite
+    value, or when the state norm exceeds 1e12 or turns non-finite;
+    DomainError for a tau, step or t_end that is not positive and finite,
+    a history that does not give (len, 4), and arrays that cannot be
+    allocated.
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"delay must be positive and finite, got {tau!r}")
     if not 0.0 < step <= tau:
         raise DomainError(f"step must lie in (0, tau], got {step!r}")
+    tol = 1e-9 * max(tau, 1.0)
     m = int(round(tau / step))
-    if m < 1 or abs(m * step - tau) > 1e-9 * max(tau, 1.0):
+    if m < 1 or abs(m * step - tau) > tol:
         raise DomainError(f"step {step!r} does not divide the delay {tau!r}")
     step = tau / m
-    if history.tau < tau - 1e-9 * max(tau, 1.0):
-        raise DomainError("history does not cover [-tau, 0]")
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
     n_full = int(t_end / step + 1e-9)
@@ -312,13 +269,26 @@ def integrate(p: ModelParams, tau: float, history: History,
     N = n_full + (1 if rem > 0.0 else 0)
     if N > _MAX_STEPS:
         raise DomainError(f"{N} steps exceed the {_MAX_STEPS} budget")
+
+    def history_at(tq: np.ndarray) -> np.ndarray:
+        """The history at the times tq, within tol of [-tau, 0] and
+        clamped into it, as a (len(tq), 4) array of finite floats."""
+        if not (tq.min() >= -tau - tol and tq.max() <= tol):
+            raise DomainError("history queried outside [-tau, 0]")
+        out = np.asarray(history(np.minimum(0.0, np.maximum(tq, -tau))),
+                         dtype=float)
+        if out.shape != (len(tq), 4):
+            raise DomainError(f"history function gave shape {out.shape}, "
+                              f"not ({len(tq)}, 4)")
+        if not np.all(np.isfinite(out)):
+            raise DivergenceError("history holds non-finite values")
+        return out
+
     # the history at the first interval's nodes, then its midpoints (they
     # start at -tau), and at 0
     k = min(m, n_full)
     half = np.arange(2 * k + 1) * (0.5 * step) - tau
-    hv = history.values(np.concatenate((half[::2], half[1::2], [0.0])))
-    if not np.all(np.isfinite(hv)):
-        raise DivergenceError("history holds non-finite values")
+    hv = history_at(np.concatenate((half[::2], half[1::2], [0.0])))
     # the delayed y1, y2 at those times, one row per component
     first = np.ascontiguousarray(hv[:-1, IY1::2].T)
 
@@ -346,7 +316,7 @@ def integrate(p: ModelParams, tau: float, history: History,
         the history, a stored node within 1e-13 of tq, or the Hermite
         interpolant of the stored nodes around tq."""
         if tq <= 0.0:
-            v = history.values([tq])[0]
+            v = history_at(np.array([tq]))[0]
             return float(v[IY1]), float(v[IY2])
         x = tq / step
         j = int(x)

@@ -16,8 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from hopf_dde import (History, IY1, PRESETS, build_equilibrium, char_coeffs,
-                      classify_stability, cli,
+from hopf_dde import (IY1, PRESETS, build_equilibrium, char_coeffs,
+                      classify_stability, cli, constant_history,
                       compute_eigenpair, compute_normal_form,
                       find_equilibria, first_hopf,
                       hopf_candidates, integrate,
@@ -167,7 +167,7 @@ def test_criterion_7_self_convergence_order():
     p = PRESETS["n2"]
     eq = find_equilibria(p)[0]
     tau = 45.0
-    hist = History.constant(np.asarray(eq.state()) * 1.01, tau)
+    hist = constant_history(np.asarray(eq.state()) * 1.01)
 
     def endpoint(step):
         return integrate(p, tau, hist, t_end=200.0, step=step).states[-1]
@@ -190,9 +190,9 @@ def test_criterion_8_dynamics_on_both_sides():
     t_end = 20.0 * hp.tau_c
     step = tau / 512.0
     state = np.asarray(eq.state())
-    hist = History.constant(state * 1.01, tau)
+    hist = constant_history(state * 1.01)
     traj = integrate(p, tau, hist, t_end=t_end, step=step)
-    dev0 = np.linalg.norm(hist.values([0.0])[0] - state)
+    dev0 = np.linalg.norm(state * 1.01 - state)
     dev1 = np.linalg.norm(traj.states[-1] - state)
     ratio = dev1 / dev0
     print(f"n2 at tau = 0.5 tau_c: deviation ratio {ratio:.6f}")
@@ -214,7 +214,7 @@ def test_criterion_8_dynamics_on_both_sides():
     tau = 1.05 * hp.tau_c
     t_end = 50.0 * target
     step = tau / 256.0
-    hist = History.constant(state * 1.01, tau)
+    hist = constant_history(state * 1.01)
     traj = integrate(p, tau, hist, t_end=t_end, step=step)
     third = traj.t >= (2.0 / 3.0) * t_end
     crossings = upward_crossings(traj.t[third], traj.component(IY1)[third],

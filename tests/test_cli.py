@@ -453,9 +453,9 @@ def test_cli_import_leaves_numpy_out(tmp_path):
                    "os.environ.pop('HOPF_DDE_LOG', None); "
                    "assert hopf_dde.cli.main(sys.argv[1:]) == 0; "
                    f"print(*(m in sys.modules for m in {heavy})); "
-                   "from hopf_dde import integrate, History; "
+                   "from hopf_dde import integrate, constant_history; "
                    "print('dataclasses' in sys.modules, "
-                   "integrate.__module__, History.__module__)",
+                   "integrate.__module__, constant_history.__module__)",
                    "--config", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"] * 11 + ["hopf_dde.simulation"] * 2

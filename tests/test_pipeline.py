@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopf_dde import (AnalysisConfig, ConfigError, DomainError, ModelParams,
-                      NumericalError, PRESETS, analyze_params, render_report,
-                      run_analysis)
+                      NumericalError, PRESETS, analyze_params, parse_report,
+                      render_report, run_analysis)
 from hopf_dde import pipeline, stability
 from hopf_dde.config import SimSpec, SweepSpec
 
@@ -135,6 +135,14 @@ def test_sim_step_snaps_to_divide_tau():
     m = round(10.0 / br.sim.step)
     assert m * br.sim.step == pytest.approx(10.0, abs=1e-12)
     assert br.sim.step == pytest.approx(0.3, rel=0.1)
+
+
+def test_sim_step_above_tau_runs_at_tau():
+    # n163's critical delay is about 0.0021: a step of 0.005 is taken as
+    # tau itself, one step per delay interval, as the coarse n163 run is
+    cfg = AnalysisConfig(sim=SimSpec(t_end=1.0, step=0.005))
+    kv = parse_report(render_report([analyze_params(PRESETS["n163"], cfg)], cfg))
+    assert kv["run.0.eq.0.sim.step"] == kv["run.0.eq.0.hopf.tau_c"]
 
 
 def test_sweep_values_dedupe_integer_exponent():

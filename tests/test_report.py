@@ -14,7 +14,7 @@ from hopf_dde import csv_output
 from hopf_dde.csv_output import (_csv_rows, _format_values, write_phase_csv,
                                  write_trajectory_csv)
 from hopf_dde.report import fmt_float
-from hopf_dde.simulation import History, Trajectory, integrate
+from hopf_dde.simulation import Trajectory, constant_history, integrate
 
 
 def test_fmt_float_round_trips_exactly():
@@ -221,7 +221,7 @@ def test_parse_report_ignores_malformed_lines():
 def short_traj():
     p = PRESETS["n2"]
     y0 = np.array([2.0, 0.7, 11.0, 79.0])
-    return integrate(p, 2.0, History.constant(y0, 2.0), t_end=1.0, step=0.25)
+    return integrate(p, 2.0, constant_history(y0), t_end=1.0, step=0.25)
 
 
 def _write_both(tpath, ppath, traj):

@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from hopf_dde import (AnalysisConfig, DivergenceError, DomainError, History, IX1,
-                      IX2, IY1, PRESETS, analyze_params, find_equilibria,
-                      integrate, oscillation_summary, upward_crossings)
+from hopf_dde import (AnalysisConfig, DivergenceError, DomainError, IX1, IX2,
+                      IY1, PRESETS, analyze_params, constant_history,
+                      find_equilibria, integrate, oscillation_summary,
+                      upward_crossings)
 from hopf_dde.config import SimSpec
 
 from hopf_dde import simulation
@@ -26,6 +27,11 @@ def _smooth_positive(t):
     return np.array([math.sin(t), 2.0 + math.cos(2.0 * t), math.sin(3.0 * t), 1.0])
 
 
+def _pointwise(fn):
+    """A history that calls the scalar fn(t) at each time looked up."""
+    return lambda ts: np.array([fn(t) for t in ts.tolist()], dtype=float)
+
+
 def _dense_value(traj, time):
     """The cubic Hermite interpolant of the stored nodes and derivatives
     at time: dense output, as a reference for the grid's derivatives."""
@@ -40,9 +46,9 @@ def _dense_value(traj, time):
 
 def test_constant_history_values():
     state = np.array([1.0, 2.0, 3.0, 4.0])
-    h = History.constant(state, tau=5.0)
+    h = constant_history(state)
     for t in (-5.0, -2.7, -0.001, 0.0):
-        np.testing.assert_array_equal(h.values([t])[0], state)
+        np.testing.assert_array_equal(h(np.array([t]))[0], state)
 
 
 def test_constant_history_is_exact_on_the_first_interval(preset_data):
@@ -53,51 +59,27 @@ def test_constant_history_is_exact_on_the_first_interval(preset_data):
     tau, m = hp.tau_c, 256
     state = [c * 1.01 for c in eq.state()]
     ts = np.append(np.arange(2 * m + 1) * (0.5 * tau / m) - tau, 0.0)
-    got = History.constant(state, tau).values(ts)
+    got = constant_history(state)(ts)
     assert np.array_equal(got, np.tile(state, (len(ts), 1)))
-
-
-def test_from_function_calls_fn_at_each_time():
-    ts = [-2.0, -1.25, -0.3, 0.0]
-    got = History.from_function(_smooth, tau=2.0).values(ts)
-    assert np.array_equal(got, np.array([_smooth(t) for t in ts]))
-
-
-def test_history_rejects_non_positive_or_infinite_tau():
-    for tau in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError, match="history delay must be positive"):
-            History.constant(np.ones(4), tau)
-        with pytest.raises(DomainError, match="history delay must be positive"):
-            History.from_function(_smooth, tau)
-    with pytest.raises(DomainError, match="history delay must be positive"):
-        History.constant(np.ones(4), 5.0)._replace(tau=-1.0)
 
 
 @pytest.mark.parametrize("fn", [
     lambda ts: np.ones(len(ts)), lambda ts: np.ones((len(ts) + 1, 4))],
     ids=["flat", "one_row_too_many"])
 def test_history_function_of_the_wrong_shape_is_rejected(fn):
-    for history in (History(2.0, fn), History.constant(np.ones(3), 2.0),
-                    History.from_function(lambda t: np.ones(5), 2.0)):
-        with pytest.raises(DomainError, match="history function gave shape"):
-            history.values([-1.0, 0.0])
+    for history in (fn, constant_history(np.ones(3)),
+                    _pointwise(lambda t: np.ones(5))):
         with pytest.raises(DomainError, match="history function gave shape"):
             integrate(PRESETS["n2"], 2.0, history, 10.0, 0.1)
 
 
-def test_history_value_range_check():
-    h = History.constant(np.ones(4), tau=1.0)
-    with pytest.raises(DomainError):
-        h.values([-1.5])
-    with pytest.raises(DomainError):
-        h.values([-0.5, 0.5])
-
-
 def test_integrate_validation_errors():
     p = PRESETS["n2"]
-    h = History.constant(np.ones(4), tau=2.0)
+    h = constant_history(np.ones(4))
     with pytest.raises(DomainError):
         integrate(p, -1.0, h, 10.0, 0.1)
+    with pytest.raises(DomainError):
+        integrate(p, 0.0, h, 10.0, 0.1)
     with pytest.raises(DomainError):
         integrate(p, 2.0, h, 10.0, 0.0)
     with pytest.raises(DomainError):
@@ -106,8 +88,6 @@ def test_integrate_validation_errors():
         integrate(p, 2.0, h, 10.0, 0.3)
     with pytest.raises(DomainError):
         integrate(p, 2.0, h, -5.0, 0.1)
-    with pytest.raises(DomainError):
-        integrate(p, 4.0, h, 10.0, 0.1)
 
 
 @pytest.mark.parametrize("arg, value", [
@@ -115,9 +95,42 @@ def test_integrate_validation_errors():
     ("t_end", math.nan), ("t_end", math.inf)])
 def test_integrate_rejects_non_finite_arguments(arg, value):
     kw = {"tau": 2.0, "step": 0.1, "t_end": 10.0, arg: value}
-    h = History.constant(np.ones(4), tau=2.0)
+    h = constant_history(np.ones(4))
     with pytest.raises(DomainError):
         integrate(PRESETS["n2"], kw["tau"], h, kw["t_end"], kw["step"])
+
+
+@pytest.mark.parametrize("m", [1, 64])
+def test_history_is_evaluated_once(m):
+    # with t_end >= tau, one call at the first interval's 2m + 1 nodes and
+    # midpoints and at 0; the partial final step looks up past 0
+    calls = []
+    history = constant_history([2.0, 0.7, 11.0, 79.0])
+
+    def counting(ts):
+        calls.append(len(ts))
+        return history(ts)
+
+    integrate(PRESETS["n2"], 2.0, counting, 5.3, 2.0 / m)
+    assert calls == [2 * m + 2]
+
+
+def test_large_delay_runs_to_the_end():
+    # at tau = 3e7 and 51 steps per interval the first interval's last
+    # node time, 2m (step/2) - tau, rounds 3.7e-9 above 0: inside the
+    # tolerance 1e-9 max(tau, 1), and clamped to 0 for the history
+    p = PRESETS["n4"]
+    eq = find_equilibria(p)[0]
+    seen = []
+    history = constant_history(eq.state())
+
+    def recording(ts):
+        seen.append(ts)
+        return history(ts)
+
+    traj = integrate(p, 3e7, recording, 3e7, 3e7 / 51)
+    assert len(traj.t) == 52 and np.all(np.isfinite(traj.states))
+    assert len(seen) == 1 and seen[0].min() == -3e7 and seen[0].max() == 0.0
 
 
 def test_arrays_that_cannot_be_allocated_are_a_branch_error(monkeypatch):
@@ -141,7 +154,7 @@ def test_first_component_matches_closed_form():
     # x1 decouples: x1' = 1 - b1 x1 has an exact exponential solution
     p = PRESETS["n2"]
     y0 = np.array([2.0, 0.7, 11.0, 79.0])
-    traj = integrate(p, 5.0, History.constant(y0, 5.0), t_end=10.0, step=0.05)
+    traj = integrate(p, 5.0, constant_history(y0), t_end=10.0, step=0.05)
     exact = 1.0 / p.b1 + (y0[0] - 1.0 / p.b1) * math.exp(-p.b1 * 10.0)
     assert abs(traj.states[-1, IX1] - exact) < 1e-8
     assert abs(_dense_value(traj, 10.0)[IX1] - exact) < 1e-8
@@ -153,8 +166,7 @@ def test_equilibrium_is_a_fixed_point():
     for case, t_end in (("n2", 100.0), ("n164", 40.0)):
         p = PRESETS[case]
         eq = find_equilibria(p)[0]
-        traj = integrate(p, 7.0, History.constant(eq.state(), 7.0),
-                         t_end=t_end, step=0.5)
+        traj = integrate(p, 7.0, constant_history(eq.state()), t_end=t_end, step=0.5)
         drift = np.max(np.abs(traj.states - np.asarray(eq.state())[None, :]))
         assert drift < 1e-9
 
@@ -163,7 +175,7 @@ def test_self_convergence_fourth_order():
     p = PRESETS["n2"]
     eq = find_equilibria(p)[0]
     tau = 45.0
-    hist = History.constant(np.asarray(eq.state()) * 1.01, tau)
+    hist = constant_history(np.asarray(eq.state()) * 1.01)
 
     def endpoint(step):
         return integrate(p, tau, hist, t_end=60.0, step=step).states[-1]
@@ -177,7 +189,7 @@ def test_self_convergence_fourth_order():
 def test_dense_output_matches_nodes_and_is_continuous():
     p = PRESETS["n2"]
     eq = find_equilibria(p)[0]
-    traj = integrate(p, 5.0, History.constant(np.asarray(eq.state()) * 1.05, 5.0),
+    traj = integrate(p, 5.0, constant_history(np.asarray(eq.state()) * 1.05),
                      t_end=20.0, step=0.25)
     for j in (0, 7, 40, len(traj.t) - 1):
         np.testing.assert_allclose(_dense_value(traj, traj.t[j]), traj.states[j],
@@ -192,8 +204,7 @@ def test_dense_output_matches_nodes_and_is_continuous():
 def test_final_partial_step():
     p = PRESETS["n2"]
     eq = find_equilibria(p)[0]
-    traj = integrate(p, 2.0, History.constant(eq.state(), 2.0),
-                     t_end=5.3, step=0.5)
+    traj = integrate(p, 2.0, constant_history(eq.state()), t_end=5.3, step=0.5)
     assert traj.t[-1] == pytest.approx(5.3, abs=1e-12)
     assert traj.t[-1] - traj.t[-2] == pytest.approx(0.3, abs=1e-12)
 
@@ -206,7 +217,8 @@ def _reference_integrate(p, tau, history, t_end, step):
     node, an odd one the Hermite midpoint of its two neighbours, and an
     index <= 0 reads the history at (2 i + 2 frac) (step/2) - tau. The
     partial final step looks up by time; after it the last node's delayed
-    state is its k4 lookup, at t_end - tau.
+    state is its k4 lookup, at t_end - tau. History times are clamped into
+    [-tau, 0], as integrate clamps them.
     """
     m = round(tau / step)
     n_full = int(t_end / step + 1e-9)
@@ -215,7 +227,11 @@ def _reference_integrate(p, tau, history, t_end, step):
         rem = 0.0
     N = n_full + (1 if rem > 0.0 else 0)
     states, derivs = np.empty((N + 1, 4)), np.empty((N + 1, 4))
-    states[0] = history.values([0.0])[0]
+
+    def past(t):
+        return history(np.array([min(0.0, max(t, -tau))]))[0]
+
+    states[0] = past(0.0)
 
     def hermite(j, s):
         return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * states[j]
@@ -227,14 +243,14 @@ def _reference_integrate(p, tau, history, t_end, step):
         if frac and h != step:
             tq = i * step + frac * h - tau
             if tq <= 0.0:
-                return history.values([tq])[0]
+                return past(tq)
             x = tq / step
             j = int(x)
             s = x - j
             return states[j] if s < 1e-13 else hermite(j, s)
         k = 2 * (i - m) + int(2 * frac)
         if k <= 0:
-            return history.values([(2 * i + int(2 * frac)) * (0.5 * step) - tau])[0]
+            return past((2 * i + int(2 * frac)) * (0.5 * step) - tau)
         return hermite(k // 2, 0.5) if k % 2 else states[k // 2]
 
     for i in range(N):
@@ -279,11 +295,11 @@ _HILL_EDGES = {f"{name}_m{m}": (p, y1, m) for name, p, y1 in (
 def test_integrate_matches_reference_bit_for_bit(case):
     p = PRESETS["n2"]
     tau, t_end, step = 2.0, 30.0, 0.125
-    history = History.from_function(_smooth, tau)
+    history = _pointwise(_smooth)
     if case in _HILL_EDGES:
         p, y1, m = _HILL_EDGES[case]
         tau, t_end, step = 1.0, 3.0, 1.0 / m
-        history = History.constant(np.array([1.0, y1, 3.0, 20.0]), tau)
+        history = constant_history(np.array([1.0, y1, 3.0, 20.0]))
     elif case == "step_equals_tau":
         step, t_end = tau, 60.0
     elif case == "step_equals_tau_partial_final_step":
@@ -297,7 +313,7 @@ def test_integrate_matches_reference_bit_for_bit(case):
     elif case == "odd_n_negative_y1":
         # a negative delayed y1 takes the odd branch of the Hill continuation
         p = p._replace(n=3)
-        history = History.constant(np.array([1.0, -0.5, 3.0, 20.0]), tau)
+        history = constant_history(np.array([1.0, -0.5, 3.0, 20.0]))
     elif case == "partial_final_step":
         t_end = 5.3
     traj = integrate(p, tau, history, t_end, step)
@@ -311,8 +327,7 @@ def test_trajectory_stores_one_contiguous_row_per_component(m, rows):
     # 10 full steps and a partial one at m = 1, 649 and a partial one at
     # m = 64; states and derivs are (N+1, 4) views of one row per
     # component, so each component's samples are contiguous
-    traj = integrate(PRESETS["n2"], 2.0, History.from_function(_smooth, 2.0),
-                     20.3, 2.0 / m)
+    traj = integrate(PRESETS["n2"], 2.0, _pointwise(_smooth), 20.3, 2.0 / m)
     for arr in (traj.states, traj.derivs):
         assert arr.shape == (rows, 4)
         for k in range(4):
@@ -328,7 +343,7 @@ def test_one_step_intervals_match_reference_bit_for_bit(preset_data, monkeypatch
     p, eq, _, hp = preset_data["n163"]
     tau = step = hp.tau_c
     n_full = 10_000
-    history = History.constant(np.asarray(eq.state()) * 1.01, tau)
+    history = constant_history(np.asarray(eq.state()) * 1.01)
     t_end = (n_full + 0.5) * step
     lookups = _spy_on_per_step_lookups(monkeypatch)
     traj = integrate(p, tau, history, t_end, step)
@@ -397,10 +412,10 @@ def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
     # numpy path, which agrees with the per-step reference to rounding
     p = PRESETS["n2"]
     tau, t_end, step = 2.0, 30.0, 2.0 / 64
-    history = History.from_function(_smooth_positive, tau)
+    history = _pointwise(_smooth_positive)
     if case == "odd_n_negative_y1":
         p = p._replace(n=3)
-        history = History.constant(np.array([1.0, -0.5, 3.0, 20.0]), tau)
+        history = constant_history(np.array([1.0, -0.5, 3.0, 20.0]))
     elif case == "partial_final_step":
         t_end = 5.4  # 172.8 steps: 44 full ones in the last interval
     elif case == "ends_mid_interval":
@@ -432,7 +447,7 @@ def test_interval_path_matches_reference_bit_for_bit(case, monkeypatch):
 def test_interval_path_equals_per_step_path(case, tau, m, t_end, stretch, monkeypatch):
     p = PRESETS[case]
     eq = find_equilibria(p)[0]
-    history = History.constant(np.asarray(eq.state()) * 1.01, tau)
+    history = constant_history(np.asarray(eq.state()) * 1.01)
     step = tau / m * stretch
     fast = integrate(p, tau, history, t_end, step)
     monkeypatch.setattr(simulation, "_PASS_MIN_STEPS", 10**9)
@@ -449,7 +464,7 @@ def test_interval_outside_the_fast_domain_matches_reference_bit_for_bit(
     # bit
     p, y1, _ = _HILL_EDGES[f"{case}_m1"]
     tau, m = 1.0, 64
-    history = History.constant(np.array([1.0, y1, 3.0, 20.0]), tau)
+    history = constant_history(np.array([1.0, y1, 3.0, 20.0]))
     calls = _spy_on_solver(monkeypatch)
     traj = integrate(p, tau, history, 2.0 * tau, tau / m)
     assert calls == [(0, m, False), (m, 2 * m, False)]
@@ -464,7 +479,7 @@ def test_interval_with_underflowing_decay_product_runs_per_step(monkeypatch):
     # sigma / P would leave the float range
     p = PRESETS["n2"]
     tau, m = 2.0, 512
-    history = History.constant(np.array([2.0, 0.7, 11.0, 2.0e4]), tau)
+    history = constant_history(np.array([2.0, 0.7, 11.0, 2.0e4]))
     calls = _spy_on_solver(monkeypatch)
     lookups = _spy_on_per_step_lookups(monkeypatch)
     traj = integrate(p, tau, history, 2.0 * tau, tau / m)
@@ -479,7 +494,7 @@ def test_stretched_step_is_snapped_to_the_grid(monkeypatch):
     p = PRESETS["n4"]
     tau, m = 2.0, 256
     eq = find_equilibria(p)[0]
-    history = History.constant(np.asarray(eq.state()) * 1.01, tau)
+    history = constant_history(np.asarray(eq.state()) * 1.01)
     calls = _spy_on_solver(monkeypatch)
     traj = integrate(p, tau, history, 3.0 * tau, tau / m * (1.0 + 9e-10))
     assert traj.t[1] == tau / m
@@ -496,7 +511,7 @@ def test_interval_breaking_the_blowup_bound_reruns_per_step(monkeypatch):
     # the interval back, and the per-step re-run reports the divergence
     # at its step, in the per-step path's words
     p = PRESETS["n2"]
-    history = History.constant(np.array([2.0, 0.7, 11.0, -2.0e3]), 1.0)
+    history = constant_history(np.array([2.0, 0.7, 11.0, -2.0e3]))
     calls = _spy_on_solver(monkeypatch)
     with pytest.raises(DivergenceError) as fast:
         integrate(p, 1.0, history, t_end=50.0, step=1.0 / 64)
@@ -515,7 +530,7 @@ def test_partial_final_step_after_a_cut_interval(monkeypatch):
     tau, m = 2.0, 256
     step = tau / m
     t_end = (2 * m + 128.3) * step
-    history = History.from_function(_smooth_positive, tau)
+    history = _pointwise(_smooth_positive)
     calls = _spy_on_solver(monkeypatch)
     lookups = _spy_on_per_step_lookups(monkeypatch)
     traj = integrate(p, tau, history, t_end, step)
@@ -526,7 +541,7 @@ def test_partial_final_step_after_a_cut_interval(monkeypatch):
     # _smooth's y1 = cos 2t is negative on part of the first interval,
     # which the pass gives back to the per-step loop
     calls.clear()
-    integrate(p, tau, History.from_function(_smooth, tau), t_end, step)
+    integrate(p, tau, _pointwise(_smooth), t_end, step)
     assert calls[0] == (0, m, False)
 
 
@@ -537,7 +552,7 @@ def test_interval_start_derivatives_are_current():
     p = PRESETS["n2"]
     tau, m = 2.0, 64
     step = tau / m
-    traj = integrate(p, tau, History.from_function(_smooth_positive, tau), 20.0, step)
+    traj = integrate(p, tau, _pointwise(_smooth_positive), 20.0, step)
     for j in range(m, len(traj.t) - 1, m):
         want = rhs(traj.states[j], _dense_value(traj, j * step - tau), p)
         np.testing.assert_allclose(traj.derivs[j], want, rtol=1e-12, atol=1e-14)
@@ -550,11 +565,11 @@ def test_interval_path_divergence_matches_per_step_path(monkeypatch):
     y0 = np.array([2.0, 0.7, 11.0, -1.0e3])
     calls = _spy_on_interval_pass(monkeypatch)
     with pytest.raises(DivergenceError) as fast:
-        integrate(p, 1.0, History.constant(y0, 1.0), t_end=50.0, step=1.0 / 64)
+        integrate(p, 1.0, constant_history(y0), t_end=50.0, step=1.0 / 64)
     assert calls
     monkeypatch.setattr(simulation, "_PASS_MIN_STEPS", 10**9)
     with pytest.raises(DivergenceError) as slow:
-        integrate(p, 1.0, History.constant(y0, 1.0), t_end=50.0, step=1.0 / 64)
+        integrate(p, 1.0, constant_history(y0), t_end=50.0, step=1.0 / 64)
     assert str(fast.value) == str(slow.value)
     assert str(fast.value).endswith("(step 90)")
 
@@ -566,7 +581,7 @@ def test_huge_odd_exponent_with_very_negative_delayed_y1(m):
     # interval back to the per-step loop
     p = PRESETS["n163"]
     tau = 1.0
-    history = History.constant(np.array([1.0, -100.0, 3.0, 20.0]), tau)
+    history = constant_history(np.array([1.0, -100.0, 3.0, 20.0]))
     traj = integrate(p, tau, history, 3.0, tau / m)
     assert np.all(np.isfinite(traj.states))
     states, derivs = _reference_integrate(p, tau, history, 3.0, tau / m)
@@ -583,7 +598,7 @@ def test_integrate_leaves_no_reference_cycles(m):
     gc.collect()
     gc.disable()
     try:
-        integrate(p, 2.0, History.from_function(_smooth, 2.0), 20.0, 2.0 / m)
+        integrate(p, 2.0, _pointwise(_smooth), 20.0, 2.0 / m)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -595,7 +610,7 @@ def test_final_node_derivative_after_partial_step(step):
     # state at t_end - tau, not at N*step - tau
     p = PRESETS["n2"]
     tau, t_end = 2.0, 5.3
-    traj = integrate(p, tau, History.from_function(_smooth, tau), t_end, step)
+    traj = integrate(p, tau, _pointwise(_smooth), t_end, step)
     want = rhs(traj.states[-1], _dense_value(traj, t_end - tau), p)
     np.testing.assert_allclose(traj.derivs[-1], want, rtol=0.0, atol=1e-12)
 
@@ -609,7 +624,7 @@ def test_lookup_at_the_front_ignores_unwritten_memory(monkeypatch):
     p = PRESETS["n2"]
     y0 = np.array([2.0, 0.7, 11.0, 79.0])
     tau = 0.3
-    want = integrate(p, tau, History.constant(y0, tau), 2000 * tau, tau)
+    want = integrate(p, tau, constant_history(y0), 2000 * tau, tau)
     empty = np.empty
 
     def poisoned(*args, **kwargs):
@@ -618,7 +633,7 @@ def test_lookup_at_the_front_ignores_unwritten_memory(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "empty", poisoned)
-    got = integrate(p, tau, History.constant(y0, tau), 2000 * tau, tau)
+    got = integrate(p, tau, constant_history(y0), 2000 * tau, tau)
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.derivs, want.derivs)
 
@@ -628,8 +643,8 @@ def test_non_finite_history_is_divergence(bad):
     p = PRESETS["n2"]
     y0 = np.array([2.0, 0.7, 11.0, bad])
     # non-finite throughout, and only at one of the looked-up times
-    for history in (History.constant(y0, 1.0),
-                    History.from_function(lambda t: y0 if t == -0.5 else np.ones(4), 1.0)):
+    for history in (constant_history(y0),
+                    _pointwise(lambda t: y0 if t == -0.5 else np.ones(4))):
         with pytest.raises(DivergenceError, match="history holds non-finite values"):
             integrate(p, 1.0, history, t_end=1.0, step=0.1)
 
@@ -641,7 +656,7 @@ def test_non_finite_history_raises_before_any_warning(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError):
-            integrate(p, 1.0, History.constant(y0, 1.0), t_end=1.0, step=0.1)
+            integrate(p, 1.0, constant_history(y0), t_end=1.0, step=0.1)
 
 
 def test_divergence_is_detected():
@@ -649,13 +664,13 @@ def test_divergence_is_detected():
     p = PRESETS["n2"]
     y0 = np.array([2.0, 0.7, 11.0, -1.0e6])
     with pytest.raises(DivergenceError):
-        integrate(p, 1.0, History.constant(y0, 1.0), t_end=5.0, step=0.001)
+        integrate(p, 1.0, constant_history(y0), t_end=5.0, step=0.001)
 
 
 def test_negative_states_are_not_clipped():
     p = PRESETS["n2"]
     y0 = np.array([2.0, 0.7, -5.0, 79.0])
-    traj = integrate(p, 2.0, History.constant(y0, 2.0), t_end=1.0, step=0.1)
+    traj = integrate(p, 2.0, constant_history(y0), t_end=1.0, step=0.1)
     x2 = traj.component(IX2)
     assert x2[0] == -5.0
     assert np.all(x2 < -4.5)
@@ -706,7 +721,7 @@ def test_oscillation_summary_selects_cycles_as_a_mask_does(case, preset_data):
         # n4 just past its critical delay, 10 periods at 256 steps per delay
         p, eq, _, hp = preset_data["n4"]
         tau = 1.05 * hp.tau_c
-        history = History.constant(np.asarray(eq.state()) * 1.01, tau)
+        history = constant_history(np.asarray(eq.state()) * 1.01)
         traj = integrate(p, tau, history, 20.0 * math.pi / hp.omega_c, tau / 256)
         ts, vals = traj.t, traj.component(IY1)
     got = oscillation_summary(ts, vals)["amp_variation"]
