@@ -27,10 +27,9 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .model import ModelParams
 
-_MODEL_KEYS = ("a1", "a2", "a12", "a21", "b1", "b2", "a", "n")
 #: report.txt prints k_max + 1 critical delays per crossing
 _K_MAX_LIMIT = 10000
 #: a sweep holds every point's values and results in memory, and
@@ -103,78 +102,55 @@ def _as_bool(key: str, s: str) -> bool:
     raise ConfigError(f"{key}: expected true/false, got {s!r}")
 
 
+def _as_name(key: str, s: str) -> str:
+    return s
+
+
+#: every configuration key and the parser of its value, in parsing order
+_KEYS = {
+    "model.a1": _as_float, "model.a2": _as_float, "model.a12": _as_float,
+    "model.a21": _as_float, "model.b1": _as_float, "model.b2": _as_float,
+    "model.a": _as_float, "model.n": _as_int,
+    "tau": _as_float, "k_max": _as_int,
+    "sim.enabled": _as_bool, "sim.t_end": _as_float, "sim.step": _as_float,
+    "sim.perturbation": _as_float,
+    "sweep.param": _as_name, "sweep.start": _as_float, "sweep.stop": _as_float,
+    "sweep.count": _as_int,
+}
+
+
+def _whole(block: str, given: dict) -> dict:
+    """given, a block's values by field, once it holds all or none of them."""
+    missing = [k for k in _KEYS
+               if k.startswith(f"{block}.") and k.partition(".")[2] not in given]
+    if given and missing:
+        raise ConfigError(f"incomplete {block} block; missing " + ", ".join(missing))
+    return given
+
+
 def config_from_mapping(raw: dict[str, str]) -> AnalysisConfig:
     """Typed, validated configuration from raw strings."""
-    known = set()
-
-    def take(key):
-        known.add(key)
-        return raw.get(key)
-
-    model_vals = {}
-    for name in _MODEL_KEYS:
-        s = take(f"model.{name}")
-        if s is None:
-            continue
-        v = _as_int(f"model.{name}", s) if name == "n" \
-            else _as_float(f"model.{name}", s)
-        # an int beyond the float range fails too; isfinite would raise
-        if not abs(v) <= sys.float_info.max:
-            raise ConfigError(f"model.{name} must be finite, got {v}")
-        model_vals[name] = v
-    if model_vals:
-        missing = [k for k in _MODEL_KEYS if k not in model_vals]
-        if missing:
-            raise ConfigError(
-                "incomplete model block; missing "
-                + ", ".join(f"model.{k}" for k in missing))
-
-    tau_s = take("tau")
-    tau = _as_float("tau", tau_s) if tau_s is not None else None
-    k_s = take("k_max")
-    k_max = _as_int("k_max", k_s) if k_s is not None else 8
-
-    sim_kwargs = {}
-    s = take("sim.enabled")
-    if s is not None:
-        sim_kwargs["enabled"] = _as_bool("sim.enabled", s)
-    for name in ("t_end", "step", "perturbation"):
-        s = take(f"sim.{name}")
-        if s is not None:
-            sim_kwargs[name] = _as_float(f"sim.{name}", s)
-    sim = SimSpec(**sim_kwargs)
-
-    sweep_raw = {name: take(f"sweep.{name}")
-                 for name in ("param", "start", "stop", "count")}
-    sweep = None
-    present = [k for k, v in sweep_raw.items() if v is not None]
-    if present:
-        missing = [k for k, v in sweep_raw.items() if v is None]
-        if missing:
-            raise ConfigError("incomplete sweep block; missing "
-                              + ", ".join(f"sweep.{k}" for k in missing))
-        sweep = SweepSpec(
-            param=sweep_raw["param"],
-            start=_as_float("sweep.start", sweep_raw["start"]),
-            stop=_as_float("sweep.stop", sweep_raw["stop"]),
-            count=_as_int("sweep.count", sweep_raw["count"]),
-        )
-    cfg = AnalysisConfig(tau=tau, k_max=k_max, sim=sim, sweep=sweep)
-    check_ranges(cfg)
-    if sweep is not None and not model_vals:
-        raise ConfigError("sweep requires a model block for the base values")
-
-    if model_vals:
-        # valid ranges are intervals, so valid sweep ends make every point valid
+    # values by block and field; "" holds AnalysisConfig's own fields
+    got = {"": {}, "model": {}, "sim": {}, "sweep": {}}
+    for key, parse in _KEYS.items():
+        if key in raw:
+            block, _, field = key.rpartition(".")
+            v = got[block][field] = parse(key, raw[key])
+            # an int beyond the float range fails too; isfinite would raise
+            if block == "model" and not abs(v) <= sys.float_info.max:
+                raise ConfigError(f"{key} must be finite, got {v}")
+    model, sweep = _whole("model", got["model"]), _whole("sweep", got["sweep"])
+    cfg = AnalysisConfig(**got[""], sim=SimSpec(**got["sim"]),
+                         sweep=SweepSpec(**sweep) if sweep else None)
+    if model:
         try:
-            cfg = cfg._replace(params=ModelParams(**model_vals))
-            for v in (sweep.start, sweep.stop) if sweep is not None else ():
-                v = round(v) if sweep.param == "n" else v
-                ModelParams(**{**model_vals, sweep.param: v})
-        except Exception as exc:
+            cfg = cfg._replace(params=ModelParams(**model))
+        except DomainError as exc:
             raise ConfigError(f"invalid model parameters: {exc}") from None
-
-    unknown = sorted(set(raw) - known)
+    check_ranges(cfg)
+    if sweep and not model:
+        raise ConfigError("sweep requires a model block for the base values")
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
     return cfg
@@ -184,8 +160,10 @@ def check_ranges(cfg: AnalysisConfig) -> None:
     """Raise ConfigError, naming the key, for a setting out of its range.
 
     config_from_mapping and run_analysis both call this, so a
-    configuration built in code is held to a config file's ranges. The
-    model parameters check themselves when they are built.
+    configuration built in code is held to a config file's ranges: a
+    sweep whose model is invalid at either end is a configuration error
+    before any point is analyzed. The model parameters check themselves
+    when they are built.
     """
     if cfg.tau is not None and not 0.0 <= cfg.tau < math.inf:
         raise ConfigError(f"tau must be non-negative and finite, got {cfg.tau}")
@@ -201,14 +179,21 @@ def check_ranges(cfg: AnalysisConfig) -> None:
             f"sim.perturbation must be finite, got {cfg.sim.perturbation}")
     sweep = cfg.sweep
     if sweep is not None:
-        if sweep.param not in _MODEL_KEYS:
-            raise ConfigError(f"sweep.param must be one of {sorted(_MODEL_KEYS)}, "
-                              f"got {sweep.param!r}")
+        if sweep.param not in ModelParams._fields:
+            raise ConfigError(f"sweep.param must be one of "
+                              f"{sorted(ModelParams._fields)}, got {sweep.param!r}")
         if not 1 <= sweep.count <= _SWEEP_COUNT_LIMIT:
             raise ConfigError(f"sweep.count must be >= 1 and at most "
                               f"{_SWEEP_COUNT_LIMIT}, got {sweep.count}")
         if not -math.inf < sweep.start <= sweep.stop < math.inf:
             raise ConfigError("sweep.stop must be >= sweep.start, both finite")
+        # valid ranges are intervals, so valid sweep ends make every point
+        # valid; n sweeps the integers round(v)
+        try:
+            for v in (sweep.start, sweep.stop) if cfg.params is not None else ():
+                cfg.params._replace(**{sweep.param: round(v) if sweep.param == "n" else v})
+        except DomainError as exc:
+            raise ConfigError(f"invalid model parameters: {exc}") from None
 
 
 def load_config(path: str) -> AnalysisConfig:

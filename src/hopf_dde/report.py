@@ -11,7 +11,6 @@ from __future__ import annotations
 from .config import AnalysisConfig
 from .pipeline import BranchResult, RunResult
 
-_MODEL_FIELDS = ("a1", "a2", "a12", "a21", "b1", "b2", "a")
 _EQ_FIELDS = ("x10", "y10", "x20", "y20", "rho1", "rho2", "rho3")
 _CHAR_FIELDS = ("b", "c", "d", "g", "h", "l1", "l2", "l3")
 _NF_COMPLEX = ("g20", "g11", "g02", "g21", "C1")
@@ -78,7 +77,7 @@ def render_report(results: list[RunResult], cfg: AnalysisConfig) -> str:
         if run.label:
             lines.append(f"{pre}label = {run.label}")
         p = run.params
-        lines += [f"{pre}model.{k} = {getattr(p, k):.17g}" for k in _MODEL_FIELDS]
+        lines += [f"{pre}model.{k} = {v:.17g}" for k, v in zip(p._fields, p[:-1])]
         lines.append(f"{pre}model.n = {p.n}")
         if run.error is not None:
             lines.append(f"{pre}error = {run.error}")

@@ -435,7 +435,8 @@ def integrate(p: ModelParams, tau: float,
                                       _hill_log(y1d, n, log_a) - b2 * x2,
                                       x2 - (a2 + a21 * y1d) * y2)
     i = 0
-    if m >= _PASS_MIN_STEPS:
+    # k = min(m, n_full): with fewer full steps no interval takes the solver
+    if k >= _PASS_MIN_STEPS:
         solver = _IntervalSolver(p, first, states, derivs, m, step)
         while n_full - i >= _PASS_MIN_STEPS:
             i1 = min(i + m, n_full)

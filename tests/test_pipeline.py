@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_dde import (AnalysisConfig, ConfigError, DomainError, ModelParams,
-                      NumericalError, PRESETS, analyze_params, parse_report,
-                      render_report, run_analysis)
+from hopf_dde import (AnalysisConfig, ConfigError, ModelParams, NumericalError,
+                      PRESETS, analyze_params, parse_report, render_report,
+                      run_analysis)
 from hopf_dde import pipeline, stability
 from hopf_dde.config import SimSpec, SweepSpec
 
@@ -129,6 +129,16 @@ def test_simulation_block_populated():
     assert br.sim.y1_min < br.sim.y1_max
 
 
+def test_simulation_without_a_crossing_runs_to_200():
+    # with a12 = 0 there is no crossing frequency, so no Hopf period to
+    # take the horizon from: the simulation at tau = 5 runs to t = 200
+    br = analyze_params(PRESETS["n2"]._replace(a12=0.0),
+                        AnalysisConfig(tau=5.0)).branches[0]
+    assert br.crossing is None and br.hopf is None
+    assert br.sim.t_end == 200.0 and br.sim.step == 5.0 / 256
+    assert br.sim.trajectory.t[-1] == 200.0 and len(br.sim.trajectory.t) == 10241
+
+
 def test_sim_step_snaps_to_divide_tau():
     cfg = AnalysisConfig(tau=10.0, sim=SimSpec(t_end=20.0, step=0.3))
     br = analyze_params(PRESETS["n2"], cfg).branches[0]
@@ -233,11 +243,14 @@ def test_on_run_sees_each_run_before_its_arrays_are_released():
 
 
 def test_in_code_sweep_outside_the_domain_raises():
-    # no config file checks the ends here; each point is validated
+    # the ends are checked as a config file's are, before any point runs
     cfg = AnalysisConfig(params=PRESETS["n2"], sim=SimSpec(enabled=False),
                          sweep=SweepSpec("a1", 0.5, 1.5, 3))
-    with pytest.raises(DomainError, match="a1 must lie in"):
-        run_analysis(cfg)
+    seen = []
+    with pytest.raises(ConfigError) as exc:
+        run_analysis(cfg, on_run=lambda run, runs: seen.append(run.label))
+    assert str(exc.value) == "invalid model parameters: a1 must lie in (0, 1], got 1.5"
+    assert seen == []
 
 
 @pytest.mark.parametrize("over, message", [

@@ -1,10 +1,12 @@
-"""README's "Library use" block runs as it is printed."""
+"""README's "Library use" block runs as it is printed, and its
+"Configuration files" table lists the keys a config file may set."""
 
 import pathlib
+import re
 
 import pytest
 
-from hopf_dde import DomainError
+from hopf_dde import DomainError, config
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +24,11 @@ def test_library_use_block_runs():
     assert len(ns["y1"]) == len(ns["traj"].t)
     with pytest.raises(DomainError):
         exec(last, ns)
+
+
+def test_configuration_table_lists_every_key():
+    section = README.read_text(encoding="utf-8").split("### Configuration files\n", 1)[1]
+    rows = section.split("| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    keys = [k for row in rows.split("\n")
+            for k in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert keys == list(config._KEYS)

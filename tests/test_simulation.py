@@ -133,6 +133,30 @@ def test_large_delay_runs_to_the_end():
     assert len(seen) == 1 and seen[0].min() == -3e7 and seen[0].max() == 0.0
 
 
+def test_step_budget_is_checked_before_any_allocation(monkeypatch):
+    # 2e8 steps exceed the 1e8 budget: integrate raises before it calls
+    # the history or allocates the node arrays
+    def unused(*args, **kwargs):
+        raise AssertionError("called past the step budget")
+    monkeypatch.setattr(simulation.np, "zeros", unused)
+    with pytest.raises(DomainError, match="^200000000 steps exceed the "
+                                          "100000000 budget$"):
+        integrate(PRESETS["n4"], 1.0, unused, 2e8, 1.0)
+
+
+def test_huge_delay_forms_no_interval_weights():
+    # at tau = 1e200 the default 256 steps per interval are 3.9e197 long,
+    # so n4's t_end = 2116 is one partial step and no interval takes the
+    # numpy path, whose RK4 weights overflow at that step: integrate must
+    # not form them, or numpy writes RuntimeWarnings to stderr
+    p = PRESETS["n4"]
+    history = constant_history([c * 1.01 for c in find_equilibria(p)[0].state()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = integrate(p, 1e200, history, 2116.1147585119415, 1e200 / 256)
+    assert traj.t.tolist() == [0.0, 2116.1147585119415]
+
+
 def test_arrays_that_cannot_be_allocated_are_a_branch_error(monkeypatch):
     # numpy raises MemoryError where a run's arrays do not fit; the run
     # records a DomainError naming the step count and the bytes, as it
@@ -291,6 +315,7 @@ _HILL_EDGES = {f"{name}_m{m}": (p, y1, m) for name, p, y1 in (
 @pytest.mark.parametrize("case", ["from_function", "step_equals_tau",
                                   "step_equals_tau_partial_final_step", "m2",
                                   "odd_n_negative_y1", "partial_final_step",
+                                  "partial_final_step_in_the_history",
                                   *_HILL_EDGES])
 def test_integrate_matches_reference_bit_for_bit(case):
     p = PRESETS["n2"]
@@ -316,6 +341,10 @@ def test_integrate_matches_reference_bit_for_bit(case):
         history = constant_history(np.array([1.0, -0.5, 3.0, 20.0]))
     elif case == "partial_final_step":
         t_end = 5.3
+    elif case == "partial_final_step_in_the_history":
+        # two full steps of 0.5, then one of 0.3 whose midpoint and end
+        # lookups, at -0.85 and -0.7, read the history
+        t_end, step = 1.3, 0.5
     traj = integrate(p, tau, history, t_end, step)
     states, derivs = _reference_integrate(p, tau, history, t_end, step)
     assert np.array_equal(traj.states, states)
