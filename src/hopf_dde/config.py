@@ -198,5 +198,9 @@ def check_ranges(cfg: AnalysisConfig) -> None:
 
 def load_config(path: str) -> AnalysisConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                              f"{exc.start})") from None
     return config_from_mapping(parse_config_text(text, source=path))

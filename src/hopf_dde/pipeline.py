@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .config import AnalysisConfig, check_ranges
 from .equilibrium import Equilibrium, find_equilibria
-from .errors import HopfDdeError, NumericalError
+from .errors import ConfigError, NumericalError
 from .model import IY1, ModelParams
 from .normal_form import NormalForm, compute_normal_form
 from .stability import (CharCoeffs, HopfPoint, _cubic_slope, char_coeffs,
@@ -208,7 +208,7 @@ def run_analysis(cfg: AnalysisConfig,
     allows (config.check_ranges), however cfg was built.
     """
     if cfg.params is None:
-        raise HopfDdeError("configuration has no model parameters")
+        raise ConfigError("configuration has no model parameters")
     check_ranges(cfg)
     if cfg.sweep is None:
         points = [(cfg.params, "")]

@@ -35,14 +35,14 @@ term f(y1(t - tau)). integrate takes the steps by one of two paths:
   lookup, kept in locals, so a step reads four stored values, indexed
   by node in each component's row. At m = 1 the end lookup is node i,
   the current one, already in locals, and a step reads none. On the
-  first interval both lookups come from the history, at the times the
-  interval path uses. Only a partial final step looks up by time, off
-  the grid. This path takes intervals shorter than _PASS_MIN_STEPS, the
-  partial final step, and any interval the other path gives back: one
-  with a delayed y1 outside its domain, a decay product P that leaves
-  [1e-250, 1e250] or states that break the 1e12 blow-up bound. Such an
-  interval is re-run step by step, so a divergence is reported at its
-  step.
+  first interval both lookups, a partial final step's too, come from the
+  history, at the times the interval path uses. Past it only a partial
+  final step looks up by time, in the grid's Hermite interpolant. This
+  path takes intervals shorter than _PASS_MIN_STEPS, the partial final
+  step, and any interval the other path gives back: one with a delayed
+  y1 outside its domain, a decay product P that leaves [1e-250, 1e250]
+  or states that break the 1e12 blow-up bound. Such an interval is
+  re-run step by step, so a divergence is reported at its step.
 
 Both paths apply the same RK4 map: the per-step path does the
 floating-point operations of RK4 on numpy 4-vectors built from the
@@ -52,9 +52,10 @@ it to rounding (the tests pin states to 1e-12 and derivatives to 1e-10
 of each component's largest magnitude).
 
 The history is a function from an array of times in [-tau, 0] to the
-(len, 4) array of states at them. When t_end >= tau, integrate calls it
-once, at the first interval's nodes and midpoints and at 0, and both
-paths read that array; no history is sampled or interpolated.
+(len, 4) array of states at them. integrate calls it once in every run,
+at the first interval's nodes and midpoints, a partial final step's two
+lookups when that step lies on the first interval, and 0, and both paths
+read that array; no history is sampled or interpolated.
 """
 
 from __future__ import annotations
@@ -241,11 +242,11 @@ def integrate(p: ModelParams, tau: float,
 
     step must divide tau (to 1e-9 relative); it is then taken as tau/m
     exactly, so every full step's delayed lookups fall on the grid's
-    nodes and midpoints (on the first interval, the history at those
-    times less tau, looked up in one call with the state at 0).
-    A final shorter step is taken when t_end is not a multiple of step;
-    the last node then sits at t_end, and only that step's lookups fall
-    off the grid. Raises DivergenceError when history gives a non-finite
+    nodes and midpoints. A final shorter step is taken when t_end is not
+    a multiple of step; the last node then sits at t_end, and only that
+    step's lookups fall off the grid. On the first interval every lookup
+    is the history at its time less tau: one call takes them all and the
+    state at 0. Raises DivergenceError when history gives a non-finite
     value, or when the state norm exceeds 1e12 or turns non-finite;
     DomainError for a tau, step or t_end that is not positive and finite,
     a history that does not give (len, 4), and arrays that cannot be
@@ -255,41 +256,36 @@ def integrate(p: ModelParams, tau: float,
         raise DomainError(f"delay must be positive and finite, got {tau!r}")
     if not 0.0 < step <= tau:
         raise DomainError(f"step must lie in (0, tau], got {step!r}")
-    tol = 1e-9 * max(tau, 1.0)
     m = int(round(tau / step))
-    if m < 1 or abs(m * step - tau) > tol:
+    if m < 1 or abs(m * step - tau) > 1e-9 * max(tau, 1.0):
         raise DomainError(f"step {step!r} does not divide the delay {tau!r}")
     step = tau / m
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
     n_full = int(t_end / step + 1e-9)
     rem = t_end - n_full * step
-    if rem < 1e-12 * max(t_end, 1.0):
+    if n_full > 0 and rem < 1e-12 * max(t_end, 1.0):
         rem = 0.0
     N = n_full + (1 if rem > 0.0 else 0)
     if N > _MAX_STEPS:
         raise DomainError(f"{N} steps exceed the {_MAX_STEPS} budget")
 
-    def history_at(tq: np.ndarray) -> np.ndarray:
-        """The history at the times tq, within tol of [-tau, 0] and
-        clamped into it, as a (len(tq), 4) array of finite floats."""
-        if not (tq.min() >= -tau - tol and tq.max() <= tol):
-            raise DomainError("history queried outside [-tau, 0]")
-        out = np.asarray(history(np.minimum(0.0, np.maximum(tq, -tau))),
-                         dtype=float)
-        if out.shape != (len(tq), 4):
-            raise DomainError(f"history function gave shape {out.shape}, "
-                              f"not ({len(tq)}, 4)")
-        if not np.all(np.isfinite(out)):
-            raise DivergenceError("history holds non-finite values")
-        return out
-
-    # the history at the first interval's nodes, then its midpoints (they
-    # start at -tau), and at 0
+    # the first interval's nodes, then its midpoints (from -tau), the
+    # partial final step's two lookups if it lies there, and 0; each within
+    # a few ulp(tau) of [-tau, 0], and clamped into it
     k = min(m, n_full)
     half = np.arange(2 * k + 1) * (0.5 * step) - tau
-    hv = history_at(np.concatenate((half[::2], half[1::2], [0.0])))
-    # the delayed y1, y2 at those times, one row per component
+    parts = [half[::2], half[1::2]]
+    if n_full < m and rem > 0.0:
+        parts.append([n_full * step + 0.5 * rem - tau, n_full * step + rem - tau])
+    tq = np.concatenate(parts + [[0.0]])
+    hv = np.asarray(history(np.minimum(0.0, np.maximum(tq, -tau))), dtype=float)
+    if hv.shape != (len(tq), 4):
+        raise DomainError(f"history function gave shape {hv.shape}, "
+                          f"not ({len(tq)}, 4)")
+    if not np.all(np.isfinite(hv)):
+        raise DivergenceError("history holds non-finite values")
+    # the delayed y1, y2 at those times but 0, one row per component
     first = np.ascontiguousarray(hv[:-1, IY1::2].T)
 
     # one row per component; zeros, not empty: every lookup reads nodes
@@ -312,18 +308,11 @@ def integrate(p: ModelParams, tau: float,
     big, small = _BLOWUP_NORM, -_BLOWUP_NORM
 
     def off_grid(tq: float) -> tuple[float, float]:
-        """y1, y2 at time tq, for the partial final step's lookups: from
-        the history, a stored node within 1e-13 of tq, or the Hermite
-        interpolant of the stored nodes around tq."""
-        if tq <= 0.0:
-            v = history_at(np.array([tq]))[0]
-            return float(v[IY1]), float(v[IY2])
+        """y1, y2 at time tq > 0, for the partial final step's lookups past
+        the first interval: the Hermite interpolant of the nodes around tq."""
         x = tq / step
         j = int(x)
-        s = x - j
-        if s < 1e-13:
-            return sy1[j], sy2[j]
-        w0, w1, w2, w3 = _hermite_weights(s, step)
+        w0, w1, w2, w3 = _hermite_weights(x - j, step)
         return (w0 * sy1[j] + w1 * dy1[j] + w2 * sy1[j + 1] + w3 * dy1[j + 1],
                 w0 * sy2[j] + w1 * dy2[j] + w2 * sy2[j + 1] + w3 * dy2[j + 1])
 
@@ -369,9 +358,12 @@ def integrate(p: ModelParams, tau: float,
                 g1, g2 = hy1[i + 1], hy2[i + 1]
             else:
                 h, hh, h6 = rem, 0.5 * rem, rem / 6.0
-                t = i * step
-                d1, d2 = off_grid(t + hh - tau)
-                g1, g2 = off_grid(t + rem - tau)
+                if i < m:
+                    # on the first interval: the history's last two lookups
+                    d1, d2, g1, g2 = hy1[-2], hy2[-2], hy1[-1], hy2[-1]
+                else:
+                    d1, d2 = off_grid(i * step + hh - tau)
+                    g1, g2 = off_grid(i * step + rem - tau)
             c1m, c2m = a1 + a12 * d2, a2 + a21 * d1
             c1e, c2e = a1 + a12 * g2, a2 + a21 * g1
             # the Hill terms: _hill_log's operations, in place where its
@@ -437,7 +429,7 @@ def integrate(p: ModelParams, tau: float,
     i = 0
     # k = min(m, n_full): with fewer full steps no interval takes the solver
     if k >= _PASS_MIN_STEPS:
-        solver = _IntervalSolver(p, first, states, derivs, m, step)
+        solver = _IntervalSolver(p, first[:, :2 * k + 1], states, derivs, m, step)
         while n_full - i >= _PASS_MIN_STEPS:
             i1 = min(i + m, n_full)
             if not solver.solve(i, i1):
@@ -454,12 +446,9 @@ def integrate(p: ModelParams, tau: float,
 def upward_crossings(ts: np.ndarray, vals: np.ndarray, level: float = 0.0) -> np.ndarray:
     """Times where vals crosses level from below, linearly interpolated."""
     v = np.asarray(vals, dtype=float) - level
-    idx = np.nonzero((v[:-1] < 0.0) & (v[1:] >= 0.0))[0]
-    out = []
-    for i in idx:
-        s = v[i] / (v[i] - v[i + 1])
-        out.append(ts[i] + s * (ts[i + 1] - ts[i]))
-    return np.array(out)
+    i = np.nonzero((v[:-1] < 0.0) & (v[1:] >= 0.0))[0]
+    s = v[i] / (v[i] - v[i + 1])
+    return ts[i] + s * (ts[i + 1] - ts[i])
 
 
 def oscillation_summary(ts: np.ndarray, vals: np.ndarray) -> dict:

@@ -237,6 +237,16 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    # the UnicodeDecodeError from reading it was a traceback
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"tau = 10\n\xff\n")
+    assert cli.main(["--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {bad}: not UTF-8 text")
+    assert not (tmp_path / "out").exists()
+
+
 def test_retired_variants_key_exits_1(tmp_path, capsys):
     # the formula toggles are gone; an old config that sets one is rejected
     cfg = FAST_CFG + "variants.f11_undistributed = true\n"

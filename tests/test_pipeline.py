@@ -272,8 +272,7 @@ def test_run_analysis_checks_ranges_of_a_config_built_in_code(over, message):
 
 
 def test_run_analysis_requires_params():
-    from hopf_dde import HopfDdeError
-    with pytest.raises(HopfDdeError):
+    with pytest.raises(ConfigError, match="^configuration has no model parameters$"):
         run_analysis(AnalysisConfig())
 
 

@@ -112,7 +112,11 @@ def test_history_is_evaluated_once(m):
         return history(ts)
 
     integrate(PRESETS["n2"], 2.0, counting, 5.3, 2.0 / m)
-    assert calls == [2 * m + 2]
+    # with t_end < tau, one call at the k = n_full full steps' 2k + 1
+    # times, the partial final step's two lookups and 0
+    k = {1: 0, 64: 41}[m]
+    integrate(PRESETS["n2"], 2.0, counting, 1.3, 2.0 / m)
+    assert calls == [2 * m + 2, 2 * k + 4]
 
 
 def test_large_delay_runs_to_the_end():
@@ -247,7 +251,7 @@ def _reference_integrate(p, tau, history, t_end, step):
     m = round(tau / step)
     n_full = int(t_end / step + 1e-9)
     rem = t_end - n_full * step
-    if rem < 1e-12 * max(t_end, 1.0):
+    if n_full > 0 and rem < 1e-12 * max(t_end, 1.0):
         rem = 0.0
     N = n_full + (1 if rem > 0.0 else 0)
     states, derivs = np.empty((N + 1, 4)), np.empty((N + 1, 4))
@@ -316,7 +320,7 @@ _HILL_EDGES = {f"{name}_m{m}": (p, y1, m) for name, p, y1 in (
                                   "step_equals_tau_partial_final_step", "m2",
                                   "odd_n_negative_y1", "partial_final_step",
                                   "partial_final_step_in_the_history",
-                                  *_HILL_EDGES])
+                                  "tiny_t_end", *_HILL_EDGES])
 def test_integrate_matches_reference_bit_for_bit(case):
     p = PRESETS["n2"]
     tau, t_end, step = 2.0, 30.0, 0.125
@@ -345,6 +349,10 @@ def test_integrate_matches_reference_bit_for_bit(case):
         # two full steps of 0.5, then one of 0.3 whose midpoint and end
         # lookups, at -0.85 and -0.7, read the history
         t_end, step = 1.3, 0.5
+    elif case == "tiny_t_end":
+        # no full step: the whole run is one partial step of 1e-13, below
+        # the remainder that a run with full steps drops
+        t_end = 1e-13
     traj = integrate(p, tau, history, t_end, step)
     states, derivs = _reference_integrate(p, tau, history, t_end, step)
     assert np.array_equal(traj.states, states)
