@@ -29,9 +29,12 @@ _CSV_CHUNK_VALUES = 4096
 # d0..d16, ".", d1..d16 again, separator. The mask row for (sign, X,
 # digits kept) selects the sign, "0." and leading zeros when X < 0,
 # d0..dX from the first copy and the point and d(X+1).. from the second,
-# which places the point without moving bytes. Mask row _FALLBACK keeps
-# a NUL written over d0 and the separator; the fallback text replaces
-# the NUL.
+# which places the point without moving bytes. A mask row holds 0xFF
+# for a kept byte and 0x00 for a dropped one; ANDed with the row, it
+# leaves 0x00 in every dropped byte, and `bytes.translate` deletes them
+# in one pass. Mask row _FALLBACK keeps a \x01 written over d0 and the
+# separator; the fallback text replaces the \x01, a byte that no `%.17g`
+# text or separator holds.
 def _pow10_parts() -> tuple[np.ndarray, np.ndarray]:
     """10^q, q = 0..20, as a 26-bit high part plus the exact rest."""
     hi, lo = [], []
@@ -81,7 +84,7 @@ def _build_masks() -> np.ndarray:
     neg = keep.copy()
     neg[:, 0] = True
     fallback = (col == len(_HEAD)) | (col == _ROW_WIDTH - 1)
-    return np.concatenate([keep, neg, fallback[None]])
+    return 0xFF * np.concatenate([keep, neg, fallback[None]]).astype(np.uint8)
 
 
 _MASKS = _build_masks()
@@ -134,8 +137,8 @@ def _format_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Fill `rows`, a `_csv_rows` buffer of `len(v)` rows, with the
     digits of each value of `v`; return each row's index into `_MASKS`.
 
-    A value the kernel does not cover gets mask row _FALLBACK and a NUL
-    where its text goes; `_join` puts `fmt_float`'s text there.
+    A value the kernel does not cover gets mask row _FALLBACK and a byte
+    0x01 where its text goes; `_join` puts `fmt_float`'s text there.
     """
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e17)
@@ -145,18 +148,26 @@ def _format_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     digits = words.view(np.uint8)[:, 3:]
     rows[:, len(_HEAD):_POINT] = digits
     rows[:, _POINT + 1:-1] = digits[:, 1:]
-    rows[~fast, len(_HEAD)] = 0
+    rows[~fast, len(_HEAD)] = 1
     return np.where(fast, np.where(v < 0, x + 25, x + 4) * 17 + last, _FALLBACK)
 
 
-def _join(rows: np.ndarray, mask_row: np.ndarray, v: np.ndarray) -> bytes:
-    """The text of the `_format_rows` rows `rows` (any leading shape),
-    each followed by its separator; `v` holds their values in order."""
-    text = rows[np.take(_MASKS, mask_row, axis=0)].tobytes()
+def _mask(rows: np.ndarray, mask_row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The `_format_rows` rows `rows` ANDed with their mask rows, in `out`
+    (of the same shape): each byte the mask drops becomes 0x00."""
+    # every index is in range; mode "raise" would copy through a buffer
+    np.take(_MASKS, mask_row, axis=0, out=out, mode="clip")
+    return np.bitwise_and(out, rows, out=out)
+
+
+def _join(masked: np.ndarray, mask_row: np.ndarray, v: np.ndarray) -> bytes:
+    """The text of the `_mask` rows `masked` (any leading shape), each
+    followed by its separator; `v` holds their values in order."""
+    text = masked.tobytes().translate(None, b"\0")
     slow = np.flatnonzero(mask_row == _FALLBACK)
     if not len(slow):
         return text
-    pieces = text.split(b"\0")
+    pieces = text.split(b"\x01")
     out = [pieces[0]]
     for val, piece in zip(v.ravel()[slow].tolist(), pieces[1:]):
         out += [fmt_float(val).encode(), piece]
@@ -169,24 +180,26 @@ def _format_values(v: np.ndarray, rows: np.ndarray) -> bytes:
     `rows` is a `_csv_rows` buffer of `len(v)` rows; its digit columns
     are overwritten.
     """
-    return _join(rows, _format_rows(v, rows), v)
+    mask_row = _format_rows(v, rows)
+    return _join(_mask(rows, mask_row, np.empty_like(rows)), mask_row, v)
 
 
 def _csv_chunks(fh, header: str, columns: tuple):
     """Write `columns` to the binary file `fh` as CSV, a chunk of rows at
-    a time, and yield each chunk's (rows, mask_row, values) once it is
-    written, so that another file can reuse the formatted text."""
+    a time, and yield each chunk's (masked rows, mask_row, values) once
+    it is written, so that another file can reuse the formatted text."""
     # a few thousand values per numpy pass keeps the temporaries under
     # 1 MB for long runs
     nrows = max(1, _CSV_CHUNK_VALUES // len(columns))
     rows = _csv_rows(len(columns), nrows)
+    masked = np.empty_like(rows)
     fh.write(header.encode() + b"\n")
     for i in range(0, len(columns[0]), nrows):
         v = np.column_stack([c[i:i + nrows] for c in columns]).ravel()
-        buf = rows[:v.size]
-        mask_row = _format_rows(v, buf)
-        fh.write(_join(buf, mask_row, v))
-        yield buf, mask_row, v
+        mask_row = _format_rows(v, rows[:v.size])
+        chunk = _mask(rows[:v.size], mask_row, masked[:v.size])
+        fh.write(_join(chunk, mask_row, v))
+        yield chunk, mask_row, v
 
 
 #: y1 and y2 among trajectory.csv's columns t, x1, y1, x2, y2: y1 is
@@ -221,7 +234,7 @@ def write_phase_csv(path: str, chunks) -> None:
     """
     with open(path, "wb") as fh:
         fh.write(b"y1,y2\n")
-        for rows, mask_row, v in chunks:
-            fh.write(_join(rows.reshape(-1, 5, _ROW_WIDTH)[:, _PHASE_COLUMNS],
+        for masked, mask_row, v in chunks:
+            fh.write(_join(masked.reshape(-1, 5, _ROW_WIDTH)[:, _PHASE_COLUMNS],
                            mask_row.reshape(-1, 5)[:, _PHASE_COLUMNS],
                            v.reshape(-1, 5)[:, _PHASE_COLUMNS]))

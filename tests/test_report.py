@@ -257,6 +257,16 @@ def test_phase_csv(tmp_path, short_traj):
     assert y2 == short_traj.states[0, 3]
 
 
+def _fmt_float_csvs(traj):
+    """trajectory.csv and phase.csv of `traj` as `fmt_float` writes them."""
+    want_traj = "t,x1,y1,x2,y2\n" + "".join(
+        ",".join(fmt_float(x) for x in (t, *row)) + "\n"
+        for t, row in zip(traj.t, traj.states))
+    want_phase = "y1,y2\n" + "".join(
+        f"{fmt_float(row[1])},{fmt_float(row[3])}\n" for row in traj.states)
+    return want_traj.encode(), want_phase.encode()
+
+
 def _special_waveform():
     """Special values, then enough rows to span several write chunks."""
     rng = np.random.default_rng(5)
@@ -269,35 +279,49 @@ def _special_waveform():
     t = np.concatenate([[0.0, 1e-300, 0.30000000000000004],
                         0.3 + 0.001 * np.arange(2500)])
     traj = Trajectory(t=t, states=states, derivs=np.zeros_like(states))
-    want_traj = "t,x1,y1,x2,y2\n" + "".join(
-        ",".join(fmt_float(x) for x in (t, *row)) + "\n"
-        for t, row in zip(traj.t, states))
-    want_phase = "y1,y2\n" + "".join(
-        f"{fmt_float(row[1])},{fmt_float(row[3])}\n" for row in states)
-    return traj, want_traj.encode(), want_phase.encode()
+    return (traj, *_fmt_float_csvs(traj))
+
+
+def _tiny_protein_waveform():
+    """x2 and y2 below 1e-4 on every row, over three full write chunks
+    and a partial fourth: each line of both files has a fallback value."""
+    nrows = 3 * (csv_output._CSV_CHUNK_VALUES // 5) + 100
+    rng = np.random.default_rng(6)
+    states = np.column_stack([
+        rng.uniform(0.1, 2.0, nrows), rng.uniform(1.0, 3.0, nrows),
+        rng.uniform(1e-6, 9e-5, nrows), -rng.uniform(1e-7, 9e-5, nrows)])
+    traj = Trajectory(t=0.25 * np.arange(nrows), states=states,
+                      derivs=np.zeros_like(states))
+    return (traj, *_fmt_float_csvs(traj))
 
 
 def test_csv_writers_match_fmt_float_bytes(tmp_path):
-    traj, want_traj, want_phase = _special_waveform()
-    write_trajectory_csv(str(tmp_path / "alone.csv"), traj)
-    _write_both(tmp_path / "traj.csv", tmp_path / "phase.csv", traj)
-    assert (tmp_path / "alone.csv").read_bytes() == want_traj
-    assert (tmp_path / "traj.csv").read_bytes() == want_traj
-    assert (tmp_path / "phase.csv").read_bytes() == want_phase
+    for waveform in (_special_waveform, _tiny_protein_waveform):
+        traj, want_traj, want_phase = waveform()
+        write_trajectory_csv(str(tmp_path / "alone.csv"), traj)
+        _write_both(tmp_path / "traj.csv", tmp_path / "phase.csv", traj)
+        assert (tmp_path / "alone.csv").read_bytes() == want_traj
+        assert (tmp_path / "traj.csv").read_bytes() == want_traj
+        assert (tmp_path / "phase.csv").read_bytes() == want_phase
 
 
 def test_phase_csv_reuses_the_trajectory_text(tmp_path, monkeypatch):
     # written from the trajectory writer's chunks, phase.csv has
-    # fmt_float's bytes, and its y1, y2 are not formatted a second time
+    # fmt_float's bytes, and its y1, y2 are neither formatted nor masked
+    # a second time
     traj, want_traj, want_phase = _special_waveform()
-    formatted = []
-    real = csv_output._format_rows
+    formatted, masked = [], []
+    real_format, real_mask = csv_output._format_rows, csv_output._mask
     monkeypatch.setattr(csv_output, "_format_rows",
-                        lambda v, rows: formatted.append(len(v)) or real(v, rows))
+                        lambda v, rows: formatted.append(len(v))
+                        or real_format(v, rows))
+    monkeypatch.setattr(csv_output, "_mask",
+                        lambda rows, mask_row, out: masked.append(len(rows))
+                        or real_mask(rows, mask_row, out))
     _write_both(tmp_path / "traj.csv", tmp_path / "phase.csv", traj)
     assert (tmp_path / "traj.csv").read_bytes() == want_traj
     assert (tmp_path / "phase.csv").read_bytes() == want_phase
-    assert sum(formatted) == 5 * len(traj.t)
+    assert sum(formatted) == sum(masked) == 5 * len(traj.t)
     assert len(formatted) > 1
 
 
